@@ -3,25 +3,26 @@ verbal kernels and subgroup closures in the corresponding pro-topology.
 
 Throughout, p > 2 is prime and d > 1 divides p - 1.  The two-generator
 group of order pd presented by x^p = y^d = 1, y x y^-1 = x^q (with q of
-multiplicative order d mod p) generates the pseudovariety, and the free
-object on n generators is realized concretely as the subgroup of a
-direct power of that group generated by the coordinate-projection
-tuples, one coordinate per assignment of the n letters.
+multiplicative order d mod p) generates the pseudovariety.  The free
+object on n generators is Z_d^n extended by an F_p-module, and an
+element of it is stored as the d-abelianized word together with its Fox
+derivatives mod p, one F_p[Z_d^n] coefficient vector per letter: n * d^n
+coordinates, whatever p is.
 
-Free-object elements are stored in a structured form (t-part in Z_d^n,
-one unit-part per assignment), which keeps single elements small even
-when the free object itself is astronomically large; only operations
-that genuinely enumerate elements or cosets are subject to the cap.
+This structured form keeps single elements small even when the free
+object itself is astronomically large; only operations that genuinely
+enumerate elements or cosets are subject to the cap.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import CapExceededError
-from .fplinalg import ApdPresentation
+from .fplinalg import ApdPresentation, rref
 from .numtheory import mult_order, require_prime, smallest_of_order
 from .permgroup import DEFAULT_ELEMENT_CAP, PermGroup
 from .stallings import Automaton
@@ -155,7 +156,8 @@ def gpd_iso(p: int, d: int, q: int, r: int) -> tuple[int, int]:
             raise ValueError(f"{name} = {value} does not have order {d} mod {p}")
     m = next(m for m in range(1, d + 1) if pow(r, m, p) == q % p)
     k = next(k for k in range(1, d + 1) if pow(q, k, p) == r % p)
-    assert m * k % d == 1
+    if m * k % d != 1:
+        raise AssertionError(f"m = {m} and k = {k} are not inverse mod {d}")
 
     gq, gr = GpdGroup(p, d, q), GpdGroup(p, d, r)
 
@@ -166,23 +168,41 @@ def gpd_iso(p: int, d: int, q: int, r: int) -> tuple[int, int]:
         return GpdElement(e.u, k * e.t % d)
 
     for a in gq.elements():
-        assert backward(forward(a)) == a
+        if backward(forward(a)) != a:
+            raise AssertionError(f"y -> y^{m} -> y^{m * k} does not fix {a}")
         for b in gq.elements():
-            assert forward(gq.mul(a, b)) == gr.mul(forward(a), forward(b))
+            if forward(gq.mul(a, b)) != gr.mul(forward(a), forward(b)):
+                raise AssertionError(f"y -> y^{m} is not multiplicative at {a}, {b}")
     for a in gr.elements():
-        assert forward(backward(a)) == a
+        if forward(backward(a)) != a:
+            raise AssertionError(f"y -> y^{k} -> y^{m * k} does not fix {a}")
         for b in gr.elements():
-            assert backward(gr.mul(a, b)) == gq.mul(backward(a), backward(b))
+            if backward(gr.mul(a, b)) != gq.mul(backward(a), backward(b)):
+                raise AssertionError(f"y -> y^{k} is not multiplicative at {a}, {b}")
     return m, k
 
 
 class FreeObject:
     """Free object of Ab(p)*Ab(d) on n generators.
 
-    An element is a pair (s, u): s in Z_d^n is the d-abelianized word
-    and u holds one x-exponent per assignment of the n letters into the
-    pd-element generator group.  Construction is cheap; element
-    enumeration (``materialize``) is the only capped step.
+    An element is a pair (s, u): s in Z_d^n is the d-abelianized word w
+    and u holds its Fox derivatives mod p.  Coordinate i * d^n + k of u
+    is the coefficient of ``points[k]`` in the image of dw/da_i in
+    F_p[Z_d^n], so u has n * d^n coordinates.  Multiplication adds a
+    translated copy, F(wv) = F(w) + s(w).F(v), and needs no arithmetic
+    in the pd-element group.
+
+    The element sends an assignment a_i -> x^(u_i) y^(t_i) of the letters
+    into that group, t_phi = (t_1, ..., t_n), to y-exponent <s, t_phi> and
+    x-exponent sum_i u_i sum_t F_i[t] q^<t, t_phi>.  For fixed s this
+    readout is an injective discrete Fourier transform over Z_d^n (d
+    divides p - 1), so two elements are equal exactly when they agree on
+    every assignment.
+
+    Construction is refused when n * d^n exceeds the default cap, and the
+    translation table grows by n * d^n entries per distinct s that
+    multiplication meets.  Element enumeration (``materialize``) is
+    capped separately.
     """
 
     def __init__(self, n: int, p: int, d: int, q: int | None = None):
@@ -192,19 +212,23 @@ class FreeObject:
         self.gpd = GpdGroup(p, d, q)
         self.p = self.gpd.p
         self.d = self.gpd.d
-        assignments = list(itertools.product(self.gpd.elements(), repeat=n))
-        self.n_coords = len(assignments)
-        # per-assignment t-vector of the n letters, and q^t lookup
-        self._tvecs = [tuple(a.t for a in phi) for phi in assignments]
-        self._qpow = self.gpd._qpow
-        zero_s = (0,) * n
-        zero_u = (0,) * self.n_coords
-        self.identity = (zero_s, zero_u)
+        # past the cap's bit length 2^n alone exceeds it; testing n first keeps d**n small
+        if n > DEFAULT_CAP.bit_length() or n * d**n > DEFAULT_CAP:
+            raise CapExceededError(
+                f"free object on {n} generators needs n * d^n Fox coordinates, "
+                f"beyond cap {DEFAULT_CAP}"
+            )
+        self.points = list(itertools.product(range(d), repeat=n))
+        self._point_index = {t: k for k, t in enumerate(self.points)}
+        self.n_coords = n * len(self.points)
+        self._shifts: dict[tuple[int, ...], itemgetter] = {}
+        self.identity = ((0,) * n, (0,) * self.n_coords)
         self.generators = []
         for i in range(n):
             s = tuple(1 if j == i else 0 for j in range(n))
-            u = tuple(phi[i].u for phi in assignments)
-            self.generators.append((s, u))
+            u = [0] * self.n_coords
+            u[i * len(self.points)] = 1  # points[0] is the zero of Z_d^n
+            self.generators.append((s, tuple(u)))
         self._gen_inverses = [self.inv(g) for g in self.generators]
         self._elements: list | None = None
         self._cayley: Automaton | None = None
@@ -215,23 +239,30 @@ class FreeObject:
 
     # -- element arithmetic -------------------------------------------
 
-    def _twist(self, s) -> list[int]:
-        d = self.d
-        qpow = self._qpow
-        return [qpow[sum(si * ti for si, ti in zip(s, tv)) % d] for tv in self._tvecs]
+    def _shift(self, s) -> itemgetter:
+        """Getter that reads a coordinate tuple translated by s: the entry
+        at (i, t) of its result is the entry at (i, t - s)."""
+        getter = self._shifts.get(s)
+        if getter is None:
+            d, size, index = self.d, len(self.points), self._point_index
+            row = [
+                i * size + index[tuple((a - b) % d for a, b in zip(t, s))]
+                for i in range(self.n)
+                for t in self.points
+            ]
+            getter = self._shifts[s] = itemgetter(*row)
+        return getter
 
     def mul(self, a, b):
         p, d = self.p, self.d
         s = tuple((x + y) % d for x, y in zip(a[0], b[0]))
-        tw = self._twist(a[0])
-        u = tuple((x + w * y) % p for x, w, y in zip(a[1], tw, b[1]))
+        u = tuple([(x + y) % p for x, y in zip(a[1], self._shift(a[0])(b[1]))])
         return (s, u)
 
     def inv(self, a):
         p, d = self.p, self.d
         s = tuple((-x) % d for x in a[0])
-        tw = self._twist(s)
-        u = tuple((-w * x) % p for w, x in zip(tw, a[1]))
+        u = tuple([(-y) % p for y in self._shift(s)(a[1])])
         return (s, u)
 
     def evaluate(self, w: Word):
@@ -380,9 +411,12 @@ class _ImageSubgroup:
             for g in gens:
                 e = fobj.mul(r, g)
                 k = fobj.mul(e, fobj.inv(reps[e[0]]))
-                assert all(x == 0 for x in k[0])
+                if any(k[0]):
+                    raise AssertionError(f"Schreier generator {k} has a nonzero t-part")
                 rows.append(list(k[1]))
-        self.pivot_rows = _rref_rows(rows, p)
+        # fully reduced rows, zero before their pivot, in pivot order
+        reduced, pivots = rref(rows, p)
+        self.pivot_rows = list(zip(pivots, reduced))
 
     def reduce_unit(self, u):
         p = self.fobj.p
@@ -400,27 +434,9 @@ class _ImageSubgroup:
         best = min(tuple((a + b) % d for a, b in zip(s, t)) for t in self.t_parts)
         delta = tuple((a - b) % d for a, b in zip(best, s))
         shifted = self.fobj.mul(self.reps[delta], element)
-        assert shifted[0] == best
+        if shifted[0] != best:
+            raise AssertionError(f"coset representative moved t-part to {shifted[0]}, not {best}")
         return best, self.reduce_unit(shifted[1])
-
-
-def _rref_rows(rows, p):
-    """Row-reduce integer rows mod p; returns (pivot, normalized row) pairs."""
-    pivot_rows: list[tuple[int, list[int]]] = []
-    for row in rows:
-        row = [x % p for x in row]
-        for pivot, prow in pivot_rows:
-            c = row[pivot]
-            if c:
-                row = [(x - c * y) % p for x, y in zip(row, prow)]
-        head = next((i for i, x in enumerate(row) if x), None)
-        if head is None:
-            continue
-        inv = pow(row[head], -1, p)
-        row = [x * inv % p for x in row]
-        pivot_rows.append((head, row))
-    pivot_rows.sort(key=lambda pr: pr[0])
-    return pivot_rows
 
 
 def closure(aut: Automaton, p: int, d: int, cap: int = DEFAULT_CAP,
@@ -589,16 +605,26 @@ def decompose(pres: ApdPresentation, cap: int = DEFAULT_CAP) -> ApdEmbedding:
 
     # relation checks: the map is a well-defined homomorphism
     for i, xi in enumerate(x_images):
-        assert power(xi, p) == identity
-        for xi2 in x_images:
-            assert mul(xi, xi2) == mul(xi2, xi)
+        if power(xi, p) != identity:
+            raise AssertionError(f"image of x_{i + 1} does not have order dividing {p}")
+        for i2, xi2 in enumerate(x_images):
+            if mul(xi, xi2) != mul(xi2, xi):
+                raise AssertionError(f"images of x_{i + 1} and x_{i2 + 1} do not commute")
     for j, yj in enumerate(y_images):
-        assert power(yj, pres.orders[j]) == identity
-        for yj2 in y_images:
-            assert mul(yj, yj2) == mul(yj2, yj)
+        if power(yj, pres.orders[j]) != identity:
+            raise AssertionError(
+                f"image of y_{j + 1} does not have order dividing {pres.orders[j]}"
+            )
+        for j2, yj2 in enumerate(y_images):
+            if mul(yj, yj2) != mul(yj2, yj):
+                raise AssertionError(f"images of y_{j + 1} and y_{j2 + 1} do not commute")
         for i, xi in enumerate(x_images):
             conj = mul(mul(yj, xi), inv(yj))
-            assert conj == power(xi, pres.exponents[i][j])
+            k = pres.exponents[i][j]
+            if conj != power(xi, k):
+                raise AssertionError(
+                    f"y_{j + 1} x_{i + 1} y_{j + 1}^-1 does not map to x_{i + 1}^{k}"
+                )
 
     # injectivity by image counting
     seen = {identity}

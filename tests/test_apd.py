@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import random
 
@@ -150,6 +152,72 @@ def test_free_object_eval_is_homomorphism():
 def test_free_object_cap():
     with pytest.raises(CapExceededError):
         free_object(2, 7, 6, cap=1000)
+    # 6 * 10^6 Fox coordinates: refused before any table is built
+    with pytest.raises(CapExceededError):
+        FreeObject(6, 11, 10)
+
+
+def evaluate_under(group, w, phi):
+    """Image of w in G(p,d) under a_i -> phi[i], multiplied letter by letter."""
+    out = group.identity
+    for letter in w.letters:
+        g = phi[abs(letter) - 1]
+        out = group.mul(out, g if letter > 0 else group.inv(g))
+    return out
+
+
+def fox_readout(obj, element, phi):
+    """Image of a free-object element under a_i -> phi[i], read from its
+    Fox coordinates: y-exponent <s, t_phi> and x-exponent
+    sum_i u_i sum_t F_i[t] q^<t, t_phi>."""
+    s, fox = element
+    p, d, q = obj.p, obj.d, obj.gpd.q
+    t_phi = [g.t for g in phi]
+    size = len(obj.points)
+    x = 0
+    for i, g in enumerate(phi):
+        for k, t in enumerate(obj.points):
+            x += g.u * fox[i * size + k] * pow(q, sum(a * b for a, b in zip(t, t_phi)), p)
+    return GpdElement(x % p, sum(a * b for a, b in zip(s, t_phi)) % d)
+
+
+@pytest.mark.parametrize("n, p, d", [(1, 7, 6), (2, 3, 2), (2, 5, 4), (3, 3, 2)])
+def test_fox_coordinates_read_out_every_assignment(n, p, d):
+    obj = FreeObject(n, p, d)
+    assert obj.n_coords == n * d**n
+    group = obj.gpd
+    elements = group.elements()
+    rng = random.Random(f"fox {n} {p} {d}")
+    for _ in range(40):
+        w = random_word(rng, n, 12)
+        image = obj.evaluate(w)
+        for _ in range(10):
+            phi = [rng.choice(elements) for _ in range(n)]
+            assert fox_readout(obj, image, phi) == evaluate_under(group, w, phi), (w, phi)
+
+
+def test_free_object_identity_iff_every_assignment_kills_the_word():
+    obj = FreeObject(2, 3, 2)
+    group = obj.gpd
+    assignments = list(itertools.product(group.elements(), repeat=2))
+    rng = random.Random(31)
+    # a^6, b^6, [a^2, b^2] and [[a, b], b[a, b]b^-1] map to 1 in every
+    # group of the pseudovariety; a^3, [a^3, b^3] and [a, b] do not
+    comm = parse("abAB", 2)
+    comm_b = comm.conjugate(parse("b", 2))
+    kernel = [parse("a^6", 2), parse("b^6", 2), parse("aabbAABB", 2),
+              comm * comm_b * comm.inverse() * comm_b.inverse()]
+    words = [random_word(rng, 2, 10) for _ in range(60)]
+    words += [parse("a^3", 2), parse("aaabbbAAABBB", 2), comm]
+    for _ in range(30):
+        k1, k2 = rng.choice(kernel), rng.choice(kernel)
+        words.append((k1 * k2.inverse()).conjugate(random_word(rng, 2, 6)))
+    killed_count = 0
+    for w in words:
+        killed = all(evaluate_under(group, w, phi) == group.identity for phi in assignments)
+        assert (obj.evaluate(w) == obj.identity) == killed, w
+        killed_count += killed
+    assert 0 < killed_count < len(words)
 
 
 def test_kernel_membership_examples():
@@ -180,6 +248,32 @@ def test_closure_examples():
 def test_closure_of_trivial_subgroup():
     assert closure(Automaton.trivial(1), 3, 2).index() == 6
     assert closure(Automaton.trivial(2), 3, 2, cap=2000).index() == 972
+
+
+# (n, p, d), subgroup generators, closure index and digest of repr(key),
+# recorded with the assignment-coordinate free object this one replaced
+CLOSURE_DIGESTS = [
+    ((2, 5, 4), "b,b,ABAA", 125, "bcca40edb0097ccf"),
+    ((2, 5, 4), "aB,aabaB", 125, "f1b4d89fa3847ac3"),
+    ((2, 5, 4), "a,aBaabb", 25, "9ae8b36181de78d6"),
+    ((2, 5, 4), "AAB,aaaaab", 25, "95350177d5ba3125"),
+    ((2, 7, 3), "AB,abAbba", 49, "21c394911660f3a2"),
+    ((2, 7, 3), "B,BaBBBA,BabABa", 343, "1cd952392d30dd6a"),
+    ((2, 7, 3), "bABAAb,Ab,Ab", 49, "a4297539ed39540a"),
+    ((2, 7, 3), "aba,bb", 1, "e3701c8a402e1022"),
+    ((3, 3, 2), "B,ABAb,ac,ABABCC", 162, "ea862ab7fb213652"),
+    ((3, 3, 2), "CC,a,CB,caB", 162, "13d058d134da4005"),
+    ((3, 3, 2), "aabAB,aCBa,c", 27, "9d6f036d2fe7dee4"),
+    ((3, 3, 2), "aabCCB,CBAc,BAbC,ac", 162, "e3394283b73a5a6b"),
+]
+
+
+@pytest.mark.parametrize("npd, gens, index, digest", CLOSURE_DIGESTS)
+def test_closure_keys_are_pinned(npd, gens, index, digest):
+    n, p, d = npd
+    cl = closure(aut(n, *gens.split(",")), p, d)
+    assert cl.n_vertices == index
+    assert hashlib.sha256(repr(cl.key).encode()).hexdigest()[:16] == digest
 
 
 def test_closure_agrees_with_folding_route():
