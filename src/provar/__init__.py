@@ -52,6 +52,7 @@ from .uvar import (
     is_u_closed,
     not_fg_certificate,
     u_density_check,
+    u_residual,
 )
 from .words import Word, parse, word
 

@@ -89,12 +89,16 @@ def bs_is_trivial(u: Word, q: int) -> bool:
 def bs_separating_prime(
     g: BsElement, budget: int = DEFAULT_PRIME_BUDGET
 ) -> tuple[int, GpdElement]:
-    """Smallest prime p != q with q a primitive root mod p sending g to a
-    nontrivial element of C_p x| C_{p-1}.
+    """A prime p != q with q a primitive root mod p, and the nontrivial
+    image of g in C_p x| C_{p-1}.
 
     The canonical map takes m / q^s to m q^-s mod p and the b-exponent
-    to its residue mod p - 1; choosing p beyond |j| and away from m
-    forces a nontrivial image.
+    to its residue mod p - 1.  The primes are scanned upwards from 3, and
+    the first one that is not q, does not divide a nonzero m, exceeds
+    |j| + 1 and has q as a primitive root is returned: those conditions
+    force a nontrivial image.  A smaller prime may already separate g
+    (for x y^5 with q = 2 the scan returns 11, although 3 separates), so
+    p need not be the smallest separating prime.
     """
     if g.is_identity():
         raise ValueError("identity element has no separating quotient")
@@ -117,6 +121,7 @@ def bs_separating_prime(
             continue
         x_exp = m % p * pow(g.q, -s, p) % p
         image = GpdElement(x_exp, g.j % (p - 1))
-        assert image != GpdElement(0, 0)
+        if image == GpdElement(0, 0):
+            raise AssertionError(f"the image of {g} at p = {p} is trivial")
         return p, image
     raise AssertionError("unreachable")  # pragma: no cover

@@ -248,7 +248,7 @@ def _run(args) -> dict:
                 "prime_bound": report.prime_bound}
 
     if cmd == "is-in-u":
-        report = uvar.is_in_u(_group_arg(args, cap), cap=cap)
+        report = uvar.is_in_u(_group_arg(args, cap))
         return {
             "verdict": report.verdict,
             "supersolvable": report.supersolvable,

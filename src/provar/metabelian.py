@@ -269,7 +269,8 @@ def _guaranteed_search(w: Word, q_candidates: int, cap: int):
     """
     flow = flow_of(w)
     h = flow.h_sums()
-    assert h, "fallback requires a nonzero row sum"
+    if not h:
+        raise AssertionError("fallback requires a nonzero row sum")
     k = len(w)
     n0 = flow.endpoint[1]
     n_min = min(h)
@@ -284,7 +285,8 @@ def _guaranteed_search(w: Word, q_candidates: int, cap: int):
             continue
         p = result.p
         scaled = sum(c * q ** (n - n_min) for n, c in h.items())
-        assert scaled != 0 and abs(scaled) < p
+        if scaled == 0 or abs(scaled) >= p:
+            raise AssertionError(f"scaled row-sum polynomial {scaled} is zero or not below p = {p}")
         x_exp = scaled * pow(q, n_min, p) % p
         image = GpdElement(x_exp, n0 % (p - 1))
         return p, q, image
@@ -324,7 +326,8 @@ def separating_witness(
             k = len(shifted)
             steps.append(("theta", k))
             w = theta_substitute(shifted, k)
-            assert flow_of(w).h_sums(), "substitution must expose a nonzero row sum"
+            if not flow_of(w).h_sums():
+                raise AssertionError("substitution must expose a nonzero row sum")
 
     found = _direct_search(w, direct_prime_bound)
     if found is not None:

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import CapExceededError
+from .numtheory import factorize, is_prime
 
 DEFAULT_ELEMENT_CAP = 200_000
 
@@ -25,7 +27,9 @@ def perm_identity(degree: int) -> Perm:
 
 def compose(f: Perm, g: Perm) -> Perm:
     """f o g: apply g first, then f."""
-    return tuple(f[x] for x in g)
+    if len(g) == 1:  # itemgetter of one index returns a scalar, not a tuple
+        return f
+    return itemgetter(*g)(f)
 
 
 def inverse(p: Perm) -> Perm:
@@ -45,13 +49,61 @@ def commutator(a: Perm, b: Perm) -> Perm:
 
 
 def perm_order(p: Perm) -> int:
+    """The lcm of the cycle lengths."""
+    seen = bytearray(len(p))
     order = 1
-    q = p
-    ident = perm_identity(len(p))
-    while q != ident:
-        q = compose(q, p)
-        order += 1
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = 1
+            x = p[x]
+            length += 1
+        order = math.lcm(order, length)
     return order
+
+
+def perm_power(p: Perm, k: int) -> Perm:
+    """p^k, by moving each point k steps along its cycle."""
+    out = [0] * len(p)
+    seen = bytearray(len(p))
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = 1
+        x = p[start]
+        while x != start:
+            seen[x] = 1
+            cycle.append(x)
+            x = p[x]
+        shift = k % len(cycle)
+        for i, x in enumerate(cycle):
+            out[x] = cycle[(i + shift) % len(cycle)]
+    return tuple(out)
+
+
+def orbit_labels(degree: int, generators) -> list[int]:
+    """Orbit of each point under the generated group, numbered 0, 1, ...
+    in order of the orbits' smallest points."""
+    label = [-1] * degree
+    count = 0
+    for start in range(degree):
+        if label[start] >= 0:
+            continue
+        label[start] = count
+        frontier = [start]
+        while frontier:
+            x = frontier.pop()
+            for g in generators:
+                y = g[x]
+                if label[y] < 0:
+                    label[y] = count
+                    frontier.append(y)
+        count += 1
+    return label
 
 
 def _closure(degree: int, generators, cap: int) -> list[Perm]:
@@ -89,7 +141,7 @@ class StructureReport:
 class PermGroup:
     """Finite group given by permutation generators on [0, degree)."""
 
-    __slots__ = ("degree", "generators", "cap", "_elements", "_element_set")
+    __slots__ = ("degree", "generators", "cap", "_elements", "_element_set", "_base")
 
     def __init__(self, degree: int, generators, cap: int = DEFAULT_ELEMENT_CAP):
         if degree < 1:
@@ -105,6 +157,7 @@ class PermGroup:
         self.cap = cap
         self._elements: list[Perm] | None = None
         self._element_set: frozenset[Perm] | None = None
+        self._base: list[int] | None = None
 
     # -- enumeration ----------------------------------------------------
 
@@ -152,26 +205,81 @@ class PermGroup:
 
     # -- structure ------------------------------------------------------
 
+    def normal_closure(self, seeds) -> "PermGroup":
+        """Smallest normal subgroup containing the seeds.
+
+        Adds the conjugates of the subgroup's generators by the group's
+        generators until none falls outside; in a finite group that
+        makes the subgroup normal.
+        """
+        ident = self.identity()
+        gens = [tuple(s) for s in seeds if tuple(s) != ident]
+        while True:
+            sub = PermGroup(self.degree, gens, cap=self.cap)
+            inside = sub.element_set()
+            new = {
+                c
+                for s in sub.generators
+                for g in self.generators
+                if (c := conjugate(s, g)) not in inside
+            }
+            if not new:
+                return sub
+            gens = list(sub.generators) + sorted(new)
+
     def derived_subgroup(self) -> "PermGroup":
         """Normal closure of the generator commutators."""
-        seeds = [
+        return self.normal_closure(
             commutator(a, b)
             for i, a in enumerate(self.generators)
             for b in self.generators[i + 1 :]
-        ]
-        gens = [s for s in seeds if s != self.identity()]
-        while True:
-            sub = PermGroup(self.degree, gens, cap=self.cap)
-            elems = sub.element_set()
-            new = [
-                c
-                for e in elems
-                for g in self.generators
-                if (c := conjugate(e, g)) not in elems
-            ]
-            if not new:
-                return sub
-            gens = list(sub.generators) + new
+        )
+
+    def normal_subgroups_containing(self, base: "PermGroup") -> list["PermGroup"]:
+        """Every normal subgroup containing the normal subgroup ``base``,
+        by increasing order.
+
+        Each is a product of atoms, the normal closures of ``base`` and
+        one element.  One element is taken per conjugacy class of
+        G/base: the preimage of a class is the G-class of an element
+        times ``base``.
+        """
+        below = base.elements()
+        inverses = [inverse(g) for g in self.generators]
+        classified = set(below)
+        atoms: dict[frozenset[Perm], PermGroup] = {}
+        for x in self.elements():
+            if x in classified:
+                continue
+            conjugacy_class = {x}
+            frontier = [x]
+            while frontier:
+                y = frontier.pop()
+                for g, g_inv in zip(self.generators, inverses):
+                    c = compose(compose(g, y), g_inv)
+                    if c not in conjugacy_class:
+                        conjugacy_class.add(c)
+                        frontier.append(c)
+            for c in conjugacy_class:
+                if c not in classified:
+                    classified.update(compose(c, d) for d in below)
+            atom = self.normal_closure([x, *base.generators])
+            atoms.setdefault(atom.element_set(), atom)
+        found = {base.element_set(): base}
+        frontier = [base]
+        while frontier:
+            current = frontier.pop()
+            inside = current.element_set()
+            for key, atom in atoms.items():
+                if key <= inside:
+                    continue
+                product = PermGroup(
+                    self.degree, list(current.generators) + list(atom.generators), cap=self.cap
+                )
+                if product.element_set() not in found:
+                    found[product.element_set()] = product
+                    frontier.append(product)
+        return sorted(found.values(), key=lambda n: n.order)
 
     def sylow(self, p: int) -> "PermGroup":
         """A Sylow p-subgroup, grown through the normalizer tower."""
@@ -184,44 +292,54 @@ class PermGroup:
             return PermGroup(self.degree, [], cap=self.cap)
 
         def p_element(perm: Perm) -> Perm | None:
-            o = perm_order(perm)
+            o = self.element_order(perm)
             k = 1
             while o % p == 0:
                 o //= p
                 k *= p
-            if k == 1:
-                return None
-            q = perm
-            for _ in range(o - 1):
-                q = compose(q, perm)
-            return q  # perm^o has order k, a p-power
+            return None if k == 1 else perm_power(perm, o)  # of order k, a p-power
 
         seed = next(q for e in self.elements() if (q := p_element(e)) is not None)
         current = PermGroup(self.degree, [seed], cap=self.cap)
         while current.order < p_part:
+            # a p-group below the p-part has a p-element of its normalizer
+            # outside it, and adding one gives a larger p-group
             inside = current.element_set()
-            normalizer = [
-                g
-                for g in self.elements()
-                if all(conjugate(s, g) in inside for s in current.generators)
-            ]
-            extended = None
-            for g in normalizer:
+            for g in self.elements():
                 q = p_element(g)
-                if q is not None and q not in inside:
-                    extended = PermGroup(
+                if q is None or q in inside:
+                    continue
+                q_inv = inverse(q)
+                if all(compose(compose(q, s), q_inv) in inside for s in current.generators):
+                    current = PermGroup(
                         self.degree, list(current.generators) + [q], cap=self.cap
                     )
                     break
-            if extended is None:  # pragma: no cover - Sylow theory forbids this
+            else:  # pragma: no cover - Sylow theory forbids this
                 raise AssertionError("normalizer tower stalled below the p-part")
-            current = extended
         return current
 
     def quotient(self, normal: "PermGroup") -> "PermGroup":
-        """Faithful action of G/N on the cosets of a verified normal subgroup."""
+        """Faithful action of G/N for a verified normal subgroup N.
+
+        G permutes the N-orbits.  When the group it induces on them has
+        order |G|/|N|, the kernel of that action is N (as for a regular
+        G) and the action is returned; otherwise the action on the
+        cosets of N.
+        """
         if not normal.is_normal_in(self):
             raise ValueError("subgroup is not normal")
+        block = orbit_labels(self.degree, normal.generators)
+        first = {}
+        for x, b in enumerate(block):
+            first.setdefault(b, x)
+        on_blocks = PermGroup(
+            len(first),
+            [tuple(block[g[x]] for x in first.values()) for g in self.generators],
+            cap=self.cap,
+        )
+        if on_blocks.order * normal.order == self.order:
+            return on_blocks
         n_elems = normal.element_set()
         coset_of: dict[Perm, int] = {}
         cosets: list[frozenset[Perm]] = []
@@ -243,48 +361,78 @@ class PermGroup:
             perms.append(tuple(coset_of[compose(g, r)] for r in reps))
         return PermGroup(len(cosets), perms, cap=self.cap)
 
+    def element_order(self, x: Perm) -> int:
+        """Order of an element of this group: the lcm of the lengths of
+        its cycles through a base, a set of points that only the
+        identity fixes one by one (for a regular group, one point)."""
+        if self._base is None:
+            base = []
+            ident = self.identity()
+            rest = [e for e in self.elements() if e != ident]
+            while rest:
+                b = next(v for v, image in enumerate(rest[0]) if image != v)
+                base.append(b)
+                rest = [e for e in rest if e[b] == b]
+            self._base = base
+        order = 1
+        for b in self._base:
+            length = 1
+            v = x[b]
+            while v != b:
+                v = x[v]
+                length += 1
+            order = math.lcm(order, length)
+        return order
+
     def element_orders(self) -> list[int]:
-        return [perm_order(e) for e in self.elements()]
+        return [self.element_order(e) for e in self.elements()]
 
     def structure(self) -> StructureReport:
-        """Abelianness, elementary-abelianness and the exponent."""
+        """Abelianness, elementary-abelianness and the exponent.
+
+        The exponent of an abelian group is the lcm of its generators'
+        orders; otherwise it is the lcm over all elements.
+        """
         abelian = all(
             compose(a, b) == compose(b, a)
             for i, a in enumerate(self.generators)
             for b in self.generators[i + 1 :]
         )
-        orders = self.element_orders()
-        exponent = math.lcm(*orders) if orders else 1
-        elementary = False
-        prime: int | None = None
-        if abelian:
-            nontrivial = sorted(set(orders) - {1})
-            if not nontrivial:
-                elementary = True
-            elif len(nontrivial) == 1 and _is_small_prime(nontrivial[0]):
-                elementary, prime = True, nontrivial[0]
+        orders = [perm_order(g) for g in self.generators] if abelian else self.element_orders()
+        exponent = math.lcm(1, *orders)
+        elementary = abelian and (exponent == 1 or is_prime(exponent))
+        prime = exponent if elementary and exponent > 1 else None
         return StructureReport(abelian, elementary, exponent, prime)
 
     def is_supersolvable(self) -> bool:
         """True iff a chief series with prime-cyclic factors exists.
 
-        Looks for an element of prime order generating a normal cyclic
-        subgroup and recurses on the quotient; supersolvability is
-        closed under quotients, so the first hit is conclusive.
+        A supersolvable group has a normal subgroup of order p for the
+        largest prime p dividing its order.  The search looks for one
+        among the powers of order p of its elements and recurses on the
+        quotient: G is supersolvable iff G/N is, for N normal of prime
+        order, and when no such N of order p exists G is not.
         """
-        if self.order == 1:
+        order = self.order
+        if order == 1:
             return True
+        p = max(factorize(order))
+        tried: set[Perm] = set()
         for x in sorted(self.elements()):
-            o = perm_order(x)
-            if not _is_small_prime(o):
+            o = self.element_order(x)
+            if o % p:
                 continue
-            powers = set()
-            q = x
-            for _ in range(o):
+            y = perm_power(x, o // p)
+            if y in tried:
+                continue
+            tried.add(y)
+            powers = {y}
+            q = compose(y, y)
+            while q not in powers:
                 powers.add(q)
-                q = compose(q, x)
-            if all(conjugate(x, g) in powers for g in self.generators):
-                return self.quotient(PermGroup(self.degree, [x], cap=self.cap)).is_supersolvable()
+                q = compose(q, y)
+            if all(conjugate(y, g) in powers for g in self.generators):
+                return self.quotient(PermGroup(self.degree, [y], cap=self.cap)).is_supersolvable()
         return False
 
     def all_subgroups(self) -> list["PermGroup"]:
@@ -332,9 +480,3 @@ class PermGroup:
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, generators={len(self.generators)})"
-
-
-def _is_small_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % k for k in range(2, int(math.isqrt(n)) + 1))

@@ -1,21 +1,23 @@
 """The pseudovariety U: the join over primes p of Ab(p)*Ab(p-1).
 
 Membership of a finite group in U is the conjunction of three decidable
-conditions: supersolvability, elementary abelian derived subgroup, and
-abelian Sylow subgroups.  A finite-index subgroup of a free group is
-U-closed iff its coset-action group lies in U, and its exact U-closure
-is the meet of the U-closed subgroups above it.  For arbitrary
+conditions: supersolvability, a derived subgroup that is abelian of
+squarefree exponent, and abelian Sylow subgroups.  A finite-index
+subgroup H of a free group is U-closed iff its coset-action group G
+lies in U.  Its exact U-closure is H·R, where R is the preimage of the
+U-residual of G, the smallest normal subgroup N with G/N in U; it
+exists because U is closed under subdirect products.  For arbitrary
 subgroups only upper approximations are available: the meet of the
 per-prime closures over any finite prime set.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import apd
-from .permgroup import DEFAULT_ELEMENT_CAP, PermGroup
+from .numtheory import factorize, primes_from
+from .permgroup import DEFAULT_ELEMENT_CAP, PermGroup, orbit_labels
 from .stallings import Automaton
 
 DEFAULT_PRIME_BOUND = 7
@@ -23,6 +25,14 @@ DEFAULT_PRIME_BOUND = 7
 
 @dataclass(frozen=True)
 class UMembershipReport:
+    """The three conditions of ``is_in_u`` and their conjunction.
+
+    ``derived_elementary_abelian`` holds when the derived subgroup is
+    abelian of squarefree exponent; ``derived_witness_prime`` is its
+    prime when it is a nontrivial elementary abelian p-group, and None
+    when it is trivial or more than one prime divides its order.
+    """
+
     verdict: bool
     supersolvable: bool
     derived_elementary_abelian: bool
@@ -39,16 +49,19 @@ class UMembershipReport:
             raise ValueError("verdict must be the conjunction of the three conditions")
 
 
-def is_in_u(group: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> UMembershipReport:
-    """Decide membership in U via the structural characterization."""
+def is_in_u(group: PermGroup) -> UMembershipReport:
+    """Decide membership in U via the structural characterization:
+    supersolvable, derived subgroup abelian of squarefree exponent (a
+    product of elementary abelian groups for distinct primes), and
+    abelian Sylow subgroups."""
     supersolvable = group.is_supersolvable()
-    derived = group.derived_subgroup()
-    derived_structure = derived.structure()
-    derived_ok = derived_structure.elementary_abelian
-    sylow_abelian: dict[int, bool] = {}
-    order = group.order
-    for p in sorted(_prime_divisors(order)):
-        sylow_abelian[p] = group.sylow(p).structure().abelian
+    derived_structure = group.derived_subgroup().structure()
+    derived_ok = derived_structure.abelian and all(
+        e == 1 for e in factorize(derived_structure.exponent).values()
+    )
+    sylow_abelian = {
+        p: group.sylow(p).structure().abelian for p in sorted(factorize(group.order))
+    }
     return UMembershipReport(
         verdict=supersolvable and derived_ok and all(sylow_abelian.values()),
         supersolvable=supersolvable,
@@ -58,37 +71,49 @@ def is_in_u(group: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> UMembershipRepo
     )
 
 
-def _prime_divisors(n: int) -> set[int]:
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
 def is_u_closed(aut: Automaton, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
     """U-closedness: finite index and coset-action group in U."""
     if not aut.is_complete():
         return False
-    group = aut.coset_action().to_perm_group(cap=cap)
-    return is_in_u(group, cap=cap).verdict
+    return is_in_u(aut.coset_action().to_perm_group(cap=cap)).verdict
+
+
+def u_residual(group: PermGroup) -> PermGroup:
+    """The U-residual: the smallest normal subgroup R with G/R in U.
+
+    U is closed under subdirect products, so the normal subgroups N with
+    G/N in U are closed under intersection and R is the first of them
+    by increasing order.  Groups in U are metabelian, so only the N
+    above the second derived subgroup are candidates.
+    """
+    if is_in_u(group).verdict:
+        return PermGroup(group.degree, [], cap=group.cap)
+    second_derived = group.derived_subgroup().derived_subgroup()
+    return next(
+        normal
+        for normal in group.normal_subgroups_containing(second_derived)
+        if not normal.is_trivial() and is_in_u(group.quotient(normal)).verdict
+    )
 
 
 def cl_u_finite_index(aut: Automaton, cap: int = DEFAULT_ELEMENT_CAP) -> Automaton:
-    """Exact U-closure of a finite-index subgroup: the meet of the
-    U-closed subgroups of the (finite) intermediate lattice."""
-    closed = [
-        k for k in aut.intermediate_subgroups() if is_u_closed(k, cap=cap)
-    ]
-    result = closed[0]
-    for k in closed[1:]:
-        result = result.intersect(k)
-    return result
+    """Exact U-closure of a finite-index subgroup H: the product H·R with
+    the preimage R of the U-residual of the coset-action group.
+
+    The vertices of its automaton are the orbits of the residual on the
+    cosets of H; mapping each vertex to its orbit and folding once gives
+    the automaton, based at the orbit of the basepoint.
+    """
+    residual = u_residual(aut.coset_action().to_perm_group(cap=cap))
+    if residual.is_trivial():
+        return aut
+    orbit = orbit_labels(aut.n_vertices, residual.generators)
+    edges = {
+        (orbit[v], g, orbit[t])
+        for g, targets in enumerate(aut.succ, start=1)
+        for v, t in targets.items()
+    }
+    return Automaton.from_raw(aut.rank, max(orbit) + 1, orbit[aut.base], edges)
 
 
 @dataclass(frozen=True)
@@ -239,8 +264,9 @@ def u_density_check(aut: Automaton, bound: int = DEFAULT_PRIME_BOUND,
     vectors = [w.abelianization() for w in aut.basis()]
     necessary = _lattice_index(vectors, aut.rank) == 1
     dense = True
-    p = 2
-    while p <= bound:
+    for p in primes_from(2):
+        if p > bound:
+            break
         if p == 2:
             cl = _mod_abelian_closure(aut, 2)
             dense = dense and cl.n_vertices == 1
@@ -248,13 +274,4 @@ def u_density_check(aut: Automaton, bound: int = DEFAULT_PRIME_BOUND,
             dense = dense and apd.status(aut, p, p - 1, cap=cap).dense
         if not dense:
             break
-        p = _next_prime(p)
     return DensityReport(necessary_ok=necessary, dense_up_to_bound=dense, prime_bound=bound)
-
-
-def _next_prime(p: int) -> int:
-    candidate = p + 1
-    while True:
-        if all(candidate % k for k in range(2, int(math.isqrt(candidate)) + 1)):
-            return candidate
-        candidate += 1

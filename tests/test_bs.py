@@ -81,6 +81,18 @@ def test_bs_separating_prime_examples():
     assert p == 3 and image == GpdElement(2, 0)
 
 
+def test_bs_separating_prime_scan_is_not_the_smallest():
+    # x y^5 with q = 2: the scan passes over every p <= 6, so it returns
+    # 11, although p = 3 already separates; the image is nontrivial
+    u = parse("abbbbb", 2)
+    p, image = bs.bs_separating_prime(bs.bs_eval(u, 2))
+    assert p == 11
+    assert image != GpdElement(0, 0)
+    assert GpdGroup(11, 10, 2).evaluate(u) == image
+    small = GpdGroup(3, 2, 2)
+    assert small.evaluate(u) != small.identity
+
+
 def test_bs_separating_prime_verified():
     rng = random.Random(10)
     for q in (2, 3):

@@ -2,6 +2,7 @@ import pytest
 
 from provar import permgroup as pg
 from provar.errors import CapExceededError
+from provar.numtheory import is_prime
 from provar.permgroup import PermGroup
 
 
@@ -69,7 +70,7 @@ def supersolvable_oracle(G):
             for t in proper
         )
     ]
-    return all(pg._is_small_prime(G.order // m.order) for m in maximal)
+    return all(is_prime(G.order // m.order) for m in maximal)
 
 
 def test_compose_convention_left_regular_is_homomorphism():
@@ -178,7 +179,7 @@ def test_supersolvable_no_backtracking_needed():
             continue
         for x in G.elements():
             o = pg.perm_order(x)
-            if not pg._is_small_prime(o):
+            if not is_prime(o):
                 continue
             cyc = PermGroup(G.degree, [x])
             if cyc.is_normal_in(G):
@@ -220,3 +221,63 @@ def test_cayley_table_input():
     assert G.structure().exponent == 4
     with pytest.raises(ValueError):
         PermGroup.from_cayley_table(3, table)
+
+
+def test_perm_order_and_power_match_repeated_composition():
+    for G in (s4(), q8(), c12(), c2xc4()):
+        for x in G.elements():
+            power = x
+            order = 1
+            while power != G.identity():
+                power = pg.compose(power, x)
+                order += 1
+            assert pg.perm_order(x) == order == G.element_order(x)
+            power = G.identity()
+            for k in range(2 * order + 1):
+                assert pg.perm_power(x, k) == power
+                power = pg.compose(power, x)
+
+
+def test_compose_degree_one():
+    assert pg.compose((0,), (0,)) == (0,)
+    assert PermGroup(1, [(0,)]).order == 1
+
+
+def test_normal_subgroups_against_all_subgroups():
+    for G in (s3(), s4(), a4(), d4(), q8(), c12(), c2xc4()):
+        normal = [s.element_set() for s in G.all_subgroups() if s.is_normal_in(G)]
+        for base in (PermGroup(G.degree, []), G.derived_subgroup()):
+            ours = G.normal_subgroups_containing(base)
+            assert [n.order for n in ours] == sorted(n.order for n in ours)
+            assert sorted(map(sorted, (n.element_set() for n in ours))) == sorted(
+                map(sorted, (s for s in normal if base.element_set() <= s))
+            )
+
+
+def test_normal_closure_is_the_smallest_normal_subgroup():
+    for G in (s4(), d4(), q8(), a4()):
+        normal = [s.element_set() for s in G.all_subgroups() if s.is_normal_in(G)]
+        for x in G.elements():
+            closure = G.normal_closure([x])
+            assert closure.is_normal_in(G) and x in closure
+            assert all(closure.element_set() <= n for n in normal if x in n)
+
+
+def regular(G):
+    """Left-regular representation of G."""
+    elems = G.elements()
+    index = {e: i for i, e in enumerate(elems)}
+    table = [[index[pg.compose(a, b)] for b in elems] for a in elems]
+    return PermGroup.from_cayley_table(len(elems), table)
+
+
+def test_quotient_on_blocks_and_on_cosets():
+    # a regular group's quotients act on the orbits of the normal
+    # subgroup; in S4 on four points V4 is transitive, so S4/V4 acts on
+    # the cosets of V4
+    for G in (regular(s3()), regular(q8()), s3(), s4(), d4(), q8()):
+        for n in G.normal_subgroups_containing(PermGroup(G.degree, [])):
+            q = G.quotient(n)
+            assert q.order * n.order == G.order
+            abelian_quotient = n.element_set() >= G.derived_subgroup().element_set()
+            assert q.structure().abelian == abelian_quotient

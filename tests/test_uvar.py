@@ -2,12 +2,13 @@ import random
 
 import pytest
 
+from provar import permgroup as pg
 from provar import uvar
 from provar.apd import GpdGroup
-from provar.permgroup import perm_identity
+from provar.permgroup import PermGroup, perm_identity
 from provar.stallings import Automaton
 from provar.words import commutator, parse, word
-from tests.test_permgroup import a4, c2xc4, q8, s3
+from tests.test_permgroup import a4, c2xc4, d4, q8, s3, s4
 from tests.test_stallings import S3_IMAGES, schreier_preimage
 
 
@@ -191,3 +192,174 @@ def test_u_density_dense_subgroup():
     # the subgroup generated by a, b a b^-1 a^-1 ... take a simple known one
     report = uvar.u_density_check(aut(2, "a", "b"), bound=3)
     assert report.necessary_ok and report.dense_up_to_bound
+
+
+# -- the residual route against the lattice meet ---------------------------------
+
+
+def lattice_cl_u(aut):
+    """Reference U-closure: the meet of the U-closed subgroups among all
+    subgroups between H and the free group."""
+    closed = [k for k in aut.intermediate_subgroups() if uvar.is_u_closed(k)]
+    result = closed[0]
+    for k in closed[1:]:
+        result = result.intersect(k)
+    return result
+
+
+def fixture_images():
+    """A generating pair of permutations for each fixture group."""
+    c = tuple((i + 1) % 12 for i in range(12))
+    images = {
+        "S3": S3_IMAGES,
+        "S4": list(s4().generators),
+        "A4": list(a4().generators),
+        "D4": list(d4().generators),
+        "Q8": Q8_IMAGES,
+        "C12": [c, pg.perm_power(c, 5)],
+    }
+    for p, d in [(3, 2), (5, 2), (5, 4), (7, 3), (7, 6)]:
+        images[f"G({p},{d})"] = list(GpdGroup(p, d).as_perm_group().generators)
+    return images
+
+
+def pair_images(first, second):
+    """The generating pair of the subdirect product that maps each letter
+    to the pair of its images, acting on the disjoint union."""
+    shift = len(first[0])
+    return [tuple(x) + tuple(shift + v for v in y) for x, y in zip(first, second)]
+
+
+def kernel(images):
+    """Kernel of the map F_2 -> <images>: its Cayley automaton."""
+    return schreier_preimage(images, [perm_identity(len(images[0]))])
+
+
+def fixture_kernels(max_index=42):
+    """Kernels of every fixture and of every subdirect product of two
+    fixtures, up to the given index."""
+    images = fixture_images()
+    candidates = dict(images)
+    names = sorted(images)
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            candidates[f"{a}x{b}"] = pair_images(images[a], images[b])
+    return {
+        name: kernel(im)
+        for name, im in candidates.items()
+        if PermGroup(len(im[0]), im).order <= max_index
+    }
+
+
+def random_finite_index(rng, degree):
+    """The basepoint stabilizer of a random action of F_2 of the given degree."""
+    perms = []
+    for _ in range(2):
+        points = list(range(degree))
+        rng.shuffle(points)
+        perms.append(tuple(points))
+    return Automaton.from_action(2, perms, base=0)
+
+
+def test_fixture_kernels_cover_products():
+    kernels = fixture_kernels()
+    assert {"S3", "S4", "Q8", "G(7,6)"} <= set(kernels)
+    products = [name for name in kernels if "x" in name]
+    assert len(products) >= 5
+    assert max(k.index() for k in kernels.values()) == 42
+
+
+def test_cl_u_finite_index_matches_lattice_meet_on_fixture_kernels():
+    for name, h in fixture_kernels().items():
+        assert uvar.cl_u_finite_index(h).key == lattice_cl_u(h).key, name
+
+
+def test_cl_u_finite_index_matches_lattice_meet_on_random_subgroups():
+    rng = random.Random(17)
+    for _ in range(40):
+        h = random_finite_index(rng, rng.randrange(2, 7))
+        assert uvar.cl_u_finite_index(h).key == lattice_cl_u(h).key, h.to_json_dict()
+
+
+def closure_law_inputs():
+    rng = random.Random(23)
+    inputs = list(fixture_kernels(24).values())
+    inputs += [random_finite_index(rng, rng.randrange(2, 7)) for _ in range(15)]
+    return inputs
+
+
+def test_cl_u_finite_index_laws():
+    for h in closure_law_inputs():
+        cl = uvar.cl_u_finite_index(h)
+        assert cl.contains_subgroup(h)
+        assert uvar.cl_u_finite_index(cl) == cl  # idempotent
+        assert uvar.is_u_closed(cl)
+        assert uvar.is_u_closed(h) == (cl == h)
+
+
+def test_cl_u_finite_index_is_monotone():
+    for h in closure_law_inputs():
+        cl = uvar.cl_u_finite_index(h)
+        for k in h.intermediate_subgroups():
+            assert uvar.cl_u_finite_index(k).contains_subgroup(cl)
+
+
+def test_u_residual_quotient_is_in_u_and_smallest():
+    for g in (s4(), q8(), a4(), d4(), GpdGroup(7, 6).as_perm_group()):
+        residual = uvar.u_residual(g)
+        assert residual.is_normal_in(g)
+        quotient = g if residual.is_trivial() else g.quotient(residual)
+        assert uvar.is_in_u(quotient).verdict
+        for normal in g.normal_subgroups_containing(PermGroup(g.degree, [])):
+            if uvar.is_in_u(g.quotient(normal)).verdict:
+                assert residual.element_set() <= normal.element_set()
+
+
+# -- groups whose derived subgroup involves several primes ------------------------
+
+
+def direct_product(first, second):
+    """First x second, acting on the disjoint union of their points."""
+    shift = first.degree
+    degree = shift + second.degree
+    gens = [tuple(g) + tuple(range(shift, degree)) for g in first.generators]
+    gens += [tuple(range(shift)) + tuple(shift + v for v in g) for g in second.generators]
+    return PermGroup(degree, gens)
+
+
+def test_is_in_u_multi_prime_products():
+    g54 = GpdGroup(5, 4).as_perm_group()
+    report = uvar.is_in_u(direct_product(s3(), g54))  # G' = C15
+    assert report.verdict and report.derived_elementary_abelian
+    assert report.derived_witness_prime is None
+    report = uvar.is_in_u(direct_product(GpdGroup(7, 6).as_perm_group(), g54))  # G' = C35
+    assert report.verdict and report.derived_witness_prime is None
+    report = uvar.is_in_u(g54)
+    assert report.verdict and report.derived_witness_prime == 5
+    # the dihedral group of order 18: supersolvable with abelian Sylow
+    # subgroups, but its derived subgroup C9 has exponent 9
+    rotation = tuple((i + 1) % 9 for i in range(9))
+    reflection = tuple(-i % 9 for i in range(9))
+    report = uvar.is_in_u(PermGroup(9, [rotation, reflection]))
+    assert report.supersolvable and all(report.sylow_abelian.values())
+    assert not report.derived_elementary_abelian and not report.verdict
+
+
+def test_index_60_diagonal_kernel_is_u_closed():
+    # the kernel of F_2 onto <(x,x),(y,y)> <= G(3,2) x G(5,4)
+    first = list(GpdGroup(3, 2).as_perm_group().generators)
+    second = list(GpdGroup(5, 4).as_perm_group().generators)
+    h = kernel(pair_images(first, second))
+    assert h.index() == 60
+    assert uvar.is_u_closed(h) == (uvar.cl_u_finite_index(h) == h)
+    assert uvar.is_u_closed(h)
+
+
+def test_is_in_u_closed_under_direct_products():
+    groups = {name: PermGroup(len(im[0]), im) for name, im in fixture_images().items()}
+    verdicts = {name: uvar.is_in_u(g).verdict for name, g in groups.items()}
+    names = sorted(groups)
+    for i, a in enumerate(names):
+        for b in names[i:]:
+            product = direct_product(groups[a], groups[b])
+            assert uvar.is_in_u(product).verdict == (verdicts[a] and verdicts[b]), (a, b)
