@@ -9,7 +9,10 @@ scale for the decision procedures built on top.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -48,11 +51,13 @@ def commutator(a: Perm, b: Perm) -> Perm:
     return compose(compose(a, b), compose(inverse(a), inverse(b)))
 
 
-def perm_order(p: Perm) -> int:
-    """The lcm of the cycle lengths."""
+def perm_order(p: Perm, points=None) -> int:
+    """The lcm of the lengths of the cycles through ``points`` (every
+    point by default).  That is the order of p, and for the elements of
+    a group it suffices to walk the cycles through a base."""
     seen = bytearray(len(p))
     order = 1
-    for start in range(len(p)):
+    for start in range(len(p)) if points is None else points:
         if seen[start]:
             continue
         length = 0
@@ -235,14 +240,17 @@ class PermGroup:
             for b in self.generators[i + 1 :]
         )
 
-    def normal_subgroups_containing(self, base: "PermGroup") -> list["PermGroup"]:
+    def normal_subgroups_containing(self, base: "PermGroup") -> Iterator["PermGroup"]:
         """Every normal subgroup containing the normal subgroup ``base``,
-        by increasing order.
+        yielded by increasing order.
 
         Each is a product of atoms, the normal closures of ``base`` and
         one element.  One element is taken per conjugacy class of
         G/base: the preimage of a class is the G-class of an element
-        times ``base``.
+        times ``base``.  The products with a subgroup are formed when it
+        is yielded; they are larger than it, so a heap keyed by order
+        yields every subgroup in order and a caller that stops early
+        leaves the rest of the lattice unbuilt.
         """
         below = base.elements()
         inverses = [inverse(g) for g in self.generators]
@@ -265,10 +273,12 @@ class PermGroup:
                     classified.update(compose(c, d) for d in below)
             atom = self.normal_closure([x, *base.generators])
             atoms.setdefault(atom.element_set(), atom)
-        found = {base.element_set(): base}
-        frontier = [base]
-        while frontier:
-            current = frontier.pop()
+        found = {base.element_set()}
+        tiebreak = itertools.count()
+        heap = [(base.order, next(tiebreak), base)]
+        while heap:
+            _, _, current = heapq.heappop(heap)
+            yield current
             inside = current.element_set()
             for key, atom in atoms.items():
                 if key <= inside:
@@ -277,9 +287,8 @@ class PermGroup:
                     self.degree, list(current.generators) + list(atom.generators), cap=self.cap
                 )
                 if product.element_set() not in found:
-                    found[product.element_set()] = product
-                    frontier.append(product)
-        return sorted(found.values(), key=lambda n: n.order)
+                    found.add(product.element_set())
+                    heapq.heappush(heap, (product.order, next(tiebreak), product))
 
     def sylow(self, p: int) -> "PermGroup":
         """A Sylow p-subgroup, grown through the normalizer tower."""
@@ -291,8 +300,10 @@ class PermGroup:
         if p_part == 1:
             return PermGroup(self.degree, [], cap=self.cap)
 
+        base = self.base()
+
         def p_element(perm: Perm) -> Perm | None:
-            o = self.element_order(perm)
+            o = perm_order(perm, base)
             k = 1
             while o % p == 0:
                 o //= p
@@ -324,8 +335,9 @@ class PermGroup:
 
         G permutes the N-orbits.  When the group it induces on them has
         order |G|/|N|, the kernel of that action is N (as for a regular
-        G) and the action is returned; otherwise the action on the
-        cosets of N.
+        G) and the action is returned: it costs a pass over the points,
+        where the action on the cosets of N, returned otherwise, composes
+        every element of G with N.
         """
         if not normal.is_normal_in(self):
             raise ValueError("subgroup is not normal")
@@ -361,10 +373,10 @@ class PermGroup:
             perms.append(tuple(coset_of[compose(g, r)] for r in reps))
         return PermGroup(len(cosets), perms, cap=self.cap)
 
-    def element_order(self, x: Perm) -> int:
-        """Order of an element of this group: the lcm of the lengths of
-        its cycles through a base, a set of points that only the
-        identity fixes one by one (for a regular group, one point)."""
+    def base(self) -> list[int]:
+        """Points that only the identity fixes one by one; a regular
+        group needs one.  The cycles of an element through a base give
+        its order (``perm_order(x, G.base())``)."""
         if self._base is None:
             base = []
             ident = self.identity()
@@ -374,18 +386,11 @@ class PermGroup:
                 base.append(b)
                 rest = [e for e in rest if e[b] == b]
             self._base = base
-        order = 1
-        for b in self._base:
-            length = 1
-            v = x[b]
-            while v != b:
-                v = x[v]
-                length += 1
-            order = math.lcm(order, length)
-        return order
+        return self._base
 
     def element_orders(self) -> list[int]:
-        return [self.element_order(e) for e in self.elements()]
+        base = self.base()
+        return [perm_order(e, base) for e in self.elements()]
 
     def structure(self) -> StructureReport:
         """Abelianness, elementary-abelianness and the exponent.
@@ -413,13 +418,14 @@ class PermGroup:
         quotient: G is supersolvable iff G/N is, for N normal of prime
         order, and when no such N of order p exists G is not.
         """
-        order = self.order
-        if order == 1:
+        primes = factorize(self.order)
+        if len(primes) <= 1:  # a group of prime-power order is nilpotent
             return True
-        p = max(factorize(order))
+        p = max(primes)
+        base = self.base()
         tried: set[Perm] = set()
         for x in sorted(self.elements()):
-            o = self.element_order(x)
+            o = perm_order(x, base)
             if o % p:
                 continue
             y = perm_power(x, o // p)

@@ -13,11 +13,19 @@ per-prime closures over any finite prime set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import apd
 from .numtheory import factorize, primes_from
-from .permgroup import DEFAULT_ELEMENT_CAP, PermGroup, orbit_labels
+from .permgroup import (
+    DEFAULT_ELEMENT_CAP,
+    PermGroup,
+    commutator,
+    orbit_labels,
+    perm_order,
+    perm_power,
+)
 from .stallings import Automaton
 
 DEFAULT_PRIME_BOUND = 7
@@ -83,15 +91,24 @@ def u_residual(group: PermGroup) -> PermGroup:
 
     U is closed under subdirect products, so the normal subgroups N with
     G/N in U are closed under intersection and R is the first of them
-    by increasing order.  Groups in U are metabelian, so only the N
-    above the second derived subgroup are candidates.
+    by increasing order.  The search starts at the normal closure of
+    what every such N holds.  The Sylow subgroups of G/N are abelian, so
+    N holds the commutators of the generators of each Sylow subgroup of
+    G.  (G/N)' = G'N/N is abelian of squarefree exponent, so N holds G''
+    and, for each generator g of G', the power of g by the product of
+    the primes dividing its order.
     """
     if is_in_u(group).verdict:
         return PermGroup(group.degree, [], cap=group.cap)
-    second_derived = group.derived_subgroup().derived_subgroup()
+    derived = group.derived_subgroup()
+    seeds = list(derived.derived_subgroup().generators)
+    for p in factorize(group.order):
+        gens = group.sylow(p).generators
+        seeds += [commutator(a, b) for i, a in enumerate(gens) for b in gens[i + 1 :]]
+    seeds += [perm_power(g, math.prod(factorize(perm_order(g)))) for g in derived.generators]
     return next(
         normal
-        for normal in group.normal_subgroups_containing(second_derived)
+        for normal in group.normal_subgroups_containing(group.normal_closure(seeds))
         if not normal.is_trivial() and is_in_u(group.quotient(normal)).verdict
     )
 

@@ -1,6 +1,7 @@
 import pytest
 
 from provar import permgroup as pg
+from provar.apd import GpdGroup
 from provar.errors import CapExceededError
 from provar.numtheory import is_prime
 from provar.permgroup import PermGroup
@@ -231,7 +232,7 @@ def test_perm_order_and_power_match_repeated_composition():
             while power != G.identity():
                 power = pg.compose(power, x)
                 order += 1
-            assert pg.perm_order(x) == order == G.element_order(x)
+            assert pg.perm_order(x) == order == pg.perm_order(x, G.base())
             power = G.identity()
             for k in range(2 * order + 1):
                 assert pg.perm_power(x, k) == power
@@ -247,7 +248,7 @@ def test_normal_subgroups_against_all_subgroups():
     for G in (s3(), s4(), a4(), d4(), q8(), c12(), c2xc4()):
         normal = [s.element_set() for s in G.all_subgroups() if s.is_normal_in(G)]
         for base in (PermGroup(G.degree, []), G.derived_subgroup()):
-            ours = G.normal_subgroups_containing(base)
+            ours = list(G.normal_subgroups_containing(base))
             assert [n.order for n in ours] == sorted(n.order for n in ours)
             assert sorted(map(sorted, (n.element_set() for n in ours))) == sorted(
                 map(sorted, (s for s in normal if base.element_set() <= s))
@@ -281,3 +282,25 @@ def test_quotient_on_blocks_and_on_cosets():
             assert q.order * n.order == G.order
             abelian_quotient = n.element_set() >= G.derived_subgroup().element_set()
             assert q.structure().abelian == abelian_quotient
+
+
+def test_quotient_of_a_regular_group_composes_few_elements(monkeypatch):
+    # on the N-orbits, G/N costs the normality check and the closure of
+    # G/N; the action on the cosets would compose every element of G
+    # outside N with N, at least |G|/2 compositions for a proper N
+    G = GpdGroup(11, 10).as_perm_group()
+    G.elements()
+    proper = [
+        n for n in G.normal_subgroups_containing(PermGroup(G.degree, []))
+        if 1 < n.order < G.order
+    ]
+    assert [n.order for n in proper] == [11, 22, 55]
+    real = pg.compose
+    for n in proper:
+        n.elements()
+        calls = []
+        monkeypatch.setattr(pg, "compose", lambda f, g: calls.append(1) or real(f, g))
+        q = G.quotient(n)
+        monkeypatch.setattr(pg, "compose", real)
+        assert q.degree == q.order == G.order // n.order
+        assert len(calls) < G.order // 2

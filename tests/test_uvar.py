@@ -304,8 +304,44 @@ def test_cl_u_finite_index_is_monotone():
             assert uvar.cl_u_finite_index(k).contains_subgroup(cl)
 
 
+def cycles(degree, *cs):
+    """The permutation of 0..degree-1 with the given cycles."""
+    images = list(range(degree))
+    for c in cs:
+        for i, x in enumerate(c):
+            images[x] = c[(i + 1) % len(c)]
+    return tuple(images)
+
+
+def sylow_2_of_s8():
+    """C2 wr C2 wr C2 on 8 points, of order 128."""
+    return PermGroup(8, [cycles(8, (0, 1)), cycles(8, (0, 2), (1, 3)),
+                         cycles(8, (0, 4), (1, 5), (2, 6), (3, 7))])
+
+
+def c3_wr_c3():
+    return PermGroup(9, [cycles(9, (0, 1, 2)), cycles(9, (0, 3, 6), (1, 4, 7), (2, 5, 8))])
+
+
+def s3_wr_c2():
+    """S3 x S3 with the factors swapped, of order 72: solvable, not in U."""
+    return PermGroup(6, [cycles(6, (0, 1)), cycles(6, (0, 1, 2)), cycles(6, (0, 3), (1, 4), (2, 5))])
+
+
+def subdirect(*names):
+    """The subgroup of a product of fixtures generated by pairs of images."""
+    images = fixture_images()
+    gens = images[names[0]]
+    for name in names[1:]:
+        gens = pair_images(gens, images[name])
+    return PermGroup(len(gens[0]), gens)
+
+
 def test_u_residual_quotient_is_in_u_and_smallest():
-    for g in (s4(), q8(), a4(), d4(), GpdGroup(7, 6).as_perm_group()):
+    # in the last two, G' has elements whose order has several prime divisors
+    for g in (s4(), q8(), a4(), d4(), GpdGroup(7, 6).as_perm_group(),
+              sylow_2_of_s8(), c3_wr_c3(), s3_wr_c2(),
+              subdirect("S3", "G(5,2)", "Q8"), subdirect("S3", "G(5,4)", "D4")):
         residual = uvar.u_residual(g)
         assert residual.is_normal_in(g)
         quotient = g if residual.is_trivial() else g.quotient(residual)
@@ -313,6 +349,18 @@ def test_u_residual_quotient_is_in_u_and_smallest():
         for normal in g.normal_subgroups_containing(PermGroup(g.degree, [])):
             if uvar.is_in_u(g.quotient(normal)).verdict:
                 assert residual.element_set() <= normal.element_set()
+
+
+def test_u_residual_of_a_p_group_is_its_derived_subgroup():
+    # a group of prime-power order in U is abelian
+    for g in (q8(), d4(), sylow_2_of_s8(), c3_wr_c3()):
+        assert uvar.u_residual(g).element_set() == g.derived_subgroup().element_set()
+
+
+def test_cl_u_finite_index_matches_lattice_meet_on_wreath_point_stabilizers():
+    for g in (sylow_2_of_s8(), c3_wr_c3(), s3_wr_c2()):
+        h = Automaton.from_action(len(g.generators), list(g.generators), base=0)
+        assert uvar.cl_u_finite_index(h).key == lattice_cl_u(h).key
 
 
 # -- groups whose derived subgroup involves several primes ------------------------
