@@ -143,6 +143,24 @@ def format_gpd_element(e: GpdElement) -> str:
     return " ".join(parts)
 
 
+def _check_homomorphism(f, source: GpdGroup, target: GpdGroup, name: str) -> None:
+    """Raise AssertionError unless ``f`` is a homomorphism source -> target.
+
+    Checks f(1) = 1 and f(a g) = f(a) f(g) for every element a and each
+    generator g in {x, y}: by induction on the length of b as a positive
+    word in x and y this gives f(a b) = f(a) f(b) for all a and b, with
+    2pd products instead of (pd)^2.
+    """
+    if f(source.identity) != target.identity:
+        raise AssertionError(f"{name} does not fix the identity")
+    gens = [(g, f(g)) for g in (source.x, source.y)]
+    for a in source.elements():
+        fa = f(a)
+        for g, fg in gens:
+            if f(source.mul(a, g)) != target.mul(fa, fg):
+                raise AssertionError(f"{name} is not multiplicative at {a}, {g}")
+
+
 def gpd_iso(p: int, d: int, q: int, r: int) -> tuple[int, int]:
     """Exponents (m, k) realizing the isomorphisms between the q- and
     r-presentations: x -> x, y -> y^m one way and y -> y^k back.
@@ -170,15 +188,11 @@ def gpd_iso(p: int, d: int, q: int, r: int) -> tuple[int, int]:
     for a in gq.elements():
         if backward(forward(a)) != a:
             raise AssertionError(f"y -> y^{m} -> y^{m * k} does not fix {a}")
-        for b in gq.elements():
-            if forward(gq.mul(a, b)) != gr.mul(forward(a), forward(b)):
-                raise AssertionError(f"y -> y^{m} is not multiplicative at {a}, {b}")
     for a in gr.elements():
         if forward(backward(a)) != a:
             raise AssertionError(f"y -> y^{k} -> y^{m * k} does not fix {a}")
-        for b in gr.elements():
-            if backward(gr.mul(a, b)) != gq.mul(backward(a), backward(b)):
-                raise AssertionError(f"y -> y^{k} is not multiplicative at {a}, {b}")
+    _check_homomorphism(forward, gq, gr, f"y -> y^{m}")
+    _check_homomorphism(backward, gr, gq, f"y -> y^{k}")
     return m, k
 
 

@@ -2,8 +2,10 @@
 
 Elements live in the concrete model Z[1/q] x| Z: a maps to (1, 0), b to
 (0, 1), and b acts on the rational part by multiplication by q, giving
-the group law (x, j)(x', j') = (x + q^j x', j + j').  The word problem
-reduces to exact rational arithmetic, and nontrivial elements are
+the group law (x, j)(x', j') = (x + q^j x', j + j').  A word's image is
+(sum_j c_j q^j, final height), where c_j is the net number of a-letters
+read at b-height j, so the word problem reduces to one pass of height
+counts and one exact polynomial evaluation, and nontrivial elements are
 separated in the groups C_p x| C_{p-1} for primes p with q a primitive
 root.
 """
@@ -69,17 +71,37 @@ def bs_identity(q: int) -> BsElement:
 
 
 def bs_eval(u: Word, q: int) -> BsElement:
-    """Image of a rank-2 word under a -> (1, 0), b -> (0, 1)."""
+    """Image of a rank-2 word under a -> (1, 0), b -> (0, 1).
+
+    One pass over the letters keeps the current b-height j and the net
+    a-count c_j at each height: an a^(+-1) read at height j contributes
+    q^j to the rational part.  So x = sum_j c_j q^j, formed by Horner's
+    rule over the heights from the highest to the lowest nonzero c_j, as
+    a numerator over q^(-lowest height) when that height is negative.
+    """
     if u.rank != 2:
         raise ValueError("rank-2 word required")
-    a = BsElement(q, Fraction(1), 0)
-    b = BsElement(q, Fraction(0), 1)
-    gens = (a, b)
-    out = bs_identity(q)
+    require_prime(q, "q")
+    n = len(u.letters)
+    counts = [0] * (2 * n + 1)
+    j = n
     for letter in u.letters:
-        g = gens[abs(letter) - 1]
-        out = out * (g if letter > 0 else g.inverse())
-    return out
+        if letter == 2:
+            j += 1
+        elif letter == -2:
+            j -= 1
+        else:
+            counts[j] += letter
+    heights = [h for h, c in enumerate(counts) if c]
+    numerator = 0
+    if heights:
+        for h in range(heights[-1], heights[0] - 1, -1):
+            numerator = numerator * q + counts[h]
+        low = heights[0] - n
+        x = Fraction(numerator * q**low) if low >= 0 else Fraction(numerator, q**-low)
+    else:
+        x = Fraction(0)
+    return BsElement(q, x, j - n)
 
 
 def bs_is_trivial(u: Word, q: int) -> bool:

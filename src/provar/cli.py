@@ -348,10 +348,16 @@ def _factor_value(v):
     return apd.format_gpd_element(v)
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def dispatch(argv) -> int:
-    parser = build_parser()
+    """Run one request; the parser is built on the first call and reused."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -242,8 +242,7 @@ def _polynomial_value_mod(h: dict[int, int], q: int, p: int) -> int:
     return total % p
 
 
-def _direct_search(w: Word, bound: int):
-    flow = flow_of(w)
+def _direct_search(flow: Flow, bound: int):
     h = flow.h_sums()
     n0 = flow.endpoint[1]
     for p in primes_from(3):
@@ -314,7 +313,7 @@ def separating_witness(
     if flow.is_zero():
         raise NoWitnessError("the word is trivial in the free metabelian group")
     steps: list[tuple] = []
-    w = u
+    w, w_flow = u, flow
     if not flow.h_sums():
         if flow.v_sums():
             steps.append(("swap",))
@@ -326,10 +325,11 @@ def separating_witness(
             k = len(shifted)
             steps.append(("theta", k))
             w = theta_substitute(shifted, k)
-            if not flow_of(w).h_sums():
-                raise AssertionError("substitution must expose a nonzero row sum")
+        w_flow = flow_of(w)
+        if not w_flow.h_sums():
+            raise AssertionError("the transformed word must have a nonzero row sum")
 
-    found = _direct_search(w, direct_prime_bound)
+    found = _direct_search(w_flow, direct_prime_bound)
     if found is not None:
         p, q, image = found
     else:  # pragma: no cover - exercised only with tiny direct bounds

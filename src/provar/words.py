@@ -9,9 +9,20 @@ suffix is accepted, so "aba^-3 B^2" parses fine.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
+from operator import add
 
-_TOKEN = re.compile(r"([a-zA-Z])(?:\s*\^\s*(-?\d+))?")
+from .errors import CapExceededError
+from .permgroup import DEFAULT_ELEMENT_CAP
+
+# the whole text: letters, each with an optional power
+_WORD = re.compile(r"(?:[a-zA-Z](?:\s*\^\s*-?\d+)?)*")
+_POWERED = re.compile(r"([a-zA-Z])\s*\^\s*(-?\d+)")
+_LETTER = {c: i + 1 for i, c in enumerate(string.ascii_lowercase)}
+_LETTER.update({c.upper(): -i for c, i in _LETTER.items()})
+# _ALLOWED[rank]: the letters of a rank-``rank`` word text, rank < 26
+_ALLOWED = [frozenset(c for c, i in _LETTER.items() if abs(i) <= rank) for rank in range(26)]
 
 
 def reduce_letters(letters) -> tuple[int, ...]:
@@ -35,12 +46,13 @@ class Word:
     def __post_init__(self) -> None:
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
-        for letter in self.letters:
-            if letter == 0 or abs(letter) > self.rank:
-                raise ValueError(f"letter {letter} out of range for rank {self.rank}")
-        for a, b in zip(self.letters, self.letters[1:]):
-            if a == -b:
-                raise ValueError("word is not freely reduced")
+        letters = self.letters
+        if letters and (0 in letters or min(letters) < -self.rank or max(letters) > self.rank):
+            letter = next(l for l in letters if l == 0 or abs(l) > self.rank)
+            raise ValueError(f"letter {letter} out of range for rank {self.rank}")
+        # a == -b exactly when a + b == 0
+        if 0 in map(add, letters, letters[1:]):
+            raise ValueError("word is not freely reduced")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -108,25 +120,52 @@ def identity(rank: int) -> Word:
 
 
 def parse(text: str, rank: int) -> Word:
-    """Parse word text ("abA", "a^-3 b^2", "1" or "" for the identity)."""
+    """Parse word text ("abA", "a^-3 b^2", "1" or "" for the identity).
+
+    Spaces and "·" are dropped; whitespace may also surround "^".  The
+    text is read left to right, one run of bare letters or one letter
+    with a power at a time.  Each is checked against ``rank``
+    (ValueError) and, before it is expanded, against the default cap on
+    the number of letters before free reduction (CapExceededError).
+    Text that does not go on with a letter raises ValueError where it
+    stops.
+    """
     stripped = text.replace("·", "").replace(" ", "")
     if stripped in ("", "1"):
         return identity(rank)
+    end = _WORD.match(stripped).end()
+    # with its two groups, _POWERED splits the text into bare runs
+    # alternating with (letter, power) pairs
+    parts = _POWERED.split(stripped[:end]) if "^" in stripped else [stripped[:end]]
     letters: list[int] = []
-    pos = 0
-    while pos < len(stripped):
-        m = _TOKEN.match(stripped, pos)
-        if not m:
-            raise ValueError(f"cannot parse word at ...{stripped[pos:]!r}")
-        char, power = m.group(1), m.group(2)
-        index = ord(char.lower()) - ord("a") + 1
-        if index > rank:
-            raise ValueError(f"letter {char!r} exceeds rank {rank}")
-        sign = 1 if char.islower() else -1
-        count = int(power) if power is not None else 1
-        letters.extend([sign * index if count > 0 else -sign * index] * abs(count))
-        pos = m.end()
-    return word(letters, rank)
+    for i in range(0, len(parts), 3):
+        run = parts[i]
+        _check_letters(run, rank)
+        _check_count(len(letters) + len(run))
+        letters.extend(map(_LETTER.__getitem__, run))
+        if i + 1 < len(parts):
+            char = parts[i + 1]
+            _check_letters(char, rank)
+            power = int(parts[i + 2])
+            _check_count(len(letters) + abs(power))
+            letters.extend([_LETTER[char] if power > 0 else -_LETTER[char]] * abs(power))
+    if end < len(stripped):
+        raise ValueError(f"cannot parse word at ...{stripped[end:]!r}")
+    return Word(reduce_letters(letters), rank)
+
+
+def _check_letters(run: str, rank: int) -> None:
+    if rank >= 26:
+        return
+    allowed = _ALLOWED[max(rank, 0)]
+    if not allowed.issuperset(run):
+        char = next(c for c in run if c not in allowed)
+        raise ValueError(f"letter {char!r} exceeds rank {rank}")
+
+
+def _check_count(count: int) -> None:
+    if count > DEFAULT_ELEMENT_CAP:
+        raise CapExceededError(f"word text expands to more than {DEFAULT_ELEMENT_CAP} letters")
 
 
 def commutator(u: Word, v: Word) -> Word:

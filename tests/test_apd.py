@@ -7,6 +7,7 @@ import pytest
 
 from provar.apd import (
     FreeObject,
+    _check_homomorphism,
     GpdElement,
     GpdGroup,
     KernelSpec,
@@ -115,6 +116,61 @@ def test_gpd_iso_all_pairs():
                 m, k = gpd_iso(p, d, q, r)
                 assert m * k % d == 1
                 assert pow(r, m, p) == q and pow(q, k, p) == r
+
+
+def all_pairs_homomorphism(f, source, target):
+    # oracle: f(a b) = f(a) f(b) over all (pd)^2 pairs
+    elems = source.elements()
+    return all(f(source.mul(a, b)) == target.mul(f(a), f(b)) for a in elems for b in elems)
+
+
+def accepts(f, source, target):
+    try:
+        _check_homomorphism(f, source, target, "f")
+    except AssertionError:
+        return False
+    return True
+
+
+def test_homomorphism_check_agrees_with_all_pairs():
+    # y -> y^m between the q- and r-presentations is a homomorphism
+    # exactly when r^m = q; the others are bijections that are not
+    verdicts = set()
+    for p, d in [(5, 4), (7, 3), (7, 6), (11, 10)]:
+        _, q_exact = q_sets(p, d)
+        for q in q_exact:
+            for r in q_exact:
+                gq, gr = GpdGroup(p, d, q), GpdGroup(p, d, r)
+                for m in range(d):
+                    def f(e, m=m, d=d):
+                        return GpdElement(e.u, m * e.t % d)
+                    verdict = all_pairs_homomorphism(f, gq, gr)
+                    assert accepts(f, gq, gr) == verdict
+                    assert verdict == (pow(r, m, p) == q)
+                    verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_homomorphism_check_rejects_non_homomorphisms():
+    g = GpdGroup(7, 3, 2)
+
+    def translate(e):
+        return g.mul(e, g.x)
+
+    def square_y(e):
+        # multiplicative at y, not at x
+        return GpdElement(e.u, 2 * e.t % 3)
+
+    def shear(e):
+        # multiplicative at x, not at y: x^u y^t -> x^(u + t^2) y^t
+        return GpdElement((e.u + e.t * e.t) % 7, e.t)
+
+    for f in (translate, square_y, shear):
+        assert not all_pairs_homomorphism(f, g, g)
+        with pytest.raises(AssertionError):
+            _check_homomorphism(f, g, g, "f")
+    with pytest.raises(AssertionError, match="identity"):
+        _check_homomorphism(translate, g, g, "f")
 
 
 def test_gpd_iso_rejects_wrong_order():

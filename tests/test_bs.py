@@ -7,12 +7,84 @@ from provar import bs, metabelian as mb
 from provar.apd import GpdElement, GpdGroup
 from provar.errors import BudgetExhaustedError
 from provar.numtheory import is_primitive_root
-from provar.words import parse, word
+from provar.words import Word, parse, word
 
 
 def random_word(rng, max_len):
     letters = [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(1, max_len + 1))]
     return word(letters, 2)
+
+
+def fold_bs_eval(u, q):
+    # oracle: the product of one BsElement per letter, in Fraction arithmetic
+    a = bs.BsElement(q, Fraction(1), 0)
+    b = bs.BsElement(q, Fraction(0), 1)
+    gens = (a, b)
+    out = bs.bs_identity(q)
+    for letter in u.letters:
+        g = gens[abs(letter) - 1]
+        out = out * (g if letter > 0 else g.inverse())
+    return out
+
+
+def heights(u):
+    j, out = 0, [0]
+    for letter in u.letters:
+        if abs(letter) == 2:
+            j += 1 if letter > 0 else -1
+            out.append(j)
+    return out
+
+
+def drifting_word(rng, length, up):
+    # a reduced word of the given length; b is drawn with probability
+    # up / 2 and B with (1 - up) / 2, so the b-height drifts up, down or
+    # not at all
+    letters = []
+    while len(letters) < length:
+        if rng.random() < 0.5:
+            letter = rng.choice([1, -1])
+        else:
+            letter = 2 if rng.random() < up else -2
+        if not letters or letters[-1] != -letter:
+            letters.append(letter)
+    return Word(tuple(letters), 2)
+
+
+def test_bs_eval_matches_letter_fold():
+    rng = random.Random(2024)
+    lows = highs = 0
+    for q in (2, 3, 5, 7):
+        cases = [(length, up) for length in (0, 1, 7, 60, 400) for up in (0.2, 0.5, 0.8)]
+        cases += [(1_000, 0.35), (1_000, 0.65), (3_000, 0.5), (10_000, 0.5)]
+        for length, up in cases:
+            u = drifting_word(rng, length, up)
+            got = bs.bs_eval(u, q)
+            assert got == fold_bs_eval(u, q)
+            hs = heights(u)
+            lows += min(hs) < 0
+            highs += max(hs) > 0
+    assert lows >= 20 and highs >= 20
+
+
+def test_bs_eval_heights_of_one_sign():
+    for q in (2, 3, 5, 7):
+        # every a-letter below height 0, then every one above it
+        for text in ("B^3 a b a^-2 b^-1 a", "b^2 a B a^3 b^4 A", "B^5 a^2 b^5", "b a^4 B"):
+            u = parse(text, 2)
+            assert bs.bs_eval(u, q) == fold_bs_eval(u, q)
+
+
+def test_bs_eval_rejects_what_the_fold_rejects():
+    for q in (0, 1, 4, -3):
+        for text in ("", "ab", "Ba"):
+            with pytest.raises(ValueError) as new:
+                bs.bs_eval(parse(text, 2), q)
+            with pytest.raises(ValueError) as old:
+                fold_bs_eval(parse(text, 2), q)
+            assert str(new.value) == str(old.value)
+    with pytest.raises(ValueError, match="rank-2"):
+        bs.bs_eval(parse("a", 1), 2)
 
 
 def test_bs_eval_examples():

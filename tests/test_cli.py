@@ -1,5 +1,9 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
+from provar import cli
 from provar.cli import dispatch
 from provar.stallings import Automaton
 from provar.words import parse
@@ -195,3 +199,47 @@ def test_deterministic_output(capsys):
     first = run_json(capsys, "stallings", "--rank", "2", "--gens", "ab,ba")
     second = run_json(capsys, "stallings", "--rank", "2", "--gens", "ab,ba")
     assert first == second
+
+
+S3 = '{"degree":3,"generators":[[2,1,3],[2,3,1]]}'
+
+
+def test_consecutive_requests_share_the_parser(capsys, monkeypatch):
+    requests = [
+        (("supersolvable", "--group", S3, "--cap", "1"), 3),
+        (("supersolvable", "--group", S3), 0),
+        (("--cap", "1", "is-in-u", "--group", S3), 3),
+        (("is-in-u", "--group", S3), 0),
+        (("gpd", "--p", "7"), 2),
+        (("gpd", "--p", "7", "--d", "3"), 0),
+        (("bs-eval", "--q", "2", "--word", "a^1000000000000"), 3),
+        (("bs-eval", "--q", "3", "--word", "Ba^2bA"), 0),
+        (("find-pr-prime", "--q", "2", "--lower", "100", "--cap", "0"), 3),
+        (("find-pr-prime", "--q", "2", "--lower", "100"), 0),
+    ]
+    built = []
+    build = cli.build_parser
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    shared = [run(capsys, *argv) for argv, _ in requests]
+    assert len(built) == 1
+    for (argv, code), result in zip(requests, shared):
+        monkeypatch.setattr(cli, "_PARSER", build())
+        assert result == run(capsys, *argv)
+        assert result[0] == code, (argv, result)
+        if code == 0:
+            json.loads(result[1])
+
+
+def test_import_does_not_build_the_parser():
+    src = Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", "import provar.cli as c; print(c._PARSER)"],
+        env={"PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "None"

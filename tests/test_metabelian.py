@@ -231,6 +231,29 @@ def test_separating_witness_theta_route():
     assert group.evaluate(w.pre_map.apply(u)) == w.image
 
 
+def test_separating_witness_traces_each_word_once(monkeypatch):
+    traced = []
+    flow_of = mb.flow_of
+
+    def counting_flow_of(u):
+        traced.append(u)
+        return flow_of(u)
+
+    monkeypatch.setattr(mb, "flow_of", counting_flow_of)
+    a, b = parse("a", 2), parse("b", 2)
+    c = commutator(a, b)
+    for u, transformed in ((parse("abAB", 2), False),
+                           (c * c.conjugate(a).inverse(), True),
+                           (exotic_word(), True)):
+        traced.clear()
+        witness = mb.separating_witness(u)
+        assert traced[0] == u
+        # the input's flow, then the transformed word's, each once
+        assert len(traced) == 1 + transformed
+        assert len(set(traced)) == len(traced)
+        assert witness.image != GpdElement(0, 0)
+
+
 def test_separating_witness_random_words():
     rng = random.Random(7)
     found = 0

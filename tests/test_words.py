@@ -1,8 +1,43 @@
 import random
+import re
+import time
 
 import pytest
 
+from provar import apd
+from provar.errors import CapExceededError
 from provar.words import Word, commutator, identity, parse, reduce_letters, word
+
+_TOKEN = re.compile(r"([a-zA-Z])(?:\s*\^\s*(-?\d+))?")
+
+
+def token_loop_parse(text, rank):
+    # oracle: one regex match per token, letter by letter
+    stripped = text.replace("·", "").replace(" ", "")
+    if stripped in ("", "1"):
+        return identity(rank)
+    letters = []
+    pos = 0
+    while pos < len(stripped):
+        m = _TOKEN.match(stripped, pos)
+        if not m:
+            raise ValueError(f"cannot parse word at ...{stripped[pos:]!r}")
+        char, power = m.group(1), m.group(2)
+        index = ord(char.lower()) - ord("a") + 1
+        if index > rank:
+            raise ValueError(f"letter {char!r} exceeds rank {rank}")
+        sign = 1 if char.islower() else -1
+        count = int(power) if power is not None else 1
+        letters.extend([sign * index if count > 0 else -sign * index] * abs(count))
+        pos = m.end()
+    return word(letters, rank)
+
+
+def outcome(fn, text, rank):
+    try:
+        return "ok", fn(text, rank).letters
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
 
 
 def step_by_step_reduce(letters):
@@ -45,6 +80,55 @@ def test_parse_rejects_out_of_range():
         parse("a$", 2)
 
 
+PIECES = ["a", "b", "c", "A", "B", "C", "z", "a^3", "B^-2", "c^0", "a ^ 2", "b\t^\t-4",
+          "A^\n2", "^", "-", "2", "1", " ", "·", "\t", "$", "é", "^-", "a^٣", "b^-1 2"]
+
+
+def test_parse_matches_token_loop_on_seeded_texts():
+    rng = random.Random(404)
+    fixed = ["", "1", " 1 ", "·", "1·", "11", "a1", "a\t^\t-2", "a^", "a^-", "a b",
+             "a\tb", "ab$c", "c$", "$c", "ab·AB", "a^-3 b^2", "A^2", "aba^-3 B^2", "a^0"]
+    texts = fixed + ["".join(rng.choice(PIECES) for _ in range(rng.randrange(1, 12)))
+                     for _ in range(3_000)]
+    kinds = set()
+    for text in texts:
+        for rank in (0, 1, 2, 3, 27):
+            expected = outcome(token_loop_parse, text, rank)
+            assert outcome(parse, text, rank) == expected, (text, rank)
+            kinds.add("ok" if expected[0] == "ok" else expected[1].split()[0])
+    # words, unparsable texts, letters beyond the rank and rank 0 all occur
+    assert kinds == {"ok", "cannot", "letter", "rank"}
+
+
+def test_parse_long_texts_match_token_loop():
+    rng = random.Random(405)
+    for length in (1_000, 10_000):
+        text = "".join(rng.choice("aAbB") for _ in range(length))
+        assert parse(text, 2) == token_loop_parse(text, 2)
+        bad = text[: length // 2] + "%" + text[length // 2 :]
+        assert outcome(parse, bad, 2) == outcome(token_loop_parse, bad, 2)
+
+
+def test_parse_refuses_expansions_beyond_the_cap():
+    cap = apd.DEFAULT_CAP
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError):
+        parse("a^1000000000000", 1)
+    with pytest.raises(CapExceededError):
+        parse("ab^-1000000000000", 2)
+    assert time.perf_counter() - start < 0.1
+    assert len(parse(f"a^{cap}", 1)) == cap
+    with pytest.raises(CapExceededError):
+        parse(f"a^{cap + 1}", 1)
+    # the count is of letters before free reduction
+    with pytest.raises(CapExceededError):
+        parse(f"a^{cap // 2 + 1} A^{cap // 2}", 1)
+    with pytest.raises(CapExceededError):
+        parse("b" + "a" * cap, 2)
+    with pytest.raises(CapExceededError):
+        parse(f"a^{cap}b", 2)
+
+
 def test_reduce_examples():
     assert parse("abBAba", 2).letters == (2, 1)
     rng = random.Random(7)
@@ -69,6 +153,14 @@ def test_word_invariants_enforced():
         Word((3,), 2)
     with pytest.raises(ValueError):
         Word((), 0)
+
+
+def test_word_names_the_first_letter_out_of_range():
+    for letters, bad in (((0,), 0), ((1, 0, 2), 0), ((1, 3, -4), 3), ((2, -1, -3), -3)):
+        with pytest.raises(ValueError, match=f"letter {bad} out of range for rank 2"):
+            Word(letters, 2)
+    with pytest.raises(ValueError, match="not freely reduced"):
+        Word((1, 2, -2), 2)
 
 
 def test_compose_examples():
