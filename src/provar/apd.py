@@ -1,13 +1,16 @@
 """The pseudovariety Ab(p)*Ab(d): its minimum generator, free objects,
 verbal kernels and subgroup closures in the corresponding pro-topology.
 
-Throughout, p > 2 is prime and d > 1 divides p - 1.  The two-generator
+Free objects, verbal kernels and closures take any prime p and any
+divisor d >= 1 of p - 1; with d = 1 the pseudovariety is Ab(p), the
+elementary abelian p-groups.  For p > 2 and d > 1 the two-generator
 group of order pd presented by x^p = y^d = 1, y x y^-1 = x^q (with q of
-multiplicative order d mod p) generates the pseudovariety.  The free
-object on n generators is Z_d^n extended by an F_p-module, and an
-element of it is stored as the d-abelianized word together with its Fox
-derivatives mod p, one F_p[Z_d^n] coefficient vector per letter: n * d^n
-coordinates, whatever p is.
+multiplicative order d mod p) generates the pseudovariety; that group,
+its isomorphisms, its decompositions and the presentations keep this
+domain.  The free object on n generators is Z_d^n extended by an
+F_p-module, and an element of it is stored as the d-abelianized word
+together with its Fox derivatives mod p, one F_p[Z_d^n] coefficient
+vector per letter: n * d^n coordinates, whatever p is.
 
 This structured form keeps single elements small even when the free
 object itself is astronomically large; only operations that genuinely
@@ -19,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import CapExceededError
 from .fplinalg import ApdPresentation, rref
@@ -199,43 +202,51 @@ def gpd_iso(p: int, d: int, q: int, r: int) -> tuple[int, int]:
 class FreeObject:
     """Free object of Ab(p)*Ab(d) on n generators.
 
-    An element is a pair (s, u): s in Z_d^n is the d-abelianized word w
-    and u holds its Fox derivatives mod p.  Coordinate i * d^n + k of u
-    is the coefficient of ``points[k]`` in the image of dw/da_i in
-    F_p[Z_d^n], so u has n * d^n coordinates.  Multiplication adds a
-    translated copy, F(wv) = F(w) + s(w).F(v), and needs no arithmetic
-    in the pd-element group.
+    p is any prime and d any divisor d >= 1 of p - 1.  An element is a
+    pair (s, u): s in Z_d^n is the d-abelianized word w and u holds its
+    Fox derivatives mod p.  Coordinate i * d^n + k of u is the
+    coefficient of ``points[k]`` in the image of dw/da_i in F_p[Z_d^n],
+    so u has n * d^n coordinates.  With d = 1 there is one point, and u
+    is the abelianization of w mod p: the free object of Ab(p).
+    Multiplication adds a translated copy, F(wv) = F(w) + s(w).F(v), and
+    needs no arithmetic in the pd-element group.
 
     The element sends an assignment a_i -> x^(u_i) y^(t_i) of the letters
-    into that group, t_phi = (t_1, ..., t_n), to y-exponent <s, t_phi> and
+    into the group x^p = y^d = 1, y x y^-1 = x^q (q of multiplicative
+    order d mod p), t_phi = (t_1, ..., t_n), to y-exponent <s, t_phi> and
     x-exponent sum_i u_i sum_t F_i[t] q^<t, t_phi>.  For fixed s this
     readout is an injective discrete Fourier transform over Z_d^n (d
     divides p - 1), so two elements are equal exactly when they agree on
     every assignment.
 
-    Construction is refused when n * d^n exceeds the default cap, and the
-    translation table grows by n * d^n entries per distinct s that
-    multiplication meets.  Element enumeration (``materialize``) is
-    capped separately.
+    Construction is refused when the n * d^n coordinates of an element
+    exceed the default cap, or the n * n * d^n of the generators exceed
+    the cap times its bit length.  The translation table grows by n * d^n
+    entries per distinct s that multiplication meets.  Element
+    enumeration (``materialize``) is capped separately.
     """
 
-    def __init__(self, n: int, p: int, d: int, q: int | None = None):
+    def __init__(self, n: int, p: int, d: int):
         if n < 1:
             raise ValueError("n must be at least 1")
+        require_prime(p, "p")
+        if d < 1 or (p - 1) % d:
+            raise ValueError(f"d = {d} must be a positive divisor of p - 1 = {p - 1}")
         self.n = n
-        self.gpd = GpdGroup(p, d, q)
-        self.p = self.gpd.p
-        self.d = self.gpd.d
-        # past the cap's bit length 2^n alone exceeds it; testing n first keeps d**n small
-        if n > DEFAULT_CAP.bit_length() or n * d**n > DEFAULT_CAP:
+        self.p = p
+        self.d = d
+        bits = DEFAULT_CAP.bit_length()
+        # for d > 1, 2^n alone exceeds the cap past its bit length, and
+        # testing n first keeps d**n small; for d = 1 the generators bound n
+        if (d > 1 and n > bits) or n * d**n > DEFAULT_CAP or n * n * d**n > bits * DEFAULT_CAP:
             raise CapExceededError(
-                f"free object on {n} generators needs n * d^n Fox coordinates, "
-                f"beyond cap {DEFAULT_CAP}"
+                f"free object on {n} generators needs n generators of n * d^n Fox "
+                f"coordinates each, beyond cap {DEFAULT_CAP}"
             )
         self.points = list(itertools.product(range(d), repeat=n))
         self._point_index = {t: k for k, t in enumerate(self.points)}
         self.n_coords = n * len(self.points)
-        self._shifts: dict[tuple[int, ...], itemgetter] = {}
+        self._shifts: dict[tuple[int, ...], Callable[[tuple], tuple]] = {}
         self.identity = ((0,) * n, (0,) * self.n_coords)
         self.generators = []
         for i in range(n):
@@ -253,7 +264,7 @@ class FreeObject:
 
     # -- element arithmetic -------------------------------------------
 
-    def _shift(self, s) -> itemgetter:
+    def _shift(self, s) -> Callable[[tuple], tuple]:
         """Getter that reads a coordinate tuple translated by s: the entry
         at (i, t) of its result is the entry at (i, t - s)."""
         getter = self._shifts.get(s)
@@ -264,7 +275,9 @@ class FreeObject:
                 for i in range(self.n)
                 for t in self.points
             ]
-            getter = self._shifts[s] = itemgetter(*row)
+            # itemgetter of one index returns a scalar, not a tuple; the one
+            # translation of a single coordinate is the identity
+            getter = self._shifts[s] = itemgetter(*row) if len(row) > 1 else tuple
         return getter
 
     def mul(self, a, b):

@@ -23,10 +23,6 @@ def mat_identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_copy(m: Matrix) -> Matrix:
-    return [row[:] for row in m]
-
-
 def mat_reduce(m: Matrix, p: int) -> Matrix:
     return [[x % p for x in row] for row in m]
 
@@ -134,23 +130,10 @@ def diagonalize(m: Matrix, p: int) -> tuple[Matrix, list[int]]:
     Requires m invertible with m^(p-1) = 1; then all eigenvalues lie in
     F_p^* and eigenvectors of distinct eigenvalues span the space.
     Eigenvalues are reported in ascending order, repeated by multiplicity.
+    This is ``simultaneous_diagonalize`` on the family of m alone.
     """
-    require_prime(p, "p")
-    m = mat_reduce(m, p)
-    _check_order_divides(m, p)
-    n = len(m)
-    columns: list[Vector] = []
-    eigenvalues: list[int] = []
-    for lam in range(1, p):
-        shifted = [[(m[i][j] - (lam if i == j else 0)) % p for j in range(n)] for i in range(n)]
-        for v in kernel_basis(shifted, p):
-            columns.append(v)
-            eigenvalues.append(lam)
-        if len(columns) == n:
-            break
-    if len(columns) != n:  # pragma: no cover - excluded by the order check
-        raise NotDiagonalizableError("eigenvectors do not span")
-    return _from_columns(columns), eigenvalues
+    pmat, (eigenvalues,) = simultaneous_diagonalize([m], p)
+    return pmat, eigenvalues
 
 
 def _express_in_basis(basis_cols: list[Vector], vectors: list[Vector], p: int) -> list[Vector]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .apd import GpdElement, GpdGroup
 from .errors import BudgetExhaustedError, NoWitnessError
 from .numtheory import find_pr_prime, primes_from, smallest_of_order
-from .words import Word, parse, word
+from .words import Word, word
 
 DEFAULT_DIRECT_PRIME_BOUND = 20_000
 DEFAULT_FALLBACK_Q_CANDIDATES = 3
@@ -152,8 +152,13 @@ def first_quadrant_shift(u: Word) -> tuple[int, Word]:
     m = -lowest
     if m == 0:
         return 0, u
-    prefix = parse("a", 2) ** m * parse("b", 2) ** m
-    return m, prefix * u * prefix.inverse()
+    return m, _shift(u, m)
+
+
+def _shift(u: Word, m: int) -> Word:
+    """u conjugated by a^m b^m."""
+    prefix = Word((1,), 2) ** m * Word((2,), 2) ** m
+    return prefix * u * prefix.inverse()
 
 
 def theta_substitute(u: Word, k: int) -> Word:
@@ -194,9 +199,7 @@ class PreMap:
             if step[0] == "swap":
                 out = swap_generators(out)
             elif step[0] == "shift":
-                m = step[1]
-                prefix = parse("a", 2) ** m * parse("b", 2) ** m
-                out = prefix * out * prefix.inverse()
+                out = _shift(out, step[1])
             elif step[0] == "theta":
                 out = theta_substitute(out, step[1])
             else:  # pragma: no cover

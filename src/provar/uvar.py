@@ -8,7 +8,9 @@ lies in U.  Its exact U-closure is H·R, where R is the preimage of the
 U-residual of G, the smallest normal subgroup N with G/N in U; it
 exists because U is closed under subdirect products.  For arbitrary
 subgroups only upper approximations are available: the meet of the
-per-prime closures over any finite prime set.
+per-prime closures over any finite prime set, each the
+pro-(Ab(p)*Ab(p-1)) closure from ``apd.closure``; for p = 2 that is
+Ab(2)*Ab(1) = Ab(2).
 """
 
 from __future__ import annotations
@@ -144,76 +146,17 @@ class ClosureApprox:
     exact: bool
 
 
-def _mod_abelian_closure(aut: Automaton, modulus: int) -> Automaton:
-    """Closure for the exponent-``modulus`` abelian pseudovariety: the
-    preimage of the subgroup image in (Z/modulus)^n."""
-    n = aut.rank
-    vectors = [w.abelianization(modulus) for w in aut.basis()]
-    zero = (0,) * n
-    image = {zero}
-    frontier = [zero]
-    while frontier:
-        v = frontier.pop()
-        for g in vectors:
-            w = tuple((a + b) % modulus for a, b in zip(v, g))
-            if w not in image:
-                image.add(w)
-                frontier.append(w)
-    cosets: dict[frozenset, int] = {}
-    reps: list[tuple[int, ...]] = []
-
-    def coset_id(v):
-        key = frozenset(tuple((a + b) % modulus for a, b in zip(v, s)) for s in image)
-        found = cosets.get(key)
-        if found is None:
-            found = len(reps)
-            cosets[key] = found
-            reps.append(v)
-        return found
-
-    coset_id(zero)
-    i = 0
-    while i < len(reps):
-        for g in range(n):
-            step = tuple(
-                (x + (1 if j == g else 0)) % modulus for j, x in enumerate(reps[i])
-            )
-            coset_id(step)
-        i += 1
-    perms = []
-    for g in range(n):
-        perms.append(
-            tuple(
-                cosets[
-                    frozenset(
-                        tuple(
-                            (x + (1 if j == g else 0) + s[j]) % modulus
-                            for j, x in enumerate(rep)
-                        )
-                        for s in image
-                    )
-                ]
-                for rep in reps
-            )
-        )
-    return Automaton.from_action(n, perms, base=0)
-
-
-def _one_prime_closure(aut: Automaton, p: int, cap: int) -> Automaton:
-    if p == 2:
-        # Ab(2)*Ab(1) = Ab(2): closure is the mod-2 abelianization preimage
-        return _mod_abelian_closure(aut, 2)
-    return apd.closure(aut, p, p - 1, cap=cap)
-
-
 def cl_u_approx(aut: Automaton, primes, cap: int = DEFAULT_ELEMENT_CAP) -> ClosureApprox:
-    """Meet of the pro-(Ab(p)*Ab(p-1)) closures over the given primes."""
+    """Meet of the pro-(Ab(p)*Ab(p-1)) closures over the given primes,
+    each computed by ``apd.closure`` with d = p - 1 under the coset cap
+    (for p = 2 that is Ab(2)*Ab(1) = Ab(2), the preimage of H's image in
+    F_2^n)."""
     chosen = tuple(sorted(set(primes)))
     if not chosen:
         raise ValueError("need at least one prime")
     result: Automaton | None = None
     for p in chosen:
-        cl = _one_prime_closure(aut, p, cap)
+        cl = apd.closure(aut, p, p - 1, cap=cap)
         result = cl if result is None else result.intersect(cl)
     exact = False
     if aut.is_complete():
@@ -277,18 +220,15 @@ class DensityReport:
 def u_density_check(aut: Automaton, bound: int = DEFAULT_PRIME_BOUND,
                     cap: int = DEFAULT_ELEMENT_CAP) -> DensityReport:
     """Bounded density test: full abelianization image (necessary for
-    U-density) plus per-prime density for every prime up to the bound."""
+    U-density) plus pro-(Ab(p)*Ab(p-1)) density, by ``apd.status``, for
+    every prime p up to the bound, 2 included."""
     vectors = [w.abelianization() for w in aut.basis()]
     necessary = _lattice_index(vectors, aut.rank) == 1
     dense = True
     for p in primes_from(2):
         if p > bound:
             break
-        if p == 2:
-            cl = _mod_abelian_closure(aut, 2)
-            dense = dense and cl.n_vertices == 1
-        else:
-            dense = dense and apd.status(aut, p, p - 1, cap=cap).dense
+        dense = apd.status(aut, p, p - 1, cap=cap).dense
         if not dense:
             break
     return DensityReport(necessary_ok=necessary, dense_up_to_bound=dense, prime_bound=bound)

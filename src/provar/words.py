@@ -47,9 +47,7 @@ class Word:
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
         letters = self.letters
-        if letters and (0 in letters or min(letters) < -self.rank or max(letters) > self.rank):
-            letter = next(l for l in letters if l == 0 or abs(l) > self.rank)
-            raise ValueError(f"letter {letter} out of range for rank {self.rank}")
+        _check_range(letters, self.rank)
         # a == -b exactly when a + b == 0
         if 0 in map(add, letters, letters[1:]):
             raise ValueError("word is not freely reduced")
@@ -70,12 +68,8 @@ class Word:
         return by * self * by.inverse()
 
     def __pow__(self, n: int) -> "Word":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Word((), self.rank)
-        for _ in range(n):
-            out = out * self
-        return out
+        base = self if n >= 0 else self.inverse()
+        return Word(reduce_letters(base.letters * abs(n)), self.rank)
 
     def is_identity(self) -> bool:
         return not self.letters
@@ -107,11 +101,20 @@ class Word:
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
 
 
+def _check_range(letters, rank: int) -> None:
+    """Raise ValueError naming the first letter of the sequence that is 0
+    or beyond ``rank`` in absolute value."""
+    if letters and (0 in letters or min(letters) < -rank or max(letters) > rank):
+        letter = next(l for l in letters if l == 0 or abs(l) > rank)
+        raise ValueError(f"letter {letter} out of range for rank {rank}")
+
+
 def word(letters, rank: int) -> Word:
-    """Build a Word from a raw letter sequence, freely reducing it."""
-    for letter in letters:
-        if letter == 0 or abs(letter) > rank:
-            raise ValueError(f"letter {letter} out of range for rank {rank}")
+    """Build a Word from a raw letter sequence, freely reducing it.
+
+    Every letter is checked before reduction, which could cancel a bad
+    pair such as 3, -3."""
+    _check_range(letters, rank)
     return Word(reduce_letters(letters), rank)
 
 

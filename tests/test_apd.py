@@ -21,7 +21,7 @@ from provar.apd import (
     status,
 )
 from provar.errors import CapExceededError
-from provar.fplinalg import ApdPresentation
+from provar.fplinalg import ApdPresentation, mat_rank
 from provar.numtheory import q_sets
 from provar.stallings import Automaton
 from provar.words import identity, parse, word
@@ -213,6 +213,72 @@ def test_free_object_cap():
         FreeObject(6, 11, 10)
 
 
+def test_free_object_takes_every_prime_and_divisor():
+    for p, d in [(2, 1), (3, 1), (3, 2), (7, 1), (7, 3), (7, 6)]:
+        obj = FreeObject(1, p, d)
+        assert (obj.p, obj.d, obj.n_coords) == (p, d, d)
+    for p, d in [(2, 2), (7, 4), (7, 0), (7, -1), (4, 1), (1, 1)]:
+        with pytest.raises(ValueError):
+            FreeObject(1, p, d)
+    # with d = 1 an element holds n coordinates, so ranks past the cap's
+    # bit length fit; the n generators' n * n coordinates bound the rank
+    assert FreeObject(19, 2, 1).n_coords == 19
+    with pytest.raises(CapExceededError):
+        FreeObject(2000, 2, 1)
+    assert free_object(3, 2, 1).order == 8
+    assert free_object(1, 5, 1).order == 5
+
+
+def test_d1_closures_of_rank_one_and_of_large_rank():
+    for p in (2, 3, 5):
+        for k in range(1, 13):
+            expected = aut(1, f"a^{math.gcd(k, p)}")
+            assert closure(aut(1, f"a^{k}"), p, 1) == expected, (p, k)
+        assert closure(Automaton.trivial(1), p, 1).index() == p
+    assert closure(Automaton.full_group(24), 2, 1).n_vertices == 1
+    letters = "abcdefghijklmnopqrstuvw"
+    subgroup = aut(24, *letters, "xx")
+    cl = closure(subgroup, 2, 1)
+    assert cl.index() == 2 and cl.contains_subgroup(subgroup)
+    assert not cl.membership(parse("x", 24))
+    assert closure(aut(24, *letters, "xxx"), 2, 1).n_vertices == 1
+
+
+def test_d1_closure_is_the_preimage_of_the_span_mod_p():
+    # Ab(p)*Ab(1) = Ab(p): w lies in the closure of H iff its
+    # abelianization mod p lies in the F_p-span of H's abelianized basis,
+    # and the closure has index p^(n - rank of that span)
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(60):
+        p = rng.choice([2, 3, 5])
+        n = rng.randrange(1, 5)
+        gens = [random_word(rng, n, 6) for _ in range(rng.randrange(0, 4))]
+        subgroup = Automaton.from_generators(gens, n)
+        rows = [list(w.abelianization(p)) for w in subgroup.basis()]
+        span_rank = mat_rank(rows, p)
+        cl = closure(subgroup, p, 1)
+        assert cl.index() == p ** (n - span_rank)
+        words = [random_word(rng, n, 10) for _ in range(20)] + gens
+        for w in words:
+            in_span = mat_rank(rows + [list(w.abelianization(p))], p) == span_rank
+            assert cl.membership(w) == in_span, (p, gens, w)
+            seen.add(in_span)
+    assert seen == {True, False}
+
+
+def test_d1_closure_agrees_with_folding_route():
+    rng = random.Random(42)
+    for n, p in [(1, 2), (2, 2), (3, 2), (2, 3), (2, 5)]:
+        fobj = FreeObject(n, p, 1)
+        for _ in range(10):
+            gens = [random_word(rng, n, 6) for _ in range(rng.randrange(0, 4))]
+            subgroup = Automaton.from_generators(gens, n)
+            assert closure(subgroup, p, 1, fobj=fobj) == closure_by_folding(
+                subgroup, p, 1, fobj=fobj
+            ), (n, p, gens)
+
+
 def evaluate_under(group, w, phi):
     """Image of w in G(p,d) under a_i -> phi[i], multiplied letter by letter."""
     out = group.identity
@@ -227,7 +293,7 @@ def fox_readout(obj, element, phi):
     Fox coordinates: y-exponent <s, t_phi> and x-exponent
     sum_i u_i sum_t F_i[t] q^<t, t_phi>."""
     s, fox = element
-    p, d, q = obj.p, obj.d, obj.gpd.q
+    p, d, q = obj.p, obj.d, GpdGroup(obj.p, obj.d).q
     t_phi = [g.t for g in phi]
     size = len(obj.points)
     x = 0
@@ -241,7 +307,7 @@ def fox_readout(obj, element, phi):
 def test_fox_coordinates_read_out_every_assignment(n, p, d):
     obj = FreeObject(n, p, d)
     assert obj.n_coords == n * d**n
-    group = obj.gpd
+    group = GpdGroup(obj.p, obj.d)
     elements = group.elements()
     rng = random.Random(f"fox {n} {p} {d}")
     for _ in range(40):
@@ -254,7 +320,7 @@ def test_fox_coordinates_read_out_every_assignment(n, p, d):
 
 def test_free_object_identity_iff_every_assignment_kills_the_word():
     obj = FreeObject(2, 3, 2)
-    group = obj.gpd
+    group = GpdGroup(obj.p, obj.d)
     assignments = list(itertools.product(group.elements(), repeat=2))
     rng = random.Random(31)
     # a^6, b^6, [a^2, b^2] and [[a, b], b[a, b]b^-1] map to 1 in every

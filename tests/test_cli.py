@@ -1,4 +1,5 @@
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -52,6 +53,29 @@ def test_closure_folding_agrees(capsys):
     b = run_json(capsys, "closure", "--p", "3", "--d", "2", "--rank", "2",
                  "--gens", "ab,ba", "--algorithm", "folding")
     assert Automaton.from_json_dict(a) == Automaton.from_json_dict(b)
+
+
+def test_closure_takes_d_one_and_refuses_other_non_divisors(capsys):
+    payload = run_json(capsys, "closure", "--p", "2", "--d", "1", "--rank", "2", "--gens", "a,bb")
+    assert payload["index"] == 2
+    code, out, err = run(capsys, "closure", "--p", "7", "--d", "4", "--rank", "1", "--gens", "a")
+    assert code == 2 and "error" in err and out == ""
+
+
+def readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command-line interface")[1].split("```sh")[1].split("```")[0]
+    return [line for line in block.splitlines() if line.startswith("provar ")]
+
+
+def test_readme_cli_examples_exit_zero(capsys, tmp_path, monkeypatch):
+    lines = readme_cli_lines()
+    assert len(lines) >= 26
+    monkeypatch.chdir(tmp_path)  # --dot writes into the working directory
+    for line in lines:
+        code, out, err = run(capsys, *shlex.split(line)[1:])
+        assert code == 0, (line, err)
+        json.loads(out)
 
 
 def test_metab_witness(capsys):

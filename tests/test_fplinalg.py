@@ -95,6 +95,50 @@ def test_diagonalize_round_trip_many():
         assert d == [[eig[i] if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def eigen_scan(m, p):
+    """Reference diagonalization: scan the p - 1 candidate eigenvalues in
+    ascending order and collect the kernel basis of each m - lambda."""
+    m = fl.mat_reduce(m, p)
+    fl._check_order_divides(m, p)
+    n = len(m)
+    columns, eigenvalues = [], []
+    for lam in range(1, p):
+        shifted = [[(m[i][j] - (lam if i == j else 0)) % p for j in range(n)] for i in range(n)]
+        for v in fl.kernel_basis(shifted, p):
+            columns.append(v)
+            eigenvalues.append(lam)
+    return [list(row) for row in zip(*columns)], eigenvalues
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except NotDiagonalizableError as exc:
+        return str(exc)
+
+
+def test_diagonalize_is_the_one_matrix_simultaneous_case():
+    rng = random.Random(204)
+    rejected = 0
+    for _ in range(300):
+        p = rng.choice([3, 5, 7, 11, 13])
+        n = rng.randrange(1, 5)
+        if rng.random() < 0.7:
+            m = conjugated_diagonal(rng, n, p)[0]
+        else:
+            m = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        result = outcome(fl.diagonalize, m, p)
+        assert result == outcome(eigen_scan, m, p), (m, p)
+        simultaneous = outcome(fl.simultaneous_diagonalize, [m], p)
+        if isinstance(result, str):
+            rejected += 1
+            assert simultaneous == result
+        else:
+            pm, (eig,) = simultaneous
+            assert result == (pm, eig)
+    assert rejected > 10
+
+
 def test_simultaneous_examples():
     pm, eigs = fl.simultaneous_diagonalize([fl.mat_identity(2)], 5)
     assert eigs == [[1, 1]]

@@ -21,6 +21,17 @@ def random_word(rng, max_len):
     return word(letters, 2)
 
 
+def test_shift_step_matches_first_quadrant_shift():
+    rng = random.Random(81)
+    shifts = set()
+    for _ in range(60):
+        u = random_word(rng, 12)
+        m, shifted = mb.first_quadrant_shift(u)
+        assert mb.PreMap((("shift", m),)).apply(u) == shifted, u
+        shifts.add(m)
+    assert 0 in shifts and len(shifts) > 2
+
+
 def test_flow_examples():
     assert mb.flow_of(identity(2)) == mb.Flow({}, {}, (0, 0))
 

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
+from provar import apd, uvar
 from provar import permgroup as pg
-from provar import uvar
 from provar.apd import GpdGroup
 from provar.permgroup import PermGroup, perm_identity
 from provar.stallings import Automaton
@@ -192,6 +192,86 @@ def test_u_density_dense_subgroup():
     # the subgroup generated by a, b a b^-1 a^-1 ... take a simple known one
     report = uvar.u_density_check(aut(2, "a", "b"), bound=3)
     assert report.necessary_ok and report.dense_up_to_bound
+
+
+# -- the p = 2 term against the mod-2 abelian closure --------------------------------
+
+
+def mod_abelian_closure(aut, modulus):
+    """Closure for the exponent-``modulus`` abelian pseudovariety: the
+    preimage of the subgroup image in (Z/modulus)^n, with each coset
+    keyed by the set of its elements."""
+    n = aut.rank
+    vectors = [w.abelianization(modulus) for w in aut.basis()]
+    zero = (0,) * n
+    image = {zero}
+    frontier = [zero]
+    while frontier:
+        v = frontier.pop()
+        for g in vectors:
+            w = tuple((a + b) % modulus for a, b in zip(v, g))
+            if w not in image:
+                image.add(w)
+                frontier.append(w)
+    cosets = {}
+    reps = []
+
+    def coset_id(v):
+        key = frozenset(tuple((a + b) % modulus for a, b in zip(v, s)) for s in image)
+        found = cosets.get(key)
+        if found is None:
+            found = len(reps)
+            cosets[key] = found
+            reps.append(v)
+        return found
+
+    coset_id(zero)
+    i = 0
+    while i < len(reps):
+        for g in range(n):
+            coset_id(tuple((x + (1 if j == g else 0)) % modulus for j, x in enumerate(reps[i])))
+        i += 1
+    perms = [
+        tuple(
+            coset_id(tuple((x + (1 if j == g else 0)) % modulus for j, x in enumerate(rep)))
+            for rep in reps
+        )
+        for g in range(n)
+    ]
+    return Automaton.from_action(n, perms, base=0)
+
+
+def random_subgroup(rng, rank):
+    gens = [
+        word([rng.choice([s * g for g in range(1, rank + 1) for s in (1, -1)])
+              for _ in range(rng.randrange(1, 7))], rank)
+        for _ in range(rng.randrange(0, 4))
+    ]
+    return Automaton.from_generators(gens, rank)
+
+
+def test_prime_two_closure_matches_the_mod_two_abelian_oracle():
+    rng = random.Random(61)
+    for _ in range(80):
+        rank = rng.randrange(1, 5)
+        subgroup = random_subgroup(rng, rank)
+        expected = mod_abelian_closure(subgroup, 2)
+        assert apd.closure(subgroup, 2, 1) == expected, subgroup.basis()
+        # the other primes' closures stay far below the coset cap
+        primes = rng.choice([[[2], [2, 3], [2, 5], [2, 3, 5]], [[2], [2, 3]], [[2]], [[2]]][rank - 1])
+        meet = expected
+        for p in primes[1:]:
+            meet = meet.intersect(apd.closure(subgroup, p, p - 1))
+        assert uvar.cl_u_approx(subgroup, primes).automaton == meet, (subgroup.basis(), primes)
+        assert uvar.u_density_check(subgroup, bound=2).dense_up_to_bound == (
+            expected.n_vertices == 1
+        )
+
+
+def test_prime_two_term_of_a_large_rank_stays_cheap():
+    approx = uvar.cl_u_approx(Automaton.full_group(16), [2])
+    assert approx.automaton == Automaton.full_group(16) and approx.exact
+    assert uvar.u_density_check(Automaton.full_group(16), bound=2).dense_up_to_bound
 
 
 # -- the residual route against the lattice meet ---------------------------------

@@ -163,6 +163,27 @@ def test_word_names_the_first_letter_out_of_range():
         Word((1, 2, -2), 2)
 
 
+def test_word_checks_letters_before_free_reduction():
+    # reduction would cancel both pairs to the identity
+    for letters, bad in (([3, -3], 3), ([0, 0], 0)):
+        with pytest.raises(ValueError, match=f"letter {bad} out of range for rank 2"):
+            word(letters, 2)
+
+
+def test_power_matches_the_repeated_product():
+    rng = random.Random(71)
+    words = [parse(t, 2) for t in ("", "a", "abA", "abAB", "aabA")]
+    words += [word([rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(rng.randrange(1, 9))], 3)
+              for _ in range(30)]
+    for w in words:
+        for n in range(-3, 7):
+            base = w if n >= 0 else w.inverse()
+            product = identity(w.rank)
+            for _ in range(abs(n)):
+                product = product * base
+            assert w ** n == product, (w, n)
+
+
 def test_compose_examples():
     ab = parse("ab", 2)
     assert str(ab.inverse()) == "BA"
