@@ -54,6 +54,6 @@ from .uvar import (
     u_density_check,
     u_residual,
 )
-from .words import Word, parse, word
+from .words import Word, fox, height_counts, parse, word
 
 __version__ = "0.1.0"

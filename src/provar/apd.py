@@ -10,7 +10,10 @@ its isomorphisms, its decompositions and the presentations keep this
 domain.  The free object on n generators is Z_d^n extended by an
 F_p-module, and an element of it is stored as the d-abelianized word
 together with its Fox derivatives mod p, one F_p[Z_d^n] coefficient
-vector per letter: n * d^n coordinates, whatever p is.
+vector per letter: n * d^n coordinates, whatever p is.  A word is
+evaluated by reducing its Fox derivatives over Z[Z^n] (``words.fox``),
+and a rank-2 word's image in the pd-element group is read off its
+height counts (``words.height_counts``).
 
 This structured form keeps single elements small even when the free
 object itself is astronomically large; only operations that genuinely
@@ -29,7 +32,7 @@ from .fplinalg import ApdPresentation, rref
 from .numtheory import mult_order, require_prime, smallest_of_order
 from .permgroup import DEFAULT_ELEMENT_CAP, PermGroup
 from .stallings import Automaton
-from .words import Word
+from .words import Word, fox, height_counts
 
 DEFAULT_CAP = DEFAULT_ELEMENT_CAP
 
@@ -112,15 +115,15 @@ class GpdGroup:
         return [GpdElement(u, t) for u in range(self.p) for t in range(self.d)]
 
     def evaluate(self, w: Word) -> GpdElement:
-        """Image of a rank-2 word under a -> x, b -> y."""
-        if w.rank != 2:
-            raise ValueError("rank-2 word required")
-        gens = (self.x, self.y)
-        out = self.identity
-        for letter in w.letters:
-            g = gens[abs(letter) - 1]
-            out = self.mul(out, g if letter > 0 else self.inv(g))
-        return out
+        """Image of a rank-2 word under a -> x, b -> y.
+
+        An a^(+-1) read at b-height j contributes x^(+-q^j), since
+        y^j x = x^(q^j) y^j; so the image is x^u y^t with
+        u = sum_j c_j q^(j mod d) mod p over the height counts c_j and
+        t the final height mod d."""
+        counts, height = height_counts(w)
+        qpow, d = self._qpow, self.d
+        return GpdElement(sum(c * qpow[j % d] for j, c in counts.items()) % self.p, height % d)
 
     def as_perm_group(self, cap: int = DEFAULT_CAP) -> PermGroup:
         """Left-regular permutation representation on the pd elements."""
@@ -254,7 +257,6 @@ class FreeObject:
             u = [0] * self.n_coords
             u[i * len(self.points)] = 1  # points[0] is the zero of Z_d^n
             self.generators.append((s, tuple(u)))
-        self._gen_inverses = [self.inv(g) for g in self.generators]
         self._elements: list | None = None
         self._cayley: Automaton | None = None
 
@@ -293,18 +295,18 @@ class FreeObject:
         return (s, u)
 
     def evaluate(self, w: Word):
-        """Image of a word under the canonical map onto the free object."""
+        """Image of a word under the canonical map onto the free object:
+        its exponent sums mod d and its Fox derivatives (``words.fox``)
+        with every point reduced mod d and every coefficient mod p."""
         if w.rank != self.n:
             raise ValueError(f"word rank {w.rank} does not match n = {self.n}")
-        out = self.identity
-        for letter in w.letters:
-            g = (
-                self.generators[letter - 1]
-                if letter > 0
-                else self._gen_inverses[-letter - 1]
-            )
-            out = self.mul(out, g)
-        return out
+        d, size, index = self.d, len(self.points), self._point_index
+        endpoint, parts = fox(w)
+        u = [0] * self.n_coords
+        for i, part in enumerate(parts):
+            for t, c in part.items():
+                u[i * size + index[tuple(x % d for x in t)]] += c
+        return tuple(x % d for x in endpoint), tuple([c % self.p for c in u])
 
     # -- enumeration ----------------------------------------------------
 
@@ -386,8 +388,8 @@ class KernelSpec:
     @classmethod
     def relatively_free(cls, n: int, p: int, d: int) -> "KernelSpec":
         require_prime(p, "p")
-        if d <= 1 or (p - 1) % d:
-            raise ValueError("d must divide p - 1 and exceed 1")
+        if d < 1 or (p - 1) % d:
+            raise ValueError(f"d = {d} must be a positive divisor of p - 1 = {p - 1}")
         return cls(kind="L", n=n, p=p, d=d)
 
 

@@ -5,9 +5,9 @@ Elements live in the concrete model Z[1/q] x| Z: a maps to (1, 0), b to
 the group law (x, j)(x', j') = (x + q^j x', j + j').  A word's image is
 (sum_j c_j q^j, final height), where c_j is the net number of a-letters
 read at b-height j, so the word problem reduces to one pass of height
-counts and one exact polynomial evaluation, and nontrivial elements are
-separated in the groups C_p x| C_{p-1} for primes p with q a primitive
-root.
+counts (``words.height_counts``) and one exact polynomial evaluation,
+and nontrivial elements are separated in the groups C_p x| C_{p-1} for
+primes p with q a primitive root.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from .apd import GpdElement
 from .errors import BudgetExhaustedError
 from .numtheory import is_primitive_root, primes_from, require_prime
-from .words import Word
+from .words import Word, height_counts
 
 DEFAULT_PRIME_BUDGET = 100_000
 
@@ -73,35 +73,23 @@ def bs_identity(q: int) -> BsElement:
 def bs_eval(u: Word, q: int) -> BsElement:
     """Image of a rank-2 word under a -> (1, 0), b -> (0, 1).
 
-    One pass over the letters keeps the current b-height j and the net
-    a-count c_j at each height: an a^(+-1) read at height j contributes
-    q^j to the rational part.  So x = sum_j c_j q^j, formed by Horner's
-    rule over the heights from the highest to the lowest nonzero c_j, as
-    a numerator over q^(-lowest height) when that height is negative.
+    An a^(+-1) read at b-height j contributes q^j to the rational part,
+    so with the net a-counts c_j of ``words.height_counts``,
+    x = sum_j c_j q^j, formed by Horner's rule over the heights from the
+    highest to the lowest nonzero c_j, as a numerator over
+    q^(-lowest height) when that height is negative.
     """
-    if u.rank != 2:
-        raise ValueError("rank-2 word required")
     require_prime(q, "q")
-    n = len(u.letters)
-    counts = [0] * (2 * n + 1)
-    j = n
-    for letter in u.letters:
-        if letter == 2:
-            j += 1
-        elif letter == -2:
-            j -= 1
-        else:
-            counts[j] += letter
-    heights = [h for h, c in enumerate(counts) if c]
+    counts, height = height_counts(u)
     numerator = 0
-    if heights:
-        for h in range(heights[-1], heights[0] - 1, -1):
-            numerator = numerator * q + counts[h]
-        low = heights[0] - n
+    if counts:
+        low, high = min(counts), max(counts)
+        for h in range(high, low - 1, -1):
+            numerator = numerator * q + counts.get(h, 0)
         x = Fraction(numerator * q**low) if low >= 0 else Fraction(numerator, q**-low)
     else:
         x = Fraction(0)
-    return BsElement(q, x, j - n)
+    return BsElement(q, x, height)
 
 
 def bs_is_trivial(u: Word, q: int) -> bool:

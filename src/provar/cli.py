@@ -25,10 +25,33 @@ def _automaton_arg(args) -> Automaton:
     return Automaton.from_generators(_parse_gens(args.gens, args.rank), args.rank)
 
 
+def _int_array(value, depth: int, name: str):
+    """``value`` if it is a JSON array nested ``depth`` deep, with no empty
+    array and an integer at every leaf; ValueError otherwise."""
+    def fits(v, k):
+        if k == 0:
+            return type(v) is int
+        return isinstance(v, list) and bool(v) and all(fits(x, k - 1) for x in v)
+
+    if not fits(value, depth):
+        raise ValueError(f"{name} must be a JSON array of integers nested {depth} deep, "
+                         "with no empty array")
+    return value
+
+
 def _group_arg(args, cap) -> PermGroup:
+    """{"order": n, "table": rows} for a Cayley table, or {"degree": n,
+    "generators": rows} for permutations; no generators is the trivial group."""
     data = json.loads(args.group)
-    if "table" in data:
-        return PermGroup.from_cayley_table(int(data["order"]), data["table"], cap=cap)
+    if not isinstance(data, dict):
+        raise ValueError("group must be a JSON object")
+    size, rows = ("order", "table") if "table" in data else ("degree", "generators")
+    if type(data[size]) is not int:
+        raise ValueError(f"{size} must be an integer")
+    if data[rows] != []:
+        _int_array(data[rows], 2, rows)
+    if rows == "table":
+        return PermGroup.from_cayley_table(data["order"], data["table"], cap=cap)
     return PermGroup.from_json_dict(data, cap=cap)
 
 
@@ -278,12 +301,12 @@ def _run(args) -> dict:
         return payload
 
     if cmd == "diagonalize":
-        matrix = json.loads(args.matrix)
+        matrix = _int_array(json.loads(args.matrix), 2, "matrix")
         pmat, eigen = fplinalg.diagonalize(matrix, args.p)
         return {"P": pmat, "eigenvalues": eigen}
 
     if cmd == "action-to-presentation":
-        matrices = json.loads(args.matrices)
+        matrices = _int_array(json.loads(args.matrices), 3, "matrices")
         orders = [int(x) for x in args.orders.split(",") if x.strip()]
         pres = fplinalg.action_to_presentation(matrices, orders, args.p, args.d)
         return {"p": pres.p, "d": pres.d, "n": pres.n, "m": pres.m,
@@ -291,7 +314,7 @@ def _run(args) -> dict:
                 "exponents": [list(row) for row in pres.exponents]}
 
     if cmd == "decompose":
-        exponents = json.loads(args.exponents)
+        exponents = _int_array(json.loads(args.exponents), 2, "exponents")
         orders = [int(x) for x in args.orders.split(",") if x.strip()]
         pres = fplinalg.ApdPresentation(
             p=args.p, d=args.d, n=len(exponents), m=len(orders),

@@ -5,14 +5,19 @@ A rank-2 word traces a path on the integer grid (letter a steps east,
 letter b steps north).  The signed traversal counts of the grid edges,
 together with the path's endpoint, determine the word's image in the
 free metabelian group exactly: the flow is zero iff the word lies in
-the second derived subgroup.
+the second derived subgroup.  The a-edge and b-edge counts are the Fox
+derivatives of the word over Z[Z^2] (the Magnus embedding), read in one
+pass by ``words.fox``.
 
 For a word with nonzero flow, a homomorphism onto some group
 C_p x| C_{p-1} (with a primitive root q acting) that keeps the image
 nontrivial is found by evaluating the row-sum Laurent polynomial
 P(x) = sum_n h_n x^n at q: the image of the word is x^(P(q) mod p)
 y^(n0 mod p-1).  Small primes are tried directly; a bound-driven
-fallback with a guaranteed witness covers the remaining cases.
+fallback with a guaranteed witness covers the remaining cases.  Every
+witness is checked again by ``GpdGroup.evaluate``, which reads the word
+through its height counts (``words.height_counts``), a route apart from
+the row sums that found it.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 from .apd import GpdElement, GpdGroup
 from .errors import BudgetExhaustedError, NoWitnessError
 from .numtheory import find_pr_prime, primes_from, smallest_of_order
-from .words import Word, word
+from .words import Word, fox, word
 
 DEFAULT_DIRECT_PRIME_BOUND = 20_000
 DEFAULT_FALLBACK_Q_CANDIDATES = 3
@@ -44,13 +49,6 @@ class Flow:
     def is_zero(self) -> bool:
         return not self.a_edges and not self.b_edges
 
-    def translate(self, dx: int, dy: int) -> "Flow":
-        return Flow(
-            {(m + dx, n + dy): c for (m, n), c in self.a_edges.items()},
-            {(m + dx, n + dy): c for (m, n), c in self.b_edges.items()},
-            (self.endpoint[0] + dx, self.endpoint[1] + dy),
-        )
-
     def h_sums(self) -> dict[int, int]:
         """Row sums of the a-edges: n -> sum over m."""
         out: dict[int, int] = {}
@@ -59,53 +57,19 @@ class Flow:
         return {n: c for n, c in out.items() if c}
 
     def v_sums(self) -> dict[int, int]:
-        """Column sums of the b-edges: n -> sum over the second coordinate."""
+        """Column sums of the b-edges: m -> sum over n."""
         out: dict[int, int] = {}
         for (m, n), c in self.b_edges.items():
             out[m] = out.get(m, 0) + c
         return {m: c for m, c in out.items() if c}
 
-    def to_json_dict(self) -> dict:
-        return {
-            "a_edges": [[m, n, c] for (m, n), c in sorted(self.a_edges.items())],
-            "b_edges": [[m, n, c] for (m, n), c in sorted(self.b_edges.items())],
-            "endpoint": list(self.endpoint),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Flow":
-        return cls(
-            {(int(m), int(n)): int(c) for m, n, c in data["a_edges"] if c},
-            {(int(m), int(n)): int(c) for m, n, c in data["b_edges"] if c},
-            tuple(int(x) for x in data["endpoint"]),
-        )
-
 
 def flow_of(u: Word) -> Flow:
-    """Trace the word's grid path and collect signed edge counts."""
+    """The word's grid flow: its Fox derivatives, read by ``words.fox``."""
     if u.rank != 2:
         raise ValueError("flows are defined for rank-2 words")
-    a_edges: dict[tuple[int, int], int] = {}
-    b_edges: dict[tuple[int, int], int] = {}
-    x = y = 0
-    for letter in u.letters:
-        if letter == 1:
-            a_edges[(x, y)] = a_edges.get((x, y), 0) + 1
-            x += 1
-        elif letter == -1:
-            x -= 1
-            a_edges[(x, y)] = a_edges.get((x, y), 0) - 1
-        elif letter == 2:
-            b_edges[(x, y)] = b_edges.get((x, y), 0) + 1
-            y += 1
-        else:
-            y -= 1
-            b_edges[(x, y)] = b_edges.get((x, y), 0) - 1
-    return Flow(
-        {e: c for e, c in a_edges.items() if c},
-        {e: c for e, c in b_edges.items() if c},
-        (x, y),
-    )
+    endpoint, (a_edges, b_edges) = fox(u)
+    return Flow(a_edges, b_edges, endpoint)
 
 
 def sums(f: Flow) -> tuple[dict[int, int], dict[int, int]]:

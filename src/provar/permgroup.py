@@ -441,27 +441,6 @@ class PermGroup:
                 return self.quotient(PermGroup(self.degree, [y], cap=self.cap)).is_supersolvable()
         return False
 
-    def all_subgroups(self) -> list["PermGroup"]:
-        """Every subgroup, by closing generator sets; meant for small orders."""
-        trivial = PermGroup(self.degree, [], cap=self.cap)
-        found: dict[frozenset[Perm], PermGroup] = {trivial.element_set(): trivial}
-        frontier = [trivial]
-        elems = self.elements()
-        while frontier:
-            current = frontier.pop()
-            inside = current.element_set()
-            for e in elems:
-                if e in inside:
-                    continue
-                bigger = PermGroup(
-                    self.degree, list(current.generators) + [e], cap=self.cap
-                )
-                key = bigger.element_set()
-                if key not in found:
-                    found[key] = bigger
-                    frontier.append(bigger)
-        return sorted(found.values(), key=lambda g: (g.order, sorted(g.element_set())))
-
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:

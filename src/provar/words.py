@@ -4,6 +4,12 @@ Letters are signed 1-based generator indices: +i is the i-th generator,
 -i its inverse.  Text syntax uses lowercase letters a..z for generators
 and the matching uppercase letter for the inverse; an optional power
 suffix is accepted, so "aba^-3 B^2" parses fine.
+
+Every metabelian image of a word is read off one walk over its letters:
+``fox`` gives its Fox derivatives over Z[Z^n] (the flows of
+``metabelian`` and the free objects of ``apd`` reduce them), and
+``height_counts`` gives the a-counts per b-height of a rank-2 word
+(read by ``GpdGroup.evaluate`` and ``bs.bs_eval``).
 """
 
 from __future__ import annotations
@@ -173,3 +179,42 @@ def _check_count(count: int) -> None:
 
 def commutator(u: Word, v: Word) -> Word:
     return u * v * u.inverse() * v.inverse()
+
+
+def fox(u: Word) -> tuple[tuple[int, ...], list[dict[tuple[int, ...], int]]]:
+    """The Fox derivatives of u over Z[Z^n], read in one pass.
+
+    Returns (e, parts): e is the exponent-sum vector, the endpoint of u's
+    path in Z^n, and parts[i] maps each point t of Z^n to the nonzero
+    coefficient of t in du/da_i.  A letter a_i read at point t adds 1
+    at t; a letter a_i^-1 read at t adds -1 at t minus the i-th unit
+    vector.  So fox(uv) = fox(u) + e(u).fox(v), where e(u).fox(v) is
+    fox(v) translated by e(u).
+    """
+    pos = [0] * u.rank
+    parts: list[dict[tuple[int, ...], int]] = [{} for _ in range(u.rank)]
+    for letter in u.letters:
+        i = abs(letter) - 1
+        if letter < 0:
+            pos[i] -= 1
+        t, part = tuple(pos), parts[i]
+        part[t] = part.get(t, 0) + (1 if letter > 0 else -1)
+        if letter > 0:
+            pos[i] += 1
+    return tuple(pos), [{t: c for t, c in part.items() if c} for part in parts]
+
+
+def height_counts(u: Word) -> tuple[dict[int, int], int]:
+    """The net a-count of a rank-2 word at each b-height, and its final
+    height: a letter a^(+-1) read after a net j letters b counts +-1 at
+    height j.  Heights with a zero count are left out."""
+    if u.rank != 2:
+        raise ValueError("rank-2 word required")
+    counts: dict[int, int] = {}
+    j = 0
+    for letter in u.letters:
+        if letter == 2 or letter == -2:
+            j += letter // 2
+        else:
+            counts[j] = counts.get(j, 0) + letter
+    return {h: c for h, c in counts.items() if c}, j

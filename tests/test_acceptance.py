@@ -25,6 +25,7 @@ from provar.numtheory import is_primitive_root, q_sets, smallest_of_order
 from provar.permgroup import perm_identity
 from provar.stallings import Automaton
 from provar.words import parse, word
+from tests.oracles import all_subgroups
 from tests.test_fplinalg import conjugated_diagonal, random_invertible
 from tests.test_permgroup import a4, c12, c2xc4, d4, q8, s3, s4, supersolvable_oracle
 from tests.test_stallings import S3_IMAGES, schreier_preimage
@@ -87,7 +88,7 @@ def test_criterion_3_u_membership_fixtures():
 
 
 def test_criterion_4_supersolvability_oracle_equivalence():
-    subgroups = s4().all_subgroups()
+    subgroups = all_subgroups(s4())
     assert len(subgroups) == 30
     checked = 0
     for sub in subgroups:

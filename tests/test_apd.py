@@ -501,3 +501,76 @@ def test_decompose_cap():
     pres = ApdPresentation(p=11, d=10, n=3, m=1, orders=(10,), exponents=((2,), (2,), (2,)))
     with pytest.raises(CapExceededError):
         decompose(pres, cap=100)
+
+
+def fold_evaluate(obj, w):
+    # oracle: one free-object product per letter, inverses through obj.inv
+    out = obj.identity
+    for letter in w.letters:
+        g = obj.generators[abs(letter) - 1]
+        out = obj.mul(out, g if letter > 0 else obj.inv(g))
+    return out
+
+
+@pytest.mark.parametrize("n,p,d", [(1, 7, 6), (2, 3, 2), (2, 5, 4), (3, 3, 2), (2, 7, 6),
+                                   (2, 2, 1), (3, 5, 1)])
+def test_free_object_evaluate_matches_the_letter_fold(n, p, d):
+    obj = FreeObject(n, p, d)
+    rng = random.Random(n * 100 + p * 10 + d)
+    for _ in range(150):
+        w = random_word(rng, n, 30)
+        assert obj.evaluate(w) == fold_evaluate(obj, w), w
+    assert obj.evaluate(identity(n)) == obj.identity
+
+
+def fold_gpd_evaluate(group, w):
+    # oracle: one GpdElement product per letter
+    gens = (group.x, group.y)
+    out = group.identity
+    for letter in w.letters:
+        g = gens[abs(letter) - 1]
+        out = group.mul(out, g if letter > 0 else group.inv(g))
+    return out
+
+
+def drifting_word(rng, length, up):
+    # b with probability up / 2, B with (1 - up) / 2: heights drift
+    letters = []
+    while len(letters) < length:
+        letter = rng.choice([1, -1]) if rng.random() < 0.5 else (2 if rng.random() < up else -2)
+        if not letters or letters[-1] != -letter:
+            letters.append(letter)
+    return word(letters, 2)
+
+
+@pytest.mark.parametrize("p,d", PAIRS)
+def test_gpd_evaluate_matches_the_letter_fold(p, d):
+    rng = random.Random(p * d)
+    for q in sorted(set(q_sets(p, d)[1]))[:2]:
+        group = GpdGroup(p, d, q)
+        words = [random_word(rng, 2, 40) for _ in range(100)]
+        words += [drifting_word(rng, 10_000, up) for up in (0.2, 0.5, 0.8)]
+        lowest = min(sum(1 if l == 2 else -1 for l in w.letters[:k] if abs(l) == 2)
+                     for w in words for k in range(0, len(w), 50))
+        assert lowest < -100
+        for w in words:
+            assert group.evaluate(w) == fold_gpd_evaluate(group, w), (p, d, q, str(w)[:40])
+
+
+def test_relatively_free_kernel_with_d_one_is_the_mod_p_abelian_kernel():
+    rng = random.Random(17)
+    for n, p in [(1, 2), (2, 2), (2, 3), (3, 5)]:
+        spec = KernelSpec.relatively_free(n, p, 1)
+        kills = 0
+        for _ in range(200):
+            w = random_word(rng, n, 12)
+            if rng.random() < 0.3:
+                w = w ** p
+            killed = not any(w.abelianization(p))
+            assert kernel_membership(w, spec) == killed, (n, p, w)
+            kills += killed
+        assert 0 < kills < 200
+    with pytest.raises(ValueError):
+        KernelSpec.relatively_free(2, 7, 4)
+    with pytest.raises(ValueError):
+        KernelSpec.relatively_free(2, 7, 0)

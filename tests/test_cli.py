@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from provar import cli
 from provar.cli import dispatch
@@ -267,3 +271,44 @@ def test_import_does_not_build_the_parser():
         env={"PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "None"
+
+
+@pytest.mark.parametrize("argv", [
+    *(["diagonalize", "--p", "3", "--matrix", m] for m in ["[]", "5", "[1,2]", "{}", '[["a"]]']),
+    *(["action-to-presentation", "--p", "3", "--d", "2", "--matrices", m, "--orders", "2"]
+      for m in ["5", "[5]", "[[]]"]),
+    ["decompose", "--p", "3", "--d", "2", "--exponents", '[["a"]]', "--orders", "2"],
+    *(["is-in-u", "--group", g] for g in [
+        "5", '{"order":2,"table":5}', '{"order":2,"table":[[0,"x"],[1,0]]}',
+        '{"degree":2,"generators":5}']),
+    ["supersolvable", "--group", "[]"],
+])
+def test_json_arguments_of_the_wrong_shape_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+TRANSCRIPT = Path(__file__).resolve().parent / "data" / "cli_transcript.json"
+
+
+def replay(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(list(argv))
+    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def test_cli_transcript_is_pinned():
+    """Exit code, stdout and stderr of every recorded request, byte for byte.
+
+    Run ``python tests/test_cli.py`` to record the transcript again after
+    a deliberate output change."""
+    transcript = json.loads(TRANSCRIPT.read_text())
+    assert len(transcript) >= 60
+    for entry in transcript:
+        assert replay(entry["argv"]) == entry, entry["argv"]
+
+
+if __name__ == "__main__":
+    entries = [replay(entry["argv"]) for entry in json.loads(TRANSCRIPT.read_text())]
+    TRANSCRIPT.write_text(json.dumps(entries, indent=1) + "\n")

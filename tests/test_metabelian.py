@@ -53,13 +53,22 @@ def test_flow_endpoint_is_abelianization():
         assert mb.flow_of(u).endpoint == u.abelianization()
 
 
+def translate(flow, dx, dy):
+    """The flow of the same path started at (dx, dy)."""
+    return mb.Flow(
+        {(m + dx, n + dy): c for (m, n), c in flow.a_edges.items()},
+        {(m + dx, n + dy): c for (m, n), c in flow.b_edges.items()},
+        (flow.endpoint[0] + dx, flow.endpoint[1] + dy),
+    )
+
+
 def test_flow_crossed_homomorphism():
     rng = random.Random(2)
     for _ in range(1000):
         u, v = random_word(rng, 8), random_word(rng, 8)
         fu, fv = mb.flow_of(u), mb.flow_of(v)
         combined = mb.flow_of(u * v)
-        translated = fv.translate(*fu.endpoint)
+        translated = translate(fv, *fu.endpoint)
         a = dict(fu.a_edges)
         for e, c in translated.a_edges.items():
             a[e] = a.get(e, 0) + c
@@ -325,3 +334,17 @@ def test_witness_via_tiny_direct_bound_falls_back():
     w = mb.separating_witness(u, direct_prime_bound=2)
     group = GpdGroup(w.p, w.p - 1, w.q)
     assert group.evaluate(w.pre_map.apply(u)) == w.image != GpdElement(0, 0)
+
+
+def test_verify_witness_refuses_a_corrupted_image():
+    a, b = parse("a", 2), parse("b", 2)
+    c = commutator(a, b)
+    for u in (parse("abAB", 2), parse("bb", 2), c * c.conjugate(a).inverse(), exotic_word()):
+        w = mb.separating_witness(u)
+        mb._verify_witness(w, u)
+        for image in GpdGroup(w.p, w.p - 1, w.q).elements():
+            if image in (w.image, GpdElement(0, 0)):
+                continue
+            corrupted = mb.SeparationWitness(w.p, w.q, w.pre_map, image)
+            with pytest.raises(AssertionError):
+                mb._verify_witness(corrupted, u)

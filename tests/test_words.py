@@ -6,7 +6,16 @@ import pytest
 
 from provar import apd
 from provar.errors import CapExceededError
-from provar.words import Word, commutator, identity, parse, reduce_letters, word
+from provar.words import (
+    Word,
+    commutator,
+    fox,
+    height_counts,
+    identity,
+    parse,
+    reduce_letters,
+    word,
+)
 
 _TOKEN = re.compile(r"([a-zA-Z])(?:\s*\^\s*(-?\d+))?")
 
@@ -229,3 +238,53 @@ def test_pow_and_str():
     assert a**3 == parse("aaa", 2)
     assert a**-2 == parse("AA", 2)
     assert str(a**0) == "1"
+
+
+def add_translate(left, right, shift):
+    """left + t^shift . right for Fox parts (dicts point -> coefficient)."""
+    out = dict(left)
+    for t, c in right.items():
+        key = tuple(a + b for a, b in zip(t, shift))
+        out[key] = out.get(key, 0) + c
+    return {t: c for t, c in out.items() if c}
+
+
+def random_rank_word(rng, rank, max_len):
+    letters = [rng.choice([s * g for g in range(1, rank + 1) for s in (1, -1)])
+               for _ in range(rng.randrange(0, max_len + 1))]
+    return word(letters, rank)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_fox_product_rule_and_endpoint(rank):
+    rng = random.Random(40 + rank)
+    for _ in range(300):
+        u, v = random_rank_word(rng, rank, 10), random_rank_word(rng, rank, 10)
+        eu, fu = fox(u)
+        ev, fv = fox(v)
+        e, parts = fox(u * v)
+        assert eu == u.abelianization() and e == (u * v).abelianization()
+        assert parts == [add_translate(a, b, eu) for a, b in zip(fu, fv)], (u, v)
+        assert all(c for part in parts for c in part.values())
+
+
+def test_fox_of_generators_and_inverses():
+    assert fox(identity(3)) == ((0, 0, 0), [{}, {}, {}])
+    assert fox(parse("b", 3)) == ((0, 1, 0), [{}, {(0, 0, 0): 1}, {}])
+    assert fox(parse("B", 3)) == ((0, -1, 0), [{}, {(0, -1, 0): -1}, {}])
+    # abAB: da = 1 - b, db = a - 1
+    assert fox(parse("abAB", 2)) == ((0, 0), [{(0, 0): 1, (0, 1): -1}, {(1, 0): 1, (0, 0): -1}])
+
+
+def test_height_counts_are_row_sums_of_the_a_derivative():
+    rng = random.Random(44)
+    for _ in range(300):
+        u = random_rank_word(rng, 2, 40)
+        endpoint, (a_part, _) = fox(u)
+        rows = {}
+        for (_, n), c in a_part.items():
+            rows[n] = rows.get(n, 0) + c
+        assert height_counts(u) == ({n: c for n, c in rows.items() if c}, endpoint[1])
+    assert height_counts(parse("BaBAbb", 2)) == ({-1: 1, -2: -1}, 0)
+    with pytest.raises(ValueError):
+        height_counts(parse("a", 1))
