@@ -25,6 +25,7 @@ from provar.fplinalg import ApdPresentation, mat_rank
 from provar.numtheory import q_sets
 from provar.stallings import Automaton
 from provar.words import identity, parse, word
+from tests.test_bs import drifting_word, heights
 
 PAIRS = [(3, 2), (5, 2), (5, 4), (7, 3), (7, 6), (11, 10)]
 
@@ -533,16 +534,6 @@ def fold_gpd_evaluate(group, w):
     return out
 
 
-def drifting_word(rng, length, up):
-    # b with probability up / 2, B with (1 - up) / 2: heights drift
-    letters = []
-    while len(letters) < length:
-        letter = rng.choice([1, -1]) if rng.random() < 0.5 else (2 if rng.random() < up else -2)
-        if not letters or letters[-1] != -letter:
-            letters.append(letter)
-    return word(letters, 2)
-
-
 @pytest.mark.parametrize("p,d", PAIRS)
 def test_gpd_evaluate_matches_the_letter_fold(p, d):
     rng = random.Random(p * d)
@@ -550,9 +541,7 @@ def test_gpd_evaluate_matches_the_letter_fold(p, d):
         group = GpdGroup(p, d, q)
         words = [random_word(rng, 2, 40) for _ in range(100)]
         words += [drifting_word(rng, 10_000, up) for up in (0.2, 0.5, 0.8)]
-        lowest = min(sum(1 if l == 2 else -1 for l in w.letters[:k] if abs(l) == 2)
-                     for w in words for k in range(0, len(w), 50))
-        assert lowest < -100
+        assert min(min(heights(w)) for w in words) < -100
         for w in words:
             assert group.evaluate(w) == fold_gpd_evaluate(group, w), (p, d, q, str(w)[:40])
 

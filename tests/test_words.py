@@ -16,6 +16,7 @@ from provar.words import (
     reduce_letters,
     word,
 )
+from tests.test_apd import random_word
 
 _TOKEN = re.compile(r"([a-zA-Z])(?:\s*\^\s*(-?\d+))?")
 
@@ -249,19 +250,13 @@ def add_translate(left, right, shift):
     return {t: c for t, c in out.items() if c}
 
 
-def random_rank_word(rng, rank, max_len):
-    letters = [rng.choice([s * g for g in range(1, rank + 1) for s in (1, -1)])
-               for _ in range(rng.randrange(0, max_len + 1))]
-    return word(letters, rank)
-
-
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_fox_product_rule_and_endpoint(rank):
     rng = random.Random(40 + rank)
     for _ in range(300):
-        u, v = random_rank_word(rng, rank, 10), random_rank_word(rng, rank, 10)
+        u, v = random_word(rng, rank, 10), random_word(rng, rank, 10)
         eu, fu = fox(u)
-        ev, fv = fox(v)
+        _, fv = fox(v)
         e, parts = fox(u * v)
         assert eu == u.abelianization() and e == (u * v).abelianization()
         assert parts == [add_translate(a, b, eu) for a, b in zip(fu, fv)], (u, v)
@@ -279,7 +274,7 @@ def test_fox_of_generators_and_inverses():
 def test_height_counts_are_row_sums_of_the_a_derivative():
     rng = random.Random(44)
     for _ in range(300):
-        u = random_rank_word(rng, 2, 40)
+        u = random_word(rng, 2, 40)
         endpoint, (a_part, _) = fox(u)
         rows = {}
         for (_, n), c in a_part.items():
