@@ -16,8 +16,9 @@ and a rank-2 word's image in the pd-element group is read off its
 height counts (``words.height_counts``).
 
 This structured form keeps single elements small even when the free
-object itself is astronomically large; only operations that genuinely
-enumerate elements or cosets are subject to the cap.
+object itself is astronomically large.  A closure's index is read off
+H's image (its t-part and unit subspace), so ``status`` needs no cap and
+``closure`` refuses an index over its cap before it enumerates a coset.
 """
 
 from __future__ import annotations
@@ -90,18 +91,6 @@ class GpdGroup:
     def inv(self, a: GpdElement) -> GpdElement:
         t = (-a.t) % self.d
         return GpdElement((-self._qpow[t] * a.u) % self.p, t)
-
-    def power(self, a: GpdElement, k: int) -> GpdElement:
-        if k < 0:
-            return self.power(self.inv(a), -k)
-        out = self.identity
-        base = a
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
 
     def element_order(self, a: GpdElement) -> int:
         order = 1
@@ -408,18 +397,16 @@ def kernel_membership(w: Word, spec: KernelSpec) -> bool:
 
 
 class _ImageSubgroup:
-    """Membership structure for the image of a subgroup in a free object.
+    """The image I of a subgroup in the free object: ``reps`` holds an
+    element of I over each point of its t-part T <= Z_d^n, and Schreier
+    generators span K, the unit coordinates in I, as RREF rows.  The free
+    object has order d^n * p^((n-1) d^n + 1) and I has order |T| * p^dim K,
+    so the closure's index is [Z_d^n : T] * p^((n-1) d^n + 1 - dim K)."""
 
-    Splits the image I along its t-part projection T and spans the
-    kernel part (an F_p-subspace of the unit coordinates) by Schreier
-    generators, giving an exact canonical form for cosets of I without
-    enumerating the free object.
-    """
-
-    def __init__(self, fobj: FreeObject, image_generators):
-        self.fobj = fobj
-        p, d, n = fobj.p, fobj.d, fobj.n
-        gens = list(image_generators)
+    def __init__(self, aut: Automaton, p: int, d: int, fobj: FreeObject | None = None):
+        self.fobj = fobj = _free_object(aut, p, d, fobj)
+        n = fobj.n
+        gens = [fobj.evaluate(w) for w in aut.basis()]
 
         # transversal of the t-part subgroup, reachable by generator products
         reps = {(0,) * n: fobj.identity}
@@ -431,7 +418,6 @@ class _ImageSubgroup:
                 if e[0] not in reps:
                     reps[e[0]] = e
                     queue.append(e)
-        self.t_parts = sorted(reps)
         self.reps = reps
 
         # Schreier generators of the unit-part kernel, reduced to RREF rows
@@ -443,29 +429,44 @@ class _ImageSubgroup:
                 if any(k[0]):
                     raise AssertionError(f"Schreier generator {k} has a nonzero t-part")
                 rows.append(list(k[1]))
-        # fully reduced rows, zero before their pivot, in pivot order
+        # each fully reduced row as its pivot and its nonzero entries off
+        # the pivot, which all lie outside every other pivot column
         reduced, pivots = rref(rows, p)
-        self.pivot_rows = list(zip(pivots, reduced))
+        self.pivot_rows = [
+            (pivot, [(j, x) for j, x in enumerate(row) if x and j != pivot])
+            for pivot, row in zip(pivots, reduced)
+        ]
+        self.index = (d**n // len(reps)) * p ** ((n - 1) * d**n + 1 - len(pivots))
 
     def reduce_unit(self, u):
+        """Representative of u mod K, one pivot row subtracted at a time."""
         p = self.fobj.p
         u = list(u)
-        for pivot, row in self.pivot_rows:
+        for pivot, entries in self.pivot_rows:
             c = u[pivot]
             if c:
-                u = [(x - c * y) % p for x, y in zip(u, row)]
+                u[pivot] = 0
+                for j, x in entries:
+                    u[j] = (u[j] - c * x) % p
         return tuple(u)
 
     def coset_key(self, element):
-        """Canonical form of I * element."""
+        """Canonical form of I * element, itself an element of that coset."""
         d = self.fobj.d
         s = element[0]
-        best = min(tuple((a + b) % d for a, b in zip(s, t)) for t in self.t_parts)
+        best = min(tuple((a + b) % d for a, b in zip(s, t)) for t in self.reps)
         delta = tuple((a - b) % d for a, b in zip(best, s))
         shifted = self.fobj.mul(self.reps[delta], element)
         if shifted[0] != best:
             raise AssertionError(f"coset representative moved t-part to {shifted[0]}, not {best}")
         return best, self.reduce_unit(shifted[1])
+
+
+def _free_object(aut: Automaton, p: int, d: int, fobj: FreeObject | None) -> FreeObject:
+    obj = fobj if fobj is not None else FreeObject(aut.rank, p, d)
+    if (obj.n, obj.p, obj.d) != (aut.rank, p, d):
+        raise ValueError("free object does not match the requested parameters")
+    return obj
 
 
 def closure(aut: Automaton, p: int, d: int, cap: int = DEFAULT_CAP,
@@ -474,36 +475,30 @@ def closure(aut: Automaton, p: int, d: int, cap: int = DEFAULT_CAP,
 
     Coset/Schreier route: the closure is the full preimage of the image
     subgroup in the free object, so its automaton is the Schreier graph
-    of the free object acting on the cosets of that image.  Only cosets
-    are enumerated (capped); the free object itself never is.
+    of the free object acting on the cosets of that image.  It is refused
+    before any coset is enumerated when the image's index exceeds the
+    cap; the search queues coset keys, each an element of its coset.
     """
-    obj = fobj if fobj is not None else FreeObject(aut.rank, p, d)
-    if (obj.n, obj.p, obj.d) != (aut.rank, p, d):
-        raise ValueError("free object does not match the requested parameters")
-    images = [obj.evaluate(w) for w in aut.basis()]
-    image = _ImageSubgroup(obj, images)
-
-    start = obj.identity
-    verts = {image.coset_key(start): 0}
-    carriers = [start]
+    image = _ImageSubgroup(aut, p, d, fobj)
+    if image.index > cap:
+        raise CapExceededError(f"closure needs more than {cap} cosets")
+    obj = image.fobj
+    queue = [image.coset_key(obj.identity)]
+    verts = {queue[0]: 0}
     targets = [dict() for _ in range(aut.rank)]
-    queue = [0]
     while queue:
-        v = queue.pop()
-        e = carriers[v]
+        key = queue.pop()
+        v = verts[key]
         for i, g in enumerate(obj.generators):
-            e2 = obj.mul(e, g)
-            key = image.coset_key(e2)
-            w = verts.get(key)
+            key2 = image.coset_key(obj.mul(key, g))
+            w = verts.get(key2)
             if w is None:
-                if len(carriers) >= cap:
-                    raise CapExceededError(f"closure needs more than {cap} cosets")
-                w = len(carriers)
-                verts[key] = w
-                carriers.append(e2)
-                queue.append(w)
+                w = verts[key2] = len(verts)
+                queue.append(key2)
             targets[i][v] = w
-    perms = [tuple(t[v] for v in range(len(carriers))) for t in targets]
+    if len(verts) != image.index:
+        raise AssertionError(f"enumerated {len(verts)} cosets, the image has index {image.index}")
+    perms = [tuple(t[v] for v in range(len(verts))) for t in targets]
     return Automaton.from_action(aut.rank, perms, base=0)
 
 
@@ -515,10 +510,7 @@ def closure_by_folding(aut: Automaton, p: int, d: int, cap: int = DEFAULT_CAP,
     order fits the cap; used as the independent cross-check of
     ``closure``.
     """
-    obj = fobj if fobj is not None else FreeObject(aut.rank, p, d)
-    if (obj.n, obj.p, obj.d) != (aut.rank, p, d):
-        raise ValueError("free object does not match the requested parameters")
-    return obj.cayley_automaton(cap).join(aut)
+    return _free_object(aut, p, d, fobj).cayley_automaton(cap).join(aut)
 
 
 @dataclass(frozen=True)
@@ -528,15 +520,12 @@ class ApdStatus:
     index_of_closure: int
 
 
-def status(aut: Automaton, p: int, d: int, cap: int = DEFAULT_CAP,
-           fobj: FreeObject | None = None) -> ApdStatus:
-    """Closedness and density of a subgroup for the pro-(Ab(p)*Ab(d)) topology."""
-    cl = closure(aut, p, d, cap=cap, fobj=fobj)
-    return ApdStatus(
-        closed=(cl == aut),
-        dense=(cl.n_vertices == 1 and cl.is_complete()),
-        index_of_closure=cl.n_vertices,
-    )
+def status(aut: Automaton, p: int, d: int) -> ApdStatus:
+    """Closedness and density of H for the pro-(Ab(p)*Ab(d)) topology, read
+    off the closure's index with no coset search and so no cap: H lies in
+    its closure, so it is closed exactly when its own index equals that one."""
+    index = _ImageSubgroup(aut, p, d).index
+    return ApdStatus(closed=aut.index() == index, dense=index == 1, index_of_closure=index)
 
 
 # -- decomposition into minimum generators --------------------------------

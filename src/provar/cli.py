@@ -243,7 +243,7 @@ def _run(args) -> dict:
         return _aut_payload(fn(aut, args.p, args.d, cap=cap))
 
     if cmd == "status":
-        st = apd.status(_automaton_arg(args), args.p, args.d, cap=cap)
+        st = apd.status(_automaton_arg(args), args.p, args.d)
         return {"closed": st.closed, "dense": st.dense,
                 "index_of_closure": st.index_of_closure}
 
@@ -265,7 +265,7 @@ def _run(args) -> dict:
         return {"vanishing_coordinate": uvar.not_fg_certificate(_automaton_arg(args))}
 
     if cmd == "u-density":
-        report = uvar.u_density_check(_automaton_arg(args), bound=args.bound, cap=cap)
+        report = uvar.u_density_check(_automaton_arg(args), bound=args.bound)
         return {"necessary_ok": report.necessary_ok,
                 "dense_up_to_bound": report.dense_up_to_bound,
                 "prime_bound": report.prime_bound}

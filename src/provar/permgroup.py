@@ -457,11 +457,27 @@ class PermGroup:
 
     @classmethod
     def from_cayley_table(cls, order: int, table, cap: int = DEFAULT_ELEMENT_CAP) -> "PermGroup":
-        """Left-regular representation of a group given by its 0-based table."""
+        """Left-regular representation of a group given by its 0-based table.
+
+        ValueError unless some row e is the identity, column e reads 0..n-1
+        and the rows generate n elements: that group is transitive (row g
+        sends e to g), hence regular, so rows g and h compose to row gh."""
         if len(table) != order or any(len(row) != order for row in table):
             raise ValueError("table must be order x order")
-        perms = [tuple(table[g][x] for x in range(order)) for g in range(order)]
-        return cls(order, perms, cap=cap)
+        perms = [tuple(row) for row in table]
+        e = next((g for g, row in enumerate(perms) if row == perm_identity(order)), None)
+        if e is None or any(row[e] != g for g, row in enumerate(perms)):
+            raise ValueError("table has no two-sided identity")
+        group = cls(order, perms, cap=cap)
+        try:
+            generated = group.order
+        except CapExceededError:
+            if order > cap:
+                raise
+            generated = None
+        if generated != order:
+            raise ValueError(f"the rows of the table do not generate a group of order {order}")
+        return group
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, generators={len(self.generators)})"

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from . import apd
-from .numtheory import factorize, primes_from
+from .numtheory import factorize, is_prime
 from .permgroup import (
     DEFAULT_ELEMENT_CAP,
     PermGroup,
@@ -217,18 +217,11 @@ class DensityReport:
     prime_bound: int
 
 
-def u_density_check(aut: Automaton, bound: int = DEFAULT_PRIME_BOUND,
-                    cap: int = DEFAULT_ELEMENT_CAP) -> DensityReport:
+def u_density_check(aut: Automaton, bound: int = DEFAULT_PRIME_BOUND) -> DensityReport:
     """Bounded density test: full abelianization image (necessary for
     U-density) plus pro-(Ab(p)*Ab(p-1)) density, by ``apd.status``, for
-    every prime p up to the bound, 2 included."""
+    every prime p up to the bound, 2 included; no closure is enumerated."""
     vectors = [w.abelianization() for w in aut.basis()]
     necessary = _lattice_index(vectors, aut.rank) == 1
-    dense = True
-    for p in primes_from(2):
-        if p > bound:
-            break
-        dense = apd.status(aut, p, p - 1, cap=cap).dense
-        if not dense:
-            break
+    dense = all(apd.status(aut, p, p - 1).dense for p in range(2, bound + 1) if is_prime(p))
     return DensityReport(necessary_ok=necessary, dense_up_to_bound=dense, prime_bound=bound)

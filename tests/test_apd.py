@@ -6,7 +6,9 @@ import random
 import pytest
 
 from provar.apd import (
+    ApdStatus,
     FreeObject,
+    _ImageSubgroup,
     _check_homomorphism,
     GpdElement,
     GpdGroup,
@@ -409,6 +411,8 @@ def test_closure_agrees_with_folding_route():
         b = closure(subgroup, 3, 2, fobj=fobj)
         assert a == b
         assert b.is_complete()
+        assert status(subgroup, 3, 2) == ApdStatus(
+            closed=b == subgroup, dense=b.n_vertices == 1, index_of_closure=b.n_vertices)
 
 
 def test_closure_idempotent_and_monotone():
@@ -453,6 +457,44 @@ def test_status_dense_subgroup():
     subgroup = aut(2, "a", "bab", "b^3")
     st = status(subgroup, 3, 2)
     assert st.dense == (st.index_of_closure == 1)
+
+
+@pytest.mark.parametrize("n,p,d", [(1, 7, 6), (2, 2, 1), (3, 2, 1), (2, 3, 2), (2, 5, 4),
+                                   (2, 7, 3), (3, 3, 2)])
+def test_closure_is_refused_before_any_coset_exactly_when_its_index_exceeds_the_cap(
+        n, p, d, monkeypatch):
+    keys = []
+    coset_key = _ImageSubgroup.coset_key
+
+    def counting_coset_key(self, element):
+        keys.append(element)
+        return coset_key(self, element)
+
+    monkeypatch.setattr(_ImageSubgroup, "coset_key", counting_coset_key)
+    rng = random.Random(f"cap law {n} {p} {d}")
+    sizes = set()
+    for _ in range(12):
+        gens = [random_word(rng, n, 6) for _ in range(rng.randrange(0, 5))]
+        subgroup = Automaton.from_generators(gens, n)
+        index = status(subgroup, p, d).index_of_closure
+        sizes.add(index)
+        for cap in [index - 1, index] if index <= 400 else [400]:
+            keys.clear()
+            if index > cap:
+                with pytest.raises(CapExceededError, match=f"closure needs more than {cap} cosets"):
+                    closure(subgroup, p, d, cap=cap)
+                assert keys == []
+            else:
+                assert closure(subgroup, p, d, cap=cap).n_vertices == index
+                assert keys
+    assert len(sizes) > 2
+
+
+def test_status_of_a_commutator_needs_no_coset_cap():
+    # T is trivial and K is the line of [a, b]'s Fox vector, so the index is
+    # 6^2 * 7^((2 - 1) * 6^2 + 1 - 1), far beyond any coset cap
+    st = status(aut(2, "abAB"), 7, 6)
+    assert st == ApdStatus(closed=False, dense=False, index_of_closure=36 * 7**36)
 
 
 def test_decompose_identity_case():

@@ -223,6 +223,25 @@ def test_cayley_table_input():
     assert G.structure().exponent == 4
     with pytest.raises(ValueError):
         PermGroup.from_cayley_table(3, table)
+    # the Cayley table of a non-abelian group gives back its order
+    elements = q8().elements()
+    index = {x: i for i, x in enumerate(elements)}
+    q8_table = [[index[pg.compose(x, y)] for y in elements] for x in elements]
+    assert PermGroup.from_cayley_table(8, q8_table).order == 8
+    # no two-sided identity: both rows are the identity, or no row is
+    for order, table in [(2, [[0, 1], [0, 1]]), (3, [[0, 1, 2], [0, 1, 2], [1, 2, 0]]),
+                         (2, [[1, 0], [1, 0]])]:
+        with pytest.raises(ValueError):
+            PermGroup.from_cayley_table(order, table)
+    # a two-sided identity, but the rows generate S3, not 3 elements,
+    # within a cap of 4 as well as without one
+    table = [[0, 1, 2], [1, 0, 2], [2, 0, 1]]
+    for cap in (4, 100):
+        with pytest.raises(ValueError):
+            PermGroup.from_cayley_table(3, table, cap=cap)
+    # a group table larger than the cap stays a cap error
+    with pytest.raises(CapExceededError):
+        PermGroup.from_cayley_table(8, q8_table, cap=4)
 
 
 def test_perm_order_and_power_match_repeated_composition():
