@@ -41,7 +41,7 @@ from .metabelian import (
 )
 from .numtheory import PrSearchResult, find_pr_prime, is_prime, mult_order, q_sets
 from .permgroup import PermGroup
-from .stallings import Automaton, CosetAction
+from .stallings import Automaton
 from .uvar import (
     ClosureApprox,
     DensityReport,

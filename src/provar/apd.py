@@ -114,14 +114,14 @@ class GpdGroup:
         qpow, d = self._qpow, self.d
         return GpdElement(sum(c * qpow[j % d] for j, c in counts.items()) % self.p, height % d)
 
-    def as_perm_group(self, cap: int = DEFAULT_CAP) -> PermGroup:
+    def as_perm_group(self) -> PermGroup:
         """Left-regular permutation representation on the pd elements."""
         elems = self.elements()
         index = {e: i for i, e in enumerate(elems)}
         perms = [
             tuple(index[self.mul(g, e)] for e in elems) for g in (self.x, self.y)
         ]
-        return PermGroup(self.order, perms, cap=cap)
+        return PermGroup(self.order, perms)
 
     def __repr__(self) -> str:
         return f"GpdGroup(p={self.p}, d={self.d}, q={self.q})"
@@ -340,7 +340,7 @@ class FreeObject:
             perms = [
                 tuple(index[self.mul(e, g)] for e in elems) for g in self.generators
             ]
-            self._cayley = Automaton.from_action(self.n, perms, base=0)
+            self._cayley = Automaton.from_action(self.n, perms)
         return self._cayley
 
     def __repr__(self) -> str:
@@ -403,8 +403,8 @@ class _ImageSubgroup:
     object has order d^n * p^((n-1) d^n + 1) and I has order |T| * p^dim K,
     so the closure's index is [Z_d^n : T] * p^((n-1) d^n + 1 - dim K)."""
 
-    def __init__(self, aut: Automaton, p: int, d: int, fobj: FreeObject | None = None):
-        self.fobj = fobj = _free_object(aut, p, d, fobj)
+    def __init__(self, aut: Automaton, p: int, d: int):
+        self.fobj = fobj = FreeObject(aut.rank, p, d)
         n = fobj.n
         gens = [fobj.evaluate(w) for w in aut.basis()]
 
@@ -462,15 +462,7 @@ class _ImageSubgroup:
         return best, self.reduce_unit(shifted[1])
 
 
-def _free_object(aut: Automaton, p: int, d: int, fobj: FreeObject | None) -> FreeObject:
-    obj = fobj if fobj is not None else FreeObject(aut.rank, p, d)
-    if (obj.n, obj.p, obj.d) != (aut.rank, p, d):
-        raise ValueError("free object does not match the requested parameters")
-    return obj
-
-
-def closure(aut: Automaton, p: int, d: int, cap: int = DEFAULT_CAP,
-            fobj: FreeObject | None = None) -> Automaton:
+def closure(aut: Automaton, p: int, d: int, cap: int = DEFAULT_CAP) -> Automaton:
     """Pro-(Ab(p)*Ab(d)) closure of the subgroup, as a complete automaton.
 
     Coset/Schreier route: the closure is the full preimage of the image
@@ -479,7 +471,7 @@ def closure(aut: Automaton, p: int, d: int, cap: int = DEFAULT_CAP,
     before any coset is enumerated when the image's index exceeds the
     cap; the search queues coset keys, each an element of its coset.
     """
-    image = _ImageSubgroup(aut, p, d, fobj)
+    image = _ImageSubgroup(aut, p, d)
     if image.index > cap:
         raise CapExceededError(f"closure needs more than {cap} cosets")
     obj = image.fobj
@@ -499,7 +491,7 @@ def closure(aut: Automaton, p: int, d: int, cap: int = DEFAULT_CAP,
     if len(verts) != image.index:
         raise AssertionError(f"enumerated {len(verts)} cosets, the image has index {image.index}")
     perms = [tuple(t[v] for v in range(len(verts))) for t in targets]
-    return Automaton.from_action(aut.rank, perms, base=0)
+    return Automaton.from_action(aut.rank, perms)
 
 
 def closure_by_folding(aut: Automaton, p: int, d: int, cap: int = DEFAULT_CAP,
@@ -508,9 +500,13 @@ def closure_by_folding(aut: Automaton, p: int, d: int, cap: int = DEFAULT_CAP,
 
     Requires enumerating the free object, so it is only viable when its
     order fits the cap; used as the independent cross-check of
-    ``closure``.
+    ``closure``.  A given ``fobj`` is reused, so its Cayley automaton is
+    built once across calls.
     """
-    return _free_object(aut, p, d, fobj).cayley_automaton(cap).join(aut)
+    obj = fobj if fobj is not None else FreeObject(aut.rank, p, d)
+    if (obj.n, obj.p, obj.d) != (aut.rank, p, d):
+        raise ValueError("free object does not match the requested parameters")
+    return obj.cayley_automaton(cap).join(aut)
 
 
 @dataclass(frozen=True)

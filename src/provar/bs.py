@@ -20,7 +20,7 @@ from .errors import BudgetExhaustedError
 from .numtheory import is_primitive_root, primes_from, require_prime
 from .words import Word, height_counts
 
-DEFAULT_PRIME_BUDGET = 100_000
+PRIME_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -96,9 +96,7 @@ def bs_is_trivial(u: Word, q: int) -> bool:
     return bs_eval(u, q).is_identity()
 
 
-def bs_separating_prime(
-    g: BsElement, budget: int = DEFAULT_PRIME_BUDGET
-) -> tuple[int, GpdElement]:
+def bs_separating_prime(g: BsElement) -> tuple[int, GpdElement]:
     """A prime p != q with q a primitive root mod p, and the nontrivial
     image of g in C_p x| C_{p-1}.
 
@@ -108,7 +106,8 @@ def bs_separating_prime(
     |j| + 1 and has q as a primitive root is returned: those conditions
     force a nontrivial image.  A smaller prime may already separate g
     (for x y^5 with q = 2 the scan returns 11, although 3 separates), so
-    p need not be the smallest separating prime.
+    p need not be the smallest separating prime.  BudgetExhaustedError
+    after ``PRIME_BUDGET`` candidates.
     """
     if g.is_identity():
         raise ValueError("identity element has no separating quotient")
@@ -117,9 +116,9 @@ def bs_separating_prime(
     examined = 0
     for p in primes_from(3):
         examined += 1
-        if examined > budget:
+        if examined > PRIME_BUDGET:
             raise BudgetExhaustedError(
-                f"no separating prime for q = {g.q} within {budget} candidates"
+                f"no separating prime for q = {g.q} within {PRIME_BUDGET} candidates"
             )
         if p == g.q:
             continue

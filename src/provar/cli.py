@@ -1,7 +1,7 @@
 """Command-line interface: one JSON object per invocation on stdout.
 
-Exit codes: 0 on success, 2 on invalid input, 3 when a search budget or
-enumeration cap is exhausted.
+Exit codes: 0 on success, 2 on invalid input (an unwritable ``--dot``
+file included), 3 when a search budget or enumeration cap is exhausted.
 """
 
 from __future__ import annotations
@@ -55,22 +55,18 @@ def _group_arg(args, cap) -> PermGroup:
     return PermGroup.from_json_dict(data, cap=cap)
 
 
-def _emit(payload: dict, args) -> None:
-    dot = getattr(args, "dot", None)
-    if dot:
-        automaton = payload.pop("_dot_source", None)
-        if automaton is not None:
-            with open(dot, "w") as handle:
-                handle.write(automaton)
-    payload.pop("_dot_source", None)
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+def _write_dot(path: str, aut: Automaton) -> None:
+    with open(path, "w") as handle:
+        handle.write(aut.to_dot())
 
 
-def _aut_payload(aut: Automaton) -> dict:
+def _aut_payload(aut: Automaton, args) -> dict:
+    """The automaton's JSON form and index; its DOT form goes to the
+    ``--dot`` file when one is given."""
+    if args.dot:
+        _write_dot(args.dot, aut)
     payload = aut.to_json_dict()
     payload["index"] = aut.index()
-    payload["_dot_source"] = aut.to_dot()
     return payload
 
 
@@ -127,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_subgroup_args(p)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--algorithm", choices=["cosets", "folding"], default="cosets")
     p.add_argument("--dot")
 
     p = add("status", help="closed/dense for one (p, d)")
@@ -224,7 +219,7 @@ def _run(args) -> dict:
     cmd = args.command
 
     if cmd == "stallings":
-        return _aut_payload(_automaton_arg(args))
+        return _aut_payload(_automaton_arg(args), args)
 
     if cmd == "index":
         aut = _automaton_arg(args)
@@ -235,12 +230,10 @@ def _run(args) -> dict:
         left = Automaton.from_generators(_parse_gens(args.left, args.rank), args.rank)
         right = Automaton.from_generators(_parse_gens(args.right, args.rank), args.rank)
         result = left.join(right) if cmd == "join" else left.intersect(right)
-        return _aut_payload(result)
+        return _aut_payload(result, args)
 
     if cmd == "closure":
-        aut = _automaton_arg(args)
-        fn = apd.closure if args.algorithm == "cosets" else apd.closure_by_folding
-        return _aut_payload(fn(aut, args.p, args.d, cap=cap))
+        return _aut_payload(apd.closure(_automaton_arg(args), args.p, args.d, cap=cap), args)
 
     if cmd == "status":
         st = apd.status(_automaton_arg(args), args.p, args.d)
@@ -251,12 +244,12 @@ def _run(args) -> dict:
         return {"u_closed": uvar.is_u_closed(_automaton_arg(args), cap=cap)}
 
     if cmd == "cl-u":
-        return _aut_payload(uvar.cl_u_finite_index(_automaton_arg(args), cap=cap))
+        return _aut_payload(uvar.cl_u_finite_index(_automaton_arg(args), cap=cap), args)
 
     if cmd == "cl-u-approx":
         primes = [int(x) for x in args.primes.split(",") if x.strip()]
         approx = uvar.cl_u_approx(_automaton_arg(args), primes, cap=cap)
-        payload = _aut_payload(approx.automaton)
+        payload = _aut_payload(approx.automaton, args)
         payload["primes"] = list(approx.primes)
         payload["exact"] = approx.exact
         return payload
@@ -295,10 +288,9 @@ def _run(args) -> dict:
 
     if cmd == "free-object":
         obj = apd.free_object(args.n, args.p, args.d, cap=cap)
-        payload = {"n": obj.n, "p": obj.p, "d": obj.d, "order": obj.order}
         if args.dot:
-            payload["_dot_source"] = obj.cayley_automaton(cap).to_dot()
-        return payload
+            _write_dot(args.dot, obj.cayley_automaton(cap))
+        return {"n": obj.n, "p": obj.p, "d": obj.d, "order": obj.order}
 
     if cmd == "diagonalize":
         matrix = _int_array(json.loads(args.matrix), 2, "matrix")
@@ -388,10 +380,11 @@ def dispatch(argv) -> int:
     except (BudgetExhaustedError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, args)
+    json.dump(payload, sys.stdout, indent=2)
+    sys.stdout.write("\n")
     return 0
 
 

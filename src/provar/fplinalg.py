@@ -5,7 +5,8 @@ column vectors, so the matrix of a composition of linear maps is the
 product of their matrices in the same order.  Diagonalization only ever
 has to handle matrices whose order divides p - 1: such matrices split
 completely over F_p, and a direct scan of the p - 1 candidate
-eigenvalues is both complete and exact.
+eigenvalues is both complete and exact.  A commuting family shares one
+eigenbasis, ordered by the tuple of its eigenvalues, one per matrix.
 """
 
 from __future__ import annotations
@@ -150,9 +151,11 @@ def simultaneous_diagonalize(ms: list[Matrix], p: int) -> tuple[Matrix, list[lis
     """One P diagonalizing every matrix of a commuting family.
 
     Works by refining common invariant subspaces: split the space along
-    the first matrix's eigenspaces, then restrict the remaining matrices
-    to each piece and recurse.  Matrices are processed in input order
-    with eigenvalues ascending, so the output is deterministic.
+    the first matrix's eigenspaces, then split each piece along the next
+    matrix's eigenspaces restricted to it, and so on.  Every piece is a
+    block of common eigenvectors with one eigenvalue per matrix, and each
+    split lists its pieces by ascending eigenvalue, so the columns of P
+    come in lexicographic order of their tuples of eigenvalues.
     """
     require_prime(p, "p")
     if not ms:
@@ -173,26 +176,25 @@ def simultaneous_diagonalize(ms: list[Matrix], p: int) -> tuple[Matrix, list[lis
             images = [mat_vec(m, v, p) for v in basis]
             restricted = _from_columns(_express_in_basis(basis, images, p))
             k = len(basis)
-            pieces = 0
+            found = 0
             for lam in range(1, p):
                 shifted = [
                     [(restricted[i][j] - (lam if i == j else 0)) % p for j in range(k)]
                     for i in range(k)
                 ]
-                for coords in kernel_basis(shifted, p):
-                    refined.append(
-                        [sum(c * basis[t][row] for t, c in enumerate(coords)) % p
-                         for row in range(n)]
-                    )
-                    pieces += 1
-                if pieces == k:
+                piece = [
+                    [sum(c * basis[t][row] for t, c in enumerate(coords)) % p
+                     for row in range(n)]
+                    for coords in kernel_basis(shifted, p)
+                ]
+                if piece:
+                    refined.append(piece)
+                    found += len(piece)
+                if found == k:
                     break
-            if pieces != k:  # pragma: no cover - excluded by the order check
+            if found != k:  # pragma: no cover - excluded by the order check
                 raise NotDiagonalizableError("restriction does not split")
-        # regroup single vectors into per-eigenvalue blocks lazily: each
-        # refined entry is one basis vector; successive refinement only
-        # needs the list of common eigenvectors found so far
-        blocks = _regroup(refined, m, p)
+        blocks = refined
     columns = [v for block in blocks for v in block]
     pmat = _from_columns(columns)
     pinv = mat_inv(pmat, p)
@@ -203,22 +205,6 @@ def simultaneous_diagonalize(ms: list[Matrix], p: int) -> tuple[Matrix, list[lis
             raise AssertionError("conjugate is not diagonal")  # pragma: no cover
         eigenlists.append([d[i][i] for i in range(n)])
     return pmat, eigenlists
-
-
-def _regroup(vectors: list[Vector], m: Matrix, p: int) -> list[list[Vector]]:
-    """Group eigenvectors of m into eigenspace blocks, preserving order."""
-    blocks: list[list[Vector]] = []
-    values: list[int] = []
-    for v in vectors:
-        image = mat_vec(m, v, p)
-        pivot = next(i for i, x in enumerate(v) if x)
-        lam = image[pivot] * pow(v[pivot], -1, p) % p
-        if values and values[-1] == lam:
-            blocks[-1].append(v)
-        else:
-            blocks.append([v])
-            values.append(lam)
-    return blocks
 
 
 @dataclass(frozen=True)

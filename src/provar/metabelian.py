@@ -29,8 +29,12 @@ from .errors import BudgetExhaustedError, NoWitnessError
 from .numtheory import find_pr_prime, primes_from, smallest_of_order
 from .words import Word, fox, word
 
-DEFAULT_DIRECT_PRIME_BOUND = 20_000
-DEFAULT_FALLBACK_Q_CANDIDATES = 3
+# the direct search tries the primes up to DIRECT_PRIME_BOUND; the
+# fallback tries FALLBACK_Q_CANDIDATES bases q, each with at most
+# FALLBACK_CAP candidate primes
+DIRECT_PRIME_BOUND = 20_000
+FALLBACK_Q_CANDIDATES = 3
+FALLBACK_CAP = 1_000_000
 
 
 @dataclass
@@ -209,11 +213,11 @@ def _polynomial_value_mod(h: dict[int, int], q: int, p: int) -> int:
     return total % p
 
 
-def _direct_search(flow: Flow, bound: int):
+def _direct_search(flow: Flow):
     h = flow.h_sums()
     n0 = flow.endpoint[1]
     for p in primes_from(3):
-        if p > bound:
+        if p > DIRECT_PRIME_BOUND:
             return None
         q = smallest_of_order(p, p - 1)
         x_exp = _polynomial_value_mod(h, q, p)
@@ -223,7 +227,7 @@ def _direct_search(flow: Flow, bound: int):
     return None  # pragma: no cover
 
 
-def _guaranteed_search(w: Word, q_candidates: int, cap: int):
+def _guaranteed_search(w: Word):
     """Bound-driven fallback with a guaranteed witness.
 
     For a prime q exceeding k = |w| and p with q a primitive root mod p
@@ -242,11 +246,11 @@ def _guaranteed_search(w: Word, q_candidates: int, cap: int):
     n_min = min(h)
     tried = 0
     for q in primes_from(k + 1):
-        if tried >= q_candidates:
+        if tried >= FALLBACK_Q_CANDIDATES:
             break
         tried += 1
         try:
-            result = find_pr_prime(q, k * q**k + 1, cap=cap)
+            result = find_pr_prime(q, k * q**k + 1, cap=FALLBACK_CAP)
         except BudgetExhaustedError:
             continue
         p = result.p
@@ -257,16 +261,11 @@ def _guaranteed_search(w: Word, q_candidates: int, cap: int):
         image = GpdElement(x_exp, n0 % (p - 1))
         return p, q, image
     raise BudgetExhaustedError(
-        f"no primitive-root prime found for {q_candidates} candidate bases"
+        f"no primitive-root prime found for {FALLBACK_Q_CANDIDATES} candidate bases"
     )
 
 
-def separating_witness(
-    u: Word,
-    direct_prime_bound: int = DEFAULT_DIRECT_PRIME_BOUND,
-    fallback_q_candidates: int = DEFAULT_FALLBACK_Q_CANDIDATES,
-    fallback_cap: int = 1_000_000,
-) -> SeparationWitness:
+def separating_witness(u: Word) -> SeparationWitness:
     """A verified homomorphism to some C_p x| C_{p-1} keeping u nontrivial.
 
     Requires a nonzero flow.  Case split: nonzero row sums are used as
@@ -296,11 +295,11 @@ def separating_witness(
         if not w_flow.h_sums():
             raise AssertionError("the transformed word must have a nonzero row sum")
 
-    found = _direct_search(w_flow, direct_prime_bound)
+    found = _direct_search(w_flow)
     if found is not None:
         p, q, image = found
-    else:  # pragma: no cover - exercised only with tiny direct bounds
-        p, q, image = _guaranteed_search(w, fallback_q_candidates, fallback_cap)
+    else:  # pragma: no cover - exercised only with a tiny DIRECT_PRIME_BOUND
+        p, q, image = _guaranteed_search(w)
 
     witness = SeparationWitness(p=p, q=q, pre_map=PreMap(tuple(steps)), image=image)
     _verify_witness(witness, u)

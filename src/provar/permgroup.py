@@ -154,7 +154,7 @@ class PermGroup:
         gens = []
         for g in generators:
             g = tuple(g)
-            if sorted(g) != list(range(degree)):
+            if len(g) != degree or sorted(g) != list(range(degree)):
                 raise ValueError(f"{g} is not a permutation of 0..{degree - 1}")
             gens.append(g)
         self.degree = degree
@@ -451,8 +451,15 @@ class PermGroup:
 
     @classmethod
     def from_json_dict(cls, data: dict, cap: int = DEFAULT_ELEMENT_CAP) -> "PermGroup":
+        """The group of ``to_json_dict``.  With no generators nothing bounds
+        the degree by the size of the data, so a degree over the cap is
+        refused (CapExceededError)."""
         degree = int(data["degree"])
         gens = [[int(x) - 1 for x in g] for g in data["generators"]]
+        if not gens and degree > cap:
+            raise CapExceededError(
+                f"degree {degree} of a group with no generators exceeds the cap {cap}"
+            )
         return cls(degree, gens, cap=cap)
 
     @classmethod

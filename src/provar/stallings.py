@@ -10,14 +10,13 @@ automata represent the same subgroup iff their edge lists are equal.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
-from .errors import NotFiniteIndexError
+from .errors import CapExceededError, NotFiniteIndexError
+from .permgroup import DEFAULT_ELEMENT_CAP, PermGroup
 from .words import Word, identity, word
-from . import permgroup
 
 
-def _fold(nverts: int, edges, base: int):
+def _fold(nverts: int, edges):
     """Union-find folding. Returns (find, neighbor dict per root).
 
     ``edges`` are (src, label, dst) with positive labels; neighbor dicts
@@ -93,10 +92,15 @@ class Automaton:
 
     @classmethod
     def from_raw(cls, rank: int, nverts: int, base: int, edges) -> "Automaton":
-        """Fold, trim to the core, and canonically renumber arbitrary edge data."""
+        """Fold, trim to the core, and canonically renumber arbitrary edge data.
+
+        A rank over the default cap is refused before anything is built,
+        since the result holds one transition map per generator."""
         if rank < 1:
             raise ValueError("rank must be at least 1")
-        find, nbr = _fold(nverts, edges, base)
+        if rank > DEFAULT_ELEMENT_CAP:
+            raise CapExceededError(f"rank {rank} exceeds the cap {DEFAULT_ELEMENT_CAP}")
+        find, nbr = _fold(nverts, edges)
         root_base = find(base)
 
         # resolve stale targets, drop parts not reachable from the basepoint
@@ -185,12 +189,12 @@ class Automaton:
         return cls.from_raw(rank, 1, 0, [])
 
     @classmethod
-    def from_action(cls, rank: int, perms, base: int = 0) -> "Automaton":
+    def from_action(cls, rank: int, perms) -> "Automaton":
         """Complete automaton from one transition permutation per generator.
 
         The result is the Schreier graph of the group generated by the
-        permutations, restricted to the orbit of ``base``; it represents
-        the full preimage of the basepoint stabilizer.
+        permutations, restricted to the orbit of point 0; it represents
+        the full preimage of the stabilizer of that point.
         """
         if len(perms) != rank:
             raise ValueError("need one permutation per generator")
@@ -199,7 +203,7 @@ class Automaton:
             if sorted(p) != list(range(degree)):
                 raise ValueError("transitions must be permutations of the vertex set")
         edges = [(v, g, p[v]) for g, p in enumerate(perms, start=1) for v in range(degree)]
-        return cls.from_raw(rank, degree, base, edges)
+        return cls.from_raw(rank, degree, 0, edges)
 
     # -- queries ------------------------------------------------------
 
@@ -332,14 +336,13 @@ class Automaton:
                 edges.add((u, letter, v) if letter > 0 else (v, -letter, u))
         return Automaton.from_raw(self.rank, len(seen), 0, sorted(edges))
 
-    def coset_action(self) -> "CosetAction":
-        """Transition permutations of a complete automaton."""
+    def coset_group(self, cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
+        """The group generated by the transition permutations of a complete
+        automaton: the free group acting on the cosets of the subgroup."""
         if not self.is_complete():
             raise NotFiniteIndexError("coset action requires a finite-index subgroup")
-        perms = tuple(
-            tuple(targets[v] for v in range(self.n_vertices)) for targets in self.succ
-        )
-        return CosetAction(self.n_vertices, perms)
+        perms = [[targets[v] for v in range(self.n_vertices)] for targets in self.succ]
+        return PermGroup(self.n_vertices, perms, cap=cap)
 
     def intermediate_subgroups(self):
         """All subgroups between this one and the full free group.
@@ -413,15 +416,3 @@ class Automaton:
                 lines.append(f'  {v} -> {t} [label="{self._label(g)}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class CosetAction:
-    """Transition permutations of a complete automaton on its vertex set."""
-
-    degree: int
-    perms: tuple[tuple[int, ...], ...]
-
-    def to_perm_group(self, cap: int | None = None) -> "permgroup.PermGroup":
-        kwargs = {} if cap is None else {"cap": cap}
-        return permgroup.PermGroup(self.degree, list(self.perms), **kwargs)

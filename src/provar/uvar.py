@@ -85,7 +85,7 @@ def is_u_closed(aut: Automaton, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
     """U-closedness: finite index and coset-action group in U."""
     if not aut.is_complete():
         return False
-    return is_in_u(aut.coset_action().to_perm_group(cap=cap)).verdict
+    return is_in_u(aut.coset_group(cap)).verdict
 
 
 def u_residual(group: PermGroup) -> PermGroup:
@@ -123,7 +123,7 @@ def cl_u_finite_index(aut: Automaton, cap: int = DEFAULT_ELEMENT_CAP) -> Automat
     cosets of H; mapping each vertex to its orbit and folding once gives
     the automaton, based at the orbit of the basepoint.
     """
-    residual = u_residual(aut.coset_action().to_perm_group(cap=cap))
+    residual = u_residual(aut.coset_group(cap))
     if residual.is_trivial():
         return aut
     orbit = orbit_labels(aut.n_vertices, residual.generators)

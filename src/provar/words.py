@@ -80,15 +80,11 @@ class Word:
     def is_identity(self) -> bool:
         return not self.letters
 
-    def abelianization(self, modulus: int = 0) -> tuple[int, ...]:
-        """Exponent-sum vector, reduced mod ``modulus`` when it is positive."""
-        if modulus < 0:
-            raise ValueError("modulus must be non-negative")
+    def abelianization(self) -> tuple[int, ...]:
+        """Exponent-sum vector."""
         counts = [0] * self.rank
         for letter in self.letters:
             counts[abs(letter) - 1] += 1 if letter > 0 else -1
-        if modulus:
-            counts = [c % modulus for c in counts]
         return tuple(counts)
 
     def __str__(self) -> str:

@@ -120,19 +120,19 @@ def test_criterion_5_closure_routes_agree():
             fobjs[key] = FreeObject(rank, p, d)
         fobj = fobjs[key]
         subgroup = random_subgroup(rng, rank)
-        by_cosets = closure(subgroup, p, d, fobj=fobj)
+        by_cosets = closure(subgroup, p, d)
         by_folding = closure_by_folding(subgroup, p, d, fobj=fobj)
         assert by_cosets == by_folding
         assert by_cosets.is_complete()
         checked += 1
-        samples.append((subgroup, by_cosets, p, d, fobj))
+        samples.append((subgroup, by_cosets, p, d))
 
     # idempotence and monotonicity on a subsample
-    for subgroup, closed, p, d, fobj in samples[::10]:
-        assert closure(closed, p, d, fobj=fobj) == closed
+    for subgroup, closed, p, d in samples[::10]:
+        assert closure(closed, p, d) == closed
         extra = random_subgroup(rng, subgroup.rank, max_gens=1)
         bigger = subgroup.join(extra)
-        assert closure(bigger, p, d, fobj=fobj).contains_subgroup(closed)
+        assert closure(bigger, p, d).contains_subgroup(closed)
     report(5, f"coset and folding closures agree on {checked} random subgroups; "
               "closures complete, idempotent, monotone")
 

@@ -189,6 +189,7 @@ def test_bs_separating_prime_rejects_identity():
         bs.bs_separating_prime(bs.bs_identity(2))
 
 
-def test_bs_separating_prime_budget():
+def test_bs_separating_prime_budget(monkeypatch):
+    monkeypatch.setattr(bs, "PRIME_BUDGET", 0)
     with pytest.raises(BudgetExhaustedError):
-        bs.bs_separating_prime(bs.BsElement(2, Fraction(1), 0), budget=0)
+        bs.bs_separating_prime(bs.BsElement(2, Fraction(1), 0))

@@ -4,11 +4,12 @@ import json
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from provar import cli
+from provar import apd, cli
 from provar.cli import dispatch
 from provar.stallings import Automaton
 from provar.words import parse
@@ -52,11 +53,10 @@ def test_closure_command(capsys):
 
 
 def test_closure_folding_agrees(capsys):
-    a = run_json(capsys, "closure", "--p", "3", "--d", "2", "--rank", "2",
-                 "--gens", "ab,ba", "--algorithm", "cosets")
-    b = run_json(capsys, "closure", "--p", "3", "--d", "2", "--rank", "2",
-                 "--gens", "ab,ba", "--algorithm", "folding")
-    assert Automaton.from_json_dict(a) == Automaton.from_json_dict(b)
+    payload = run_json(capsys, "closure", "--p", "3", "--d", "2", "--rank", "2",
+                       "--gens", "ab,ba")
+    subgroup = Automaton.from_generators([parse("ab", 2), parse("ba", 2)], 2)
+    assert Automaton.from_json_dict(payload) == apd.closure_by_folding(subgroup, 3, 2)
 
 
 def test_closure_takes_d_one_and_refuses_other_non_divisors(capsys):
@@ -190,7 +190,22 @@ def test_dot_output(capsys, tmp_path):
                          "--dot", str(dot_file))
     assert code == 0
     assert "doublecircle" in dot_file.read_text()
-    assert "_dot_source" not in json.loads(out)
+    assert out == run(capsys, "stallings", "--rank", "2", "--gens", "ab")[1]
+
+    code, out, err = run(capsys, "stallings", "--rank", "2", "--gens", "ab",
+                         "--dot", str(tmp_path / "missing" / "aut.dot"))
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_dot_is_rendered_only_when_asked(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("DOT rendered without --dot")
+
+    monkeypatch.setattr(Automaton, "to_dot", refuse)
+    for argv in (["stallings", "--rank", "2", "--gens", "ab"],
+                 ["closure", "--p", "3", "--d", "2", "--rank", "1", "--gens", "a"],
+                 ["free-object", "--n", "1", "--p", "3", "--d", "2"]):
+        run_json(capsys, *argv)
 
 
 def test_json_round_trip_through_cli(capsys):
@@ -211,6 +226,22 @@ def test_validation_errors(capsys):
 
     code, out, err = run(capsys, "is-in-u", "--group", "not json")
     assert code == 2
+
+
+@pytest.mark.parametrize("group, code", [
+    ('{"degree": 1000000, "generators": [[1]]}', 2),
+    ('{"degree": 300000, "generators": []}', 3),
+])
+def test_a_json_degree_is_checked_before_it_is_allocated(capsys, group, code):
+    run(capsys, "is-in-u", "--group", S3)  # builds the parser outside the trace
+    tracemalloc.start()
+    try:
+        result = run(capsys, "is-in-u", "--group", group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result[0] == code and result[1] == ""
+    assert peak < 1_000_000
 
 
 def test_budget_errors_exit_three(capsys):

@@ -157,6 +157,17 @@ def test_simultaneous_examples():
         assert d == [[eig[i] if i == j else 0 for j in range(2)] for i in range(2)]
 
 
+def test_simultaneous_columns_follow_the_eigenvalue_tuples():
+    # the scalar middle matrix has one eigenvalue on both pieces the first
+    # matrix split apart; they stay apart, in order of their eigenvalue tuples
+    family = [[[2, 0], [0, 1]], [[2, 0], [0, 2]], [[1, 0], [0, 2]]]
+    pm, eigs = fl.simultaneous_diagonalize(family, 3)
+    assert pm == [[0, 1], [1, 0]]
+    assert eigs == [[1, 2], [2, 2], [2, 1]]
+    pres = fl.action_to_presentation(family, [2, 2, 2], 3, 2)
+    assert pres.exponents == ((1, 2, 2), (2, 2, 1))
+
+
 def test_simultaneous_rejects_non_commuting():
     a = [[0, 1], [1, 0]]
     b = [[1, 0], [0, 2]]

@@ -310,7 +310,7 @@ def test_separating_witness_minimality():
 def test_guaranteed_search_small_word():
     # exercise the bound-driven fallback directly on a short word
     u = parse("abAB", 2)
-    p, q, image = mb._guaranteed_search(u, 3, cap=200_000)
+    p, q, image = mb._guaranteed_search(u)
     assert q > len(u) and p > len(u) * q ** len(u)
     assert image != GpdElement(0, 0)
     group = GpdGroup(p, p - 1, q)
@@ -322,16 +322,17 @@ def test_guaranteed_search_negative_rows():
     u = parse("BaBabA", 2)
     f = mb.flow_of(u)
     assert any(n < 0 for n in f.h_sums()), f.h_sums()
-    p, q, image = mb._guaranteed_search(u, 3, cap=200_000)
+    p, q, image = mb._guaranteed_search(u)
     assert image != GpdElement(0, 0)
     group = GpdGroup(p, p - 1, q)
     assert group.evaluate(u) == image
 
 
-def test_witness_via_tiny_direct_bound_falls_back():
+def test_witness_via_tiny_direct_bound_falls_back(monkeypatch):
     # force the fallback by making the direct search bound useless
+    monkeypatch.setattr(mb, "DIRECT_PRIME_BOUND", 2)
     u = parse("abAB", 2)
-    w = mb.separating_witness(u, direct_prime_bound=2)
+    w = mb.separating_witness(u)
     group = GpdGroup(w.p, w.p - 1, w.q)
     assert group.evaluate(w.pre_map.apply(u)) == w.image != GpdElement(0, 0)
 

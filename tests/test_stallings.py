@@ -3,7 +3,7 @@ import random
 import pytest
 
 from provar import permgroup as pg
-from provar.errors import NotFiniteIndexError
+from provar.errors import CapExceededError, NotFiniteIndexError
 from provar.stallings import Automaton
 from provar.words import commutator, identity, parse, word
 from tests.oracles import all_subgroups
@@ -51,7 +51,7 @@ def schreier_preimage(images, sub_elements):
     perms = []
     for img in images:
         perms.append(tuple(cosets[coset_key(pg.compose(r, img))] for r in reps))
-    return Automaton.from_action(len(images), perms, base=0)
+    return Automaton.from_action(len(images), perms)
 
 
 def eval_word(images, w):
@@ -200,29 +200,28 @@ def test_lattice_laws_up_to_index_24():
 
 def test_coset_action():
     full = Automaton.full_group(2)
-    act = full.coset_action()
-    assert act.degree == 1
-    assert act.to_perm_group().order == 1
+    group = full.coset_group()
+    assert group.degree == 1
+    assert group.order == 1
 
     ker = schreier_preimage(C2_IMAGES, [pg.perm_identity(2)])
-    act = ker.coset_action()
-    assert act.degree == 2
-    assert act.perms == ((1, 0), (1, 0))
-    assert act.to_perm_group().order == 2
+    group = ker.coset_group()
+    assert group.degree == 2
+    assert group.generators == ((1, 0), (1, 0))
+    assert group.order == 2
 
     cay = schreier_preimage(S3_IMAGES, [pg.perm_identity(3)])
-    group = cay.coset_action().to_perm_group()
-    assert group.order == 6
+    assert cay.coset_group().order == 6
 
     with pytest.raises(NotFiniteIndexError):
-        aut(2, "a").coset_action()
+        aut(2, "a").coset_group()
 
 
 def test_coset_action_order_properties():
     for images in (S3_IMAGES, [(1, 0, 2), (0, 2, 1)]):
         cay = schreier_preimage(images, [pg.perm_identity(3)])
         n = cay.n_vertices
-        order = cay.coset_action().to_perm_group().order
+        order = cay.coset_group().order
         assert order % n == 0  # transitivity
         fact = 1
         for k in range(2, n + 1):
@@ -232,8 +231,7 @@ def test_coset_action_order_properties():
 
 def test_from_action_round_trip():
     cay = schreier_preimage(S3_IMAGES, [pg.perm_identity(3)])
-    act = cay.coset_action()
-    assert Automaton.from_action(2, act.perms) == cay
+    assert Automaton.from_action(2, cay.coset_group().generators) == cay
 
 
 def test_intermediate_subgroups_examples():
@@ -280,6 +278,11 @@ def test_intermediate_subgroups_non_normal():
 def test_from_json_integer_labels():
     data = {"rank": 2, "vertices": 1, "base": 0, "edges": [[0, 1, 0], [0, 2, 0]]}
     assert Automaton.from_json_dict(data) == Automaton.full_group(2)
+
+
+def test_a_rank_over_the_cap_is_refused():
+    with pytest.raises(CapExceededError):
+        Automaton.trivial(pg.DEFAULT_ELEMENT_CAP + 1)
 
 
 def test_high_rank_words_and_automata():

@@ -202,7 +202,7 @@ def mod_abelian_closure(aut, modulus):
     preimage of the subgroup image in (Z/modulus)^n, with each coset
     keyed by the set of its elements."""
     n = aut.rank
-    vectors = [w.abelianization(modulus) for w in aut.basis()]
+    vectors = [tuple(x % modulus for x in w.abelianization()) for w in aut.basis()]
     zero = (0,) * n
     image = {zero}
     frontier = [zero]
@@ -238,7 +238,7 @@ def mod_abelian_closure(aut, modulus):
         )
         for g in range(n)
     ]
-    return Automaton.from_action(n, perms, base=0)
+    return Automaton.from_action(n, perms)
 
 
 def random_subgroup(rng, rank):
@@ -338,7 +338,7 @@ def random_finite_index(rng, degree):
         points = list(range(degree))
         rng.shuffle(points)
         perms.append(tuple(points))
-    return Automaton.from_action(2, perms, base=0)
+    return Automaton.from_action(2, perms)
 
 
 def test_fixture_kernels_cover_products():
@@ -439,7 +439,7 @@ def test_u_residual_of_a_p_group_is_its_derived_subgroup():
 
 def test_cl_u_finite_index_matches_lattice_meet_on_wreath_point_stabilizers():
     for g in (sylow_2_of_s8(), c3_wr_c3(), s3_wr_c2()):
-        h = Automaton.from_action(len(g.generators), list(g.generators), base=0)
+        h = Automaton.from_action(len(g.generators), list(g.generators))
         assert uvar.cl_u_finite_index(h).key == lattice_cl_u(h).key
 
 
