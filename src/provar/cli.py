@@ -55,6 +55,13 @@ def _group_arg(args, cap) -> PermGroup:
     return PermGroup.from_json_dict(data, cap=cap)
 
 
+def _capped_d(args, cap) -> int:
+    """``--d``, refused over the cap before d roots or powers are formed."""
+    if args.d > cap:
+        raise CapExceededError(f"d = {args.d} exceeds the cap {cap}")
+    return args.d
+
+
 def _write_dot(path: str, aut: Automaton) -> None:
     with open(path, "w") as handle:
         handle.write(aut.to_dot())
@@ -274,10 +281,11 @@ def _run(args) -> dict:
         }
 
     if cmd == "supersolvable":
-        return {"supersolvable": _group_arg(args, cap).is_supersolvable()}
+        group = _group_arg(args, cap).smaller_faithful_action()
+        return {"supersolvable": group.is_supersolvable()}
 
     if cmd == "gpd":
-        group = apd.GpdGroup(args.p, args.d, args.q)
+        group = apd.GpdGroup(args.p, _capped_d(args, cap), args.q)
         return {"p": group.p, "d": group.d, "q": group.q, "order": group.order,
                 "x_order": group.element_order(group.x),
                 "y_order": group.element_order(group.y)}
@@ -347,7 +355,7 @@ def _run(args) -> dict:
                 "image_parts": {"x_exponent": image.u, "y_exponent": image.t}}
 
     if cmd == "q-sets":
-        q_all, q_exact = numtheory.q_sets(args.p, args.d)
+        q_all, q_exact = numtheory.q_sets(args.p, _capped_d(args, cap))
         return {"q_set": sorted(q_all), "q_prime_set": sorted(q_exact)}
 
     if cmd == "find-pr-prime":

@@ -6,6 +6,7 @@ arguments documented as primes are re-checked on entry.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -127,15 +128,25 @@ def q_sets(p: int, d: int) -> tuple[set[int], set[int]]:
     """The exponent-d roots of unity mod p and, among them, the elements of exact order d.
 
     Returns (Q, Q') with Q = {q in [1, p-1] : q^d = 1 mod p} of size d and
-    Q' = {q in Q : order(q) = d} of size phi(d).
+    Q' = {q in Q : order(q) = d} of size phi(d).  With a primitive root g
+    and h = g^((p-1)/d), Q is h^0, ..., h^(d-1) and Q' the h^k with
+    gcd(k, d) = 1, so p - 1 is factorized once and d roots are formed.
     """
     require_prime(p, "p")
     if p <= 2:
         raise ValueError("p must exceed 2")
     if d < 1 or (p - 1) % d != 0:
         raise ValueError(f"d = {d} does not divide p - 1 = {p - 1}")
-    q_all = {q for q in range(1, p) if pow(q, d, p) == 1}
-    q_exact = {q for q in q_all if mult_order(q, p) == d}
+    cofactors = [(p - 1) // f for f in factorize(p - 1)]
+    g = next(g for g in range(2, p) if all(pow(g, c, p) != 1 for c in cofactors))
+    h = pow(g, (p - 1) // d, p)
+    q_all, q_exact = set(), set()
+    q = 1
+    for k in range(d):
+        q_all.add(q)
+        if math.gcd(k, d) == 1:
+            q_exact.add(q)
+        q = q * h % p
     return q_all, q_exact
 
 

@@ -5,6 +5,12 @@ function composition f o g (g applied first), so the left-regular
 representation of a group is a homomorphism.  Everything here runs by
 explicit element enumeration guarded by a cap, which is the intended
 scale for the decision procedures built on top.
+
+Enumeration costs |G| compositions of degree-length tuples, |G|^2 on a
+regular representation.  ``smaller_faithful_action`` cuts that degree
+for questions that only depend on G up to isomorphism: G acts on the
+conjugacy classes of its generators, and the action is used only after
+its enumeration has proved it faithful.
 """
 
 from __future__ import annotations
@@ -20,6 +26,10 @@ from .errors import CapExceededError
 from .numtheory import factorize, is_prime
 
 DEFAULT_ELEMENT_CAP = 200_000
+
+# Below this degree ``smaller_faithful_action`` costs more than the
+# smaller degree saves, so it returns the group as it is.
+REDUCTION_MIN_DEGREE = 100
 
 Perm = tuple[int, ...]
 
@@ -111,6 +121,10 @@ def orbit_labels(degree: int, generators) -> list[int]:
     return label
 
 
+def _over_cap(cap: int) -> CapExceededError:
+    return CapExceededError(f"group closure exceeds the element cap {cap}")
+
+
 def _closure(degree: int, generators, cap: int) -> list[Perm]:
     """Breadth-first closure of the generated subgroup, identity first."""
     ident = perm_identity(degree)
@@ -125,9 +139,7 @@ def _closure(degree: int, generators, cap: int) -> list[Perm]:
                 h = compose(e, g)
                 if h not in seen:
                     if len(seen) >= cap:
-                        raise CapExceededError(
-                            f"group closure exceeds the element cap {cap}"
-                        )
+                        raise _over_cap(cap)
                     seen.add(h)
                     order_list.append(h)
                     nxt.append(h)
@@ -207,6 +219,76 @@ class PermGroup:
         return all(
             conjugate(s, g) in mine for s in self.generators for g in other.generators
         )
+
+    def smaller_faithful_action(self) -> "PermGroup":
+        """G acting faithfully on fewer points, with its elements
+        enumerated, or G itself.
+
+        X is the union of the generators' conjugacy classes, and psi(g)
+        is g's conjugation action on X.  ker psi is the centralizer of
+        X, which is the centre of G because X holds the generators.  G
+        itself is returned when its degree is below
+        REDUCTION_MIN_DEGREE, when the generators commute (psi is
+        trivial) and as soon as X reaches a quarter of the degree.
+
+        Otherwise psi(G) is enumerated by left multiplication,
+        f = psi(s) o e, and each element carries the images t_e of one
+        point per G-orbit, with t_f = s(t_e).  ker psi is generated by
+        the Schreier generators w_f^-1 s w_e of this enumeration, and
+        such a generator fixes every representative exactly when the
+        edge from e to f agrees with the images f already carries.  If
+        every edge agrees, ker psi fixes the representatives and, being
+        normal, every point: psi is faithful.  On the first edge that
+        disagrees G is returned.  CapExceededError, as from
+        ``elements()``, when psi(G), and with it G, exceeds the cap.
+        """
+        if self.degree < REDUCTION_MIN_DEGREE:
+            return self
+        gens = self.generators
+        points = list(dict.fromkeys(gens))
+        if 4 * len(points) >= self.degree:
+            return self
+        index = {x: i for i, x in enumerate(points)}
+        # the degree exceeds one, so every itemgetter returns a tuple
+        by_inverses = [itemgetter(*inverse(g)) for g in gens]  # y -> y o g^-1
+        images = [[] for _ in gens]
+        for x in points:  # X grows while it is walked
+            by_x = itemgetter(*x)  # g -> g o x
+            for g, by_inverse, image in zip(gens, by_inverses, images):
+                c = by_inverse(by_x(g))
+                if c not in index:
+                    index[c] = len(points)
+                    points.append(c)
+                    if 4 * len(points) >= self.degree:
+                        return self
+                image.append(index[c])
+        psi = [tuple(image) for image in images]
+        ident = perm_identity(len(points))
+        if all(p == ident for p in psi):
+            return self
+        first = {}
+        for x, b in enumerate(orbit_labels(self.degree, gens)):
+            first.setdefault(b, x)
+        carried = {ident: tuple(first.values())}
+        order_list = [ident]
+        for e in order_list:  # grows while it is walked
+            t = carried[e]
+            by_e = itemgetter(*e)  # p -> p o e; X has at least two points
+            for g, p in zip(gens, psi):
+                f = by_e(p)
+                u = tuple(map(g.__getitem__, t))
+                known = carried.get(f)
+                if known is None:
+                    if len(order_list) >= self.cap:
+                        raise _over_cap(self.cap)
+                    carried[f] = u
+                    order_list.append(f)
+                elif known != u:
+                    return self
+        reduced = PermGroup(len(points), psi, cap=self.cap)
+        reduced._elements = order_list
+        reduced._element_set = frozenset(order_list)
+        return reduced
 
     # -- structure ------------------------------------------------------
 

@@ -63,7 +63,9 @@ def is_in_u(group: PermGroup) -> UMembershipReport:
     """Decide membership in U via the structural characterization:
     supersolvable, derived subgroup abelian of squarefree exponent (a
     product of elementary abelian groups for distinct primes), and
-    abelian Sylow subgroups."""
+    abelian Sylow subgroups.  Every condition is an isomorphism
+    invariant, so they are checked on ``group.smaller_faithful_action()``."""
+    group = group.smaller_faithful_action()
     supersolvable = group.is_supersolvable()
     derived_structure = group.derived_subgroup().structure()
     derived_ok = derived_structure.abelian and all(

@@ -70,7 +70,7 @@ def test_q_sets_examples():
 
 
 def test_q_sets_against_brute_force_and_sizes():
-    for p in (3, 5, 7, 11, 13):
+    for p in (n for n in range(3, 60) if nt.is_prime(n)):
         for d in range(1, p):
             if (p - 1) % d:
                 continue
@@ -83,6 +83,19 @@ def test_q_sets_against_brute_force_and_sizes():
             for q in q_all - q_exact:
                 order = nt.mult_order(q, p)
                 assert order < d and d % order == 0
+
+
+def test_q_sets_of_a_large_prime_factorize_once(monkeypatch):
+    # the roots are powers of one primitive root: no order is computed per root
+    calls = []
+    real = nt.factorize
+    monkeypatch.setattr(nt, "factorize", lambda n: calls.append(n) or real(n))
+    monkeypatch.setattr(nt, "mult_order", None)
+    q_all, q_exact = nt.q_sets(10007, 10006)
+    assert calls == [10006]
+    assert len(q_all) == 10006 and len(q_exact) == nt.euler_phi(10006)
+    assert all(pow(q, 10006, 10007) == 1 for q in q_all)
+    assert 5 in q_exact and 10006 in q_all - q_exact  # 5 is a primitive root mod 10007
 
 
 def test_q_sets_nesting_in_divisors():

@@ -40,6 +40,23 @@ def c2xc4():
     return PermGroup(6, [(1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 5, 2)])
 
 
+def direct_product(first, second):
+    """First x second, acting on the disjoint union of their points."""
+    shift = first.degree
+    degree = shift + second.degree
+    gens = [tuple(g) + tuple(range(shift, degree)) for g in first.generators]
+    gens += [tuple(range(shift)) + tuple(shift + v for v in g) for g in second.generators]
+    return PermGroup(degree, gens)
+
+
+def left_regular(G, cap=pg.DEFAULT_ELEMENT_CAP):
+    """G's generators acting on its elements by left multiplication."""
+    elems = G.elements()
+    index = {e: i for i, e in enumerate(elems)}
+    gens = [tuple(index[pg.compose(g, e)] for e in elems) for g in G.generators]
+    return PermGroup(len(elems), gens, cap=cap)
+
+
 def brute_commutator_subgroup(G):
     # oracle: subgroup generated by all commutators of all element pairs
     elems = G.elements()
@@ -324,3 +341,57 @@ def test_quotient_of_a_regular_group_composes_few_elements(monkeypatch):
         monkeypatch.setattr(pg, "compose", real)
         assert q.degree == q.order == G.order // n.order
         assert len(calls) < G.order // 2
+
+
+def centre_is_trivial(G):
+    return not any(
+        z != G.identity() and all(pg.compose(z, g) == pg.compose(g, z) for g in G.generators)
+        for z in G.elements()
+    )
+
+
+def test_smaller_faithful_action_is_faithful_exactly_without_a_centre(monkeypatch):
+    monkeypatch.setattr(pg, "REDUCTION_MIN_DEGREE", 0)
+    gpd = {(p, d): GpdGroup(p, d).as_perm_group() for p, d in [(5, 2), (5, 4), (7, 3), (11, 10)]}
+    c3 = PermGroup(3, [(1, 2, 0)])
+    c2 = PermGroup(2, [(1, 0)])
+    cases = {
+        "S4 x G(5,2)": (direct_product(s4(), gpd[5, 2]), True),
+        "G(11,10)": (gpd[11, 10], True),
+        "S3 x G(5,4)": (direct_product(s3(), gpd[5, 4]), True),
+        "C3 x G(7,3)": (direct_product(c3, gpd[7, 3]), False),
+        "Q8 x G(5,4)": (direct_product(q8(), gpd[5, 4]), False),
+        "D4 x S3": (direct_product(d4(), s3()), False),
+        "C2 x G(11,10)": (direct_product(c2, gpd[11, 10]), False),
+        "Q8": (q8(), False),
+        "D4": (d4(), False),
+        "C12": (c12(), False),
+    }
+    for name, (group, faithful) in cases.items():
+        regular = left_regular(group)
+        assert centre_is_trivial(group) == faithful, name
+        reduced = regular.smaller_faithful_action()
+        assert (reduced is not regular) == faithful, name
+        assert reduced.order == regular.order, name
+        if faithful:
+            assert 4 * reduced.degree < regular.degree, name
+            unchecked = PermGroup(reduced.degree, reduced.generators)
+            assert reduced.element_set() == unchecked.element_set(), name
+            assert reduced.elements()[0] == reduced.identity(), name
+
+
+def test_smaller_faithful_action_keeps_small_groups_and_the_cap():
+    g54 = GpdGroup(5, 4).as_perm_group()
+    g32 = GpdGroup(3, 2).as_perm_group()
+    small = left_regular(direct_product(s3(), GpdGroup(5, 2).as_perm_group()))  # degree 60
+    assert small.degree < pg.REDUCTION_MIN_DEGREE
+    assert small.smaller_faithful_action() is small
+    group = direct_product(g54, g32)  # order 120, reduced to fewer than 30 points
+    reduced = left_regular(group, cap=120).smaller_faithful_action()
+    assert reduced.order == 120 and 4 * reduced.degree < 120
+    regular = left_regular(group, cap=119)
+    with pytest.raises(CapExceededError) as expected:
+        PermGroup(regular.degree, regular.generators, cap=119).elements()
+    with pytest.raises(CapExceededError) as got:
+        regular.smaller_faithful_action()
+    assert str(got.value) == str(expected.value) == "group closure exceeds the element cap 119"

@@ -8,7 +8,7 @@ from provar.apd import GpdGroup
 from provar.permgroup import PermGroup, perm_identity
 from provar.stallings import Automaton
 from provar.words import commutator, parse, word
-from tests.test_permgroup import a4, c2xc4, d4, q8, s3, s4
+from tests.test_permgroup import a4, c2xc4, d4, direct_product, left_regular, q8, s3, s4
 from tests.test_stallings import S3_IMAGES, schreier_preimage
 
 
@@ -446,15 +446,6 @@ def test_cl_u_finite_index_matches_lattice_meet_on_wreath_point_stabilizers():
 # -- groups whose derived subgroup involves several primes ------------------------
 
 
-def direct_product(first, second):
-    """First x second, acting on the disjoint union of their points."""
-    shift = first.degree
-    degree = shift + second.degree
-    gens = [tuple(g) + tuple(range(shift, degree)) for g in first.generators]
-    gens += [tuple(range(shift)) + tuple(shift + v for v in g) for g in second.generators]
-    return PermGroup(degree, gens)
-
-
 def test_is_in_u_multi_prime_products():
     g54 = GpdGroup(5, 4).as_perm_group()
     report = uvar.is_in_u(direct_product(s3(), g54))  # G' = C15
@@ -491,3 +482,26 @@ def test_is_in_u_closed_under_direct_products():
         for b in names[i:]:
             product = direct_product(groups[a], groups[b])
             assert uvar.is_in_u(product).verdict == (verdicts[a] and verdicts[b]), (a, b)
+
+
+def test_is_in_u_reports_the_same_on_a_smaller_faithful_action(monkeypatch):
+    # regular representations of fixtures and of products of two, with the
+    # degree floor lifted so that even the small ones try the reduction;
+    # S4 x G(5,2) and A4 are not in U, and C3 x G(7,3), Q8 and D4 have a
+    # nontrivial centre, so their action on classes is not faithful
+    gpd = {(p, d): GpdGroup(p, d).as_perm_group()
+           for p, d in [(3, 2), (5, 2), (5, 4), (7, 3), (11, 10)]}
+    c3 = PermGroup(3, [(1, 2, 0)])
+    groups = [s3(), s4(), a4(), d4(), q8(), c2xc4(), *gpd.values()]
+    groups += [direct_product(*pair) for pair in [
+        (s4(), gpd[5, 2]), (c3, gpd[7, 3]), (s3(), gpd[5, 4]), (q8(), gpd[5, 4]),
+        (d4(), s3()), (a4(), c3), (gpd[7, 3], gpd[5, 2]), (gpd[3, 2], gpd[5, 4])]]
+    reduced_count = 0
+    for group in groups:
+        regular = left_regular(group)
+        monkeypatch.setattr(pg, "REDUCTION_MIN_DEGREE", 10**9)
+        unreduced = uvar.is_in_u(regular)
+        monkeypatch.setattr(pg, "REDUCTION_MIN_DEGREE", 0)
+        assert uvar.is_in_u(regular) == unreduced, group
+        reduced_count += regular.smaller_faithful_action() is not regular
+    assert reduced_count >= 5
