@@ -24,6 +24,7 @@ H's image (its t-part and unit subspace), so ``status`` needs no cap and
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, NamedTuple
@@ -93,12 +94,14 @@ class GpdGroup:
         return GpdElement((-self._qpow[t] * a.u) % self.p, t)
 
     def element_order(self, a: GpdElement) -> int:
-        order = 1
-        acc = a
-        while acc != self.identity:
-            acc = self.mul(acc, a)
-            order += 1
-        return order
+        """Order of x^u y^t, in closed form.  For t != 0 mod d it is
+        m = d / gcd(t, d): (x^u y^t)^m = x^(u s) y^(tm) with
+        s = 1 + q^t + ... + q^(t(m-1)), and q^t has order m, so
+        (q^t - 1) s = q^(tm) - 1 = 0 with q^t != 1 gives s = 0 mod p.
+        For t = 0 it is p when u != 0, and 1 otherwise."""
+        if a.t % self.d:
+            return self.d // math.gcd(a.t, self.d)
+        return self.p if a.u % self.p else 1
 
     def elements(self) -> list[GpdElement]:
         return [GpdElement(u, t) for u in range(self.p) for t in range(self.d)]

@@ -151,14 +151,20 @@ def q_sets(p: int, d: int) -> tuple[set[int], set[int]]:
 
 
 def smallest_of_order(p: int, d: int) -> int:
-    """Smallest q in [1, p-1] of exact multiplicative order d mod p."""
+    """Smallest q in [1, p-1] of exact multiplicative order d mod p.
+
+    An upward scan meets the phi(d) roots of order d after about
+    (p-1)/phi(d) candidates, and forming them from a primitive root
+    (``q_sets``) takes d steps; so the first d candidates are scanned
+    and the minimum of the formed roots taken when none is among them.
+    """
     require_prime(p, "p")
     if d < 1 or (p - 1) % d != 0:
         raise ValueError(f"d = {d} does not divide p - 1 = {p - 1}")
-    for q in range(1, p):
+    for q in range(1, d + 1):
         if pow(q, d, p) == 1 and mult_order(q, p) == d:
             return q
-    raise AssertionError("unreachable: F_p^* is cyclic")  # pragma: no cover
+    return min(q_sets(p, d)[1])
 
 
 def is_primitive_root(q: int, p: int) -> bool:

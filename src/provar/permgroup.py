@@ -8,9 +8,12 @@ scale for the decision procedures built on top.
 
 Enumeration costs |G| compositions of degree-length tuples, |G|^2 on a
 regular representation.  ``smaller_faithful_action`` cuts that degree
-for questions that only depend on G up to isomorphism: G acts on the
-conjugacy classes of its generators, and the action is used only after
-its enumeration has proved it faithful.
+for questions that only depend on G up to isomorphism.  A regular G is
+recognized by its right multiplications, read along a Schreier tree in
+integer lookups: they commute with G exactly when G is regular, and
+they also give the centre.  Without a centre, G acts faithfully by
+conjugation on the conjugacy classes of its generators, and the
+enumeration of that action checks that its elements are distinct.
 """
 
 from __future__ import annotations
@@ -158,7 +161,9 @@ class StructureReport:
 class PermGroup:
     """Finite group given by permutation generators on [0, degree)."""
 
-    __slots__ = ("degree", "generators", "cap", "_elements", "_element_set", "_base")
+    __slots__ = (
+        "degree", "generators", "cap", "_elements", "_element_set", "_base", "_derived", "_sylows"
+    )
 
     def __init__(self, degree: int, generators, cap: int = DEFAULT_ELEMENT_CAP):
         if degree < 1:
@@ -175,6 +180,8 @@ class PermGroup:
         self._elements: list[Perm] | None = None
         self._element_set: frozenset[Perm] | None = None
         self._base: list[int] | None = None
+        self._derived: PermGroup | None = None
+        self._sylows: dict[int, PermGroup] = {}
 
     # -- enumeration ----------------------------------------------------
 
@@ -224,70 +231,93 @@ class PermGroup:
         """G acting faithfully on fewer points, with its elements
         enumerated, or G itself.
 
-        X is the union of the generators' conjugacy classes, and psi(g)
-        is g's conjugation action on X.  ker psi is the centralizer of
-        X, which is the centre of G because X holds the generators.  G
-        itself is returned when its degree is below
-        REDUCTION_MIN_DEGREE, when the generators commute (psi is
-        trivial) and as soon as X reaches a quarter of the degree.
+        Only a regular G of degree REDUCTION_MIN_DEGREE or more with a
+        trivial centre is reduced.  A Schreier tree of point 0 names
+        each point w by the element t_w on its tree path, t_w(0) = w; G
+        is returned when the tree misses a point.  rho_s(w) = t_w(s(0))
+        is right multiplication by the generator s, built along the tree
+        by rho_s(0) = s(0) and rho_s(t(w)) = t(rho_s(w)).  In a regular
+        G every rho_s commutes with every generator.  Conversely, if
+        they all do, the rho_s generate a group R that centralizes G and
+        whose orbit of 0 is G's, all points.  The centralizer of a
+        transitive group is semiregular, so R is regular, and G, which
+        centralizes R, has at most `degree` elements: G is regular.
+        Otherwise G is returned.  Then t_w commutes with the generator s
+        exactly when s(w) = rho_s(w), so the centre is read off the
+        points, and G is returned when it is nontrivial.
 
-        Otherwise psi(G) is enumerated by left multiplication,
-        f = psi(s) o e, and each element carries the images t_e of one
-        point per G-orbit, with t_f = s(t_e).  ker psi is generated by
-        the Schreier generators w_f^-1 s w_e of this enumeration, and
-        such a generator fixes every representative exactly when the
-        edge from e to f agrees with the images f already carries.  If
-        every edge agrees, ker psi fixes the representatives and, being
-        normal, every point: psi is faithful.  On the first edge that
-        disagrees G is returned.  CapExceededError, as from
-        ``elements()``, when psi(G), and with it G, exceeds the cap.
+        X is the union of the generators' conjugacy classes, each x in
+        it held as x(0): g x g^-1 sends 0 to g(rho_g^-1(x(0))).  psi(g)
+        is g's conjugation action on X.  ker psi is the centralizer of
+        X, which is the centre because X holds the generators, so psi is
+        faithful.  X is walked before the commutation check, which
+        costs as many lookups per point as there are pairs of
+        generators, and G is returned when X has `degree` points, as it
+        has for a group given by its Cayley table.  psi(G) is
+        enumerated with one composition per tree edge, since
+        t_(s(w)) = s o t_w, and AssertionError unless its `degree`
+        elements are distinct.  CapExceededError, as from
+        ``elements()``, when G exceeds the cap.
         """
-        if self.degree < REDUCTION_MIN_DEGREE:
+        degree = self.degree
+        if degree < REDUCTION_MIN_DEGREE:
             return self
         gens = self.generators
-        points = list(dict.fromkeys(gens))
-        if 4 * len(points) >= self.degree:
+        tree = [0]
+        edges = []  # (point, parent, generator index), in the order reached
+        reached = bytearray(degree)
+        reached[0] = 1
+        for w in tree:  # grows while it is walked
+            for i, s in enumerate(gens):
+                v = s[w]
+                if not reached[v]:
+                    reached[v] = 1
+                    tree.append(v)
+                    edges.append((v, w, i))
+        if len(tree) < degree:
             return self
+        rhos = []
+        for s in gens:
+            rho = [0] * degree
+            rho[0] = s[0]
+            for v, w, i in edges:
+                rho[v] = gens[i][rho[w]]
+            rhos.append(rho)
+        points = list(dict.fromkeys(s[0] for s in gens))
         index = {x: i for i, x in enumerate(points)}
-        # the degree exceeds one, so every itemgetter returns a tuple
-        by_inverses = [itemgetter(*inverse(g)) for g in gens]  # y -> y o g^-1
         images = [[] for _ in gens]
+        rho_inverses = [inverse(rho) for rho in rhos]
         for x in points:  # X grows while it is walked
-            by_x = itemgetter(*x)  # g -> g o x
-            for g, by_inverse, image in zip(gens, by_inverses, images):
-                c = by_inverse(by_x(g))
+            for s, rho_inverse, image in zip(gens, rho_inverses, images):
+                c = s[rho_inverse[x]]
                 if c not in index:
                     index[c] = len(points)
                     points.append(c)
-                    if 4 * len(points) >= self.degree:
-                        return self
                 image.append(index[c])
-        psi = [tuple(image) for image in images]
-        ident = perm_identity(len(points))
-        if all(p == ident for p in psi):
+        # on fewer than two points psi is trivial, and X = G saves nothing
+        if not 1 < len(points) < degree:
             return self
-        first = {}
-        for x, b in enumerate(orbit_labels(self.degree, gens)):
-            first.setdefault(b, x)
-        carried = {ident: tuple(first.values())}
-        order_list = [ident]
-        for e in order_list:  # grows while it is walked
-            t = carried[e]
-            by_e = itemgetter(*e)  # p -> p o e; X has at least two points
-            for g, p in zip(gens, psi):
-                f = by_e(p)
-                u = tuple(map(g.__getitem__, t))
-                known = carried.get(f)
-                if known is None:
-                    if len(order_list) >= self.cap:
-                        raise _over_cap(self.cap)
-                    carried[f] = u
-                    order_list.append(f)
-                elif known != u:
-                    return self
+        if any([rho[x] for x in t] != [t[x] for x in rho] for rho in rhos for t in gens):
+            return self
+        central = range(1, degree)
+        for s, rho in zip(gens, rhos):
+            central = [w for w in central if s[w] == rho[w]]
+        if central:
+            return self
+        if degree > self.cap:
+            raise _over_cap(self.cap)
+        psi = [tuple(image) for image in images]
+        element_at = [None] * degree
+        element_at[0] = perm_identity(len(points))
+        for v, w, i in edges:
+            element_at[v] = compose(psi[i], element_at[w])
+        order_list = [element_at[w] for w in tree]
+        element_set = frozenset(order_list)
+        if len(element_set) != degree:
+            raise AssertionError("psi has a nontrivial kernel on a group with a trivial centre")
         reduced = PermGroup(len(points), psi, cap=self.cap)
         reduced._elements = order_list
-        reduced._element_set = frozenset(order_list)
+        reduced._element_set = element_set
         return reduced
 
     # -- structure ------------------------------------------------------
@@ -315,12 +345,14 @@ class PermGroup:
             gens = list(sub.generators) + sorted(new)
 
     def derived_subgroup(self) -> "PermGroup":
-        """Normal closure of the generator commutators."""
-        return self.normal_closure(
-            commutator(a, b)
-            for i, a in enumerate(self.generators)
-            for b in self.generators[i + 1 :]
-        )
+        """Normal closure of the generator commutators, built once."""
+        if self._derived is None:
+            self._derived = self.normal_closure(
+                commutator(a, b)
+                for i, a in enumerate(self.generators)
+                for b in self.generators[i + 1 :]
+            )
+        return self._derived
 
     def normal_subgroups_containing(self, base: "PermGroup") -> Iterator["PermGroup"]:
         """Every normal subgroup containing the normal subgroup ``base``,
@@ -373,7 +405,13 @@ class PermGroup:
                     heapq.heappush(heap, (product.order, next(tiebreak), product))
 
     def sylow(self, p: int) -> "PermGroup":
-        """A Sylow p-subgroup, grown through the normalizer tower."""
+        """A Sylow p-subgroup, grown through the normalizer tower once
+        for each p."""
+        if p not in self._sylows:
+            self._sylows[p] = self._normalizer_tower(p)
+        return self._sylows[p]
+
+    def _normalizer_tower(self, p: int) -> "PermGroup":
         n = self.order
         p_part = 1
         while n % p == 0:

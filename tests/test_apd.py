@@ -24,7 +24,7 @@ from provar.apd import (
 )
 from provar.errors import CapExceededError
 from provar.fplinalg import ApdPresentation, mat_rank
-from provar.numtheory import q_sets
+from provar.numtheory import is_prime, q_sets
 from provar.stallings import Automaton
 from provar.words import identity, parse, word
 from tests.test_bs import drifting_word, heights
@@ -64,6 +64,27 @@ def test_gpd_orders_all_pairs():
         assert len(set(g.elements())) == p * d
         assert g.element_order(g.x) == p
         assert g.element_order(g.y) == d
+
+
+def test_gpd_element_orders_against_the_walk():
+    # the closed form against repeated multiplication, for every element
+    # of every G(p, d) with p < 60
+    for p in (n for n in range(3, 60) if is_prime(n)):
+        for d in (d for d in range(2, p) if (p - 1) % d == 0):
+            g = GpdGroup(p, d)
+            for a in g.elements():
+                order, acc = 1, a
+                while acc != g.identity:
+                    acc, order = g.mul(acc, a), order + 1
+                assert g.element_order(a) == order, (p, d, a)
+
+
+def test_gpd_of_a_large_prime_and_a_small_d():
+    # x has order p and y order d without walking p products
+    g = GpdGroup(10000019, 2)
+    assert g.q == 10000018
+    assert (g.element_order(g.x), g.element_order(g.y)) == (10000019, 2)
+    assert g.element_order(GpdElement(5, 1)) == 2
 
 
 def test_gpd_is_s3_for_3_2():

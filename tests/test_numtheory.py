@@ -119,6 +119,22 @@ def test_smallest_of_order():
     assert nt.smallest_of_order(11, 10) == 2
 
 
+def test_smallest_of_order_against_the_upward_scan():
+    # every divisor d of p - 1, the small ones through the roots formed
+    # from a primitive root and the large ones through the scan
+    for p in (n for n in range(2, 60) if nt.is_prime(n)):
+        for d in (d for d in range(1, p) if (p - 1) % d == 0):
+            scanned = next(q for q in range(1, p) if brute_order(q, p) == d)
+            assert nt.smallest_of_order(p, d) == scanned, (p, d)
+
+
+def test_smallest_of_order_of_a_large_prime_forms_d_roots():
+    # the only root of order 2 is p - 1, which a scan from 1 meets last
+    assert nt.smallest_of_order(10000019, 2) == 10000018
+    q = nt.smallest_of_order(1000003, 3)  # the roots of order 3 are q and q^2
+    assert q != 1 and pow(q, 3, 1000003) == 1 and q < q * q % 1000003
+
+
 def test_find_pr_prime_examples():
     assert nt.find_pr_prime(2, 3).p == 3
     assert nt.find_pr_prime(2, 10).p == 11

@@ -374,7 +374,7 @@ def test_smaller_faithful_action_is_faithful_exactly_without_a_centre(monkeypatc
         assert (reduced is not regular) == faithful, name
         assert reduced.order == regular.order, name
         if faithful:
-            assert 4 * reduced.degree < regular.degree, name
+            assert reduced.degree < regular.degree, name
             unchecked = PermGroup(reduced.degree, reduced.generators)
             assert reduced.element_set() == unchecked.element_set(), name
             assert reduced.elements()[0] == reduced.identity(), name
@@ -395,3 +395,74 @@ def test_smaller_faithful_action_keeps_small_groups_and_the_cap():
     with pytest.raises(CapExceededError) as got:
         regular.smaller_faithful_action()
     assert str(got.value) == str(expected.value) == "group closure exceeds the element cap 119"
+
+
+def affine(p, a, b, shift=0):
+    """x -> a x + b on the integers mod p, numbered from ``shift``."""
+    return tuple(shift + (a * x + b) % p for x in range(p))
+
+
+def on_pairs(p, maps):
+    """Maps of the integers mod p acting on their 2-element subsets."""
+    pairs = [frozenset((x, y)) for x in range(p) for y in range(x + 1, p)]
+    index = {pair: i for i, pair in enumerate(pairs)}
+    return PermGroup(len(pairs), [tuple(index[frozenset(m[v] for v in pair)] for pair in pairs)
+                                  for m in maps])
+
+
+def test_smaller_faithful_action_keeps_groups_that_are_not_regular_or_have_a_centre(monkeypatch):
+    monkeypatch.setattr(pg, "REDUCTION_MIN_DEGREE", 0)
+    g52 = GpdGroup(5, 2).as_perm_group()
+    c2 = PermGroup(2, [(1, 0)])
+    unchanged = {
+        "intransitive S4 x G(5,2)": direct_product(s4(), g52),
+        "S4 on 4 points": s4(),
+        "G(11,10) on 11 points": PermGroup(11, [affine(11, 1, 1), affine(11, 2, 0)]),
+        "G(5,4) on 10 pairs": on_pairs(5, [affine(5, 1, 1), affine(5, 2, 0)]),
+        "G(7,6) on 21 pairs": on_pairs(7, [affine(7, 1, 1), affine(7, 3, 0)]),
+        "regular Q8": left_regular(q8()),
+        "regular C2 x G(11,10)": left_regular(direct_product(c2, GpdGroup(11, 10).as_perm_group())),
+        "regular C12": left_regular(c12()),
+        "S4 by its Cayley table, every element a generator": regular(s4()),
+        "trivial": PermGroup(1, []),
+    }
+    for name, group in unchanged.items():
+        assert group.smaller_faithful_action() is group, name
+
+
+def test_smaller_faithful_action_reduces_past_a_quarter_of_the_degree():
+    # generating pairs whose classes give X a quarter of the degree or
+    # more: 15 + 15 of 120 points, and 40 + 30 of 240
+    g54_x_s3 = PermGroup(8, [affine(5, 2, 0) + (6, 5, 7), affine(5, 4, 1) + (5, 7, 6)])
+    s4_x_d5 = PermGroup(9, [(1, 2, 0, 3) + affine(5, 4, 0, 4), (1, 2, 3, 0) + affine(5, 4, 1, 4)])
+    for group, order, points in ((g54_x_s3, 120, 30), (s4_x_d5, 240, 70)):
+        assert group.order == order
+        regular = left_regular(group)
+        reduced = regular.smaller_faithful_action()
+        assert (reduced.degree, reduced.order) == (points, order)
+        assert centre_is_trivial(group)
+        assert reduced.element_set() == PermGroup(points, reduced.generators).element_set()
+
+
+def test_smaller_faithful_action_composes_no_tuple_of_full_degree(monkeypatch):
+    # the regularity check, the centre and X are integer lookups, and
+    # psi(G) costs one composition of |X|-point tuples per tree edge
+    group = direct_product(GpdGroup(11, 10).as_perm_group(), GpdGroup(7, 6).as_perm_group())
+    regular = left_regular(group)
+    lengths = []
+    real = pg.compose
+    monkeypatch.setattr(pg, "compose", lambda f, g: lengths.append(len(f)) or real(f, g))
+    reduced = regular.smaller_faithful_action()
+    monkeypatch.setattr(pg, "compose", real)
+    assert regular.degree == reduced.order == 4620
+    assert len(lengths) == regular.degree - 1
+    assert set(lengths) == {reduced.degree} and reduced.degree < regular.degree
+
+
+def test_smaller_faithful_action_checks_that_its_elements_are_distinct(monkeypatch):
+    # psi(G) built wrongly, here every element the identity, is refused
+    group = direct_product(GpdGroup(5, 4).as_perm_group(), GpdGroup(3, 2).as_perm_group())
+    regular = left_regular(group)
+    monkeypatch.setattr(pg, "compose", lambda f, g: g)
+    with pytest.raises(AssertionError, match="nontrivial kernel"):
+        regular.smaller_faithful_action()

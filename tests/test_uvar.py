@@ -437,6 +437,31 @@ def test_u_residual_of_a_p_group_is_its_derived_subgroup():
         assert uvar.u_residual(g).element_set() == g.derived_subgroup().element_set()
 
 
+def test_u_residual_builds_the_derived_and_sylow_subgroups_once(monkeypatch):
+    # is_in_u(G) builds G' and the Sylow subgroups of G, and u_residual
+    # reuses them: no group computes a closure or a tower twice
+    calls = []  # holds each group, so that no id is reused
+    real_closure, real_tower = PermGroup.normal_closure, PermGroup._normalizer_tower
+
+    def normal_closure(self, seeds):
+        seeds = list(seeds)
+        calls.append((self, tuple(seeds)))
+        return real_closure(self, seeds)
+
+    def normalizer_tower(self, p):
+        calls.append((self, p))
+        return real_tower(self, p)
+
+    monkeypatch.setattr(PermGroup, "normal_closure", normal_closure)
+    monkeypatch.setattr(PermGroup, "_normalizer_tower", normalizer_tower)
+    for g in (s4(), a4(), q8(), sylow_2_of_s8(), s3_wr_c2()):
+        calls.clear()
+        assert not uvar.u_residual(g).is_trivial()
+        keys = [(id(group), arg) for group, arg in calls]
+        assert len(set(keys)) == len(keys)
+        assert g.derived_subgroup() is g.derived_subgroup() and g.sylow(2) is g.sylow(2)
+
+
 def test_cl_u_finite_index_matches_lattice_meet_on_wreath_point_stabilizers():
     for g in (sylow_2_of_s8(), c3_wr_c3(), s3_wr_c2()):
         h = Automaton.from_action(len(g.generators), list(g.generators))
