@@ -19,6 +19,8 @@ This structured form keeps single elements small even when the free
 object itself is astronomically large.  A closure's index is read off
 H's image (its t-part and unit subspace), so ``status`` needs no cap and
 ``closure`` refuses an index over its cap before it enumerates a coset.
+The cosets are then walked one letter at a time, and a letter adds one
+Fox coordinate to a coset's key.
 """
 
 from __future__ import annotations
@@ -260,15 +262,16 @@ class FreeObject:
 
     def _shift(self, s) -> Callable[[tuple], tuple]:
         """Getter that reads a coordinate tuple translated by s: the entry
-        at (i, t) of its result is the entry at (i, t - s)."""
+        at (i, t) of its result is the entry at (i, t - s).  The index of
+        t - s is formed digit by digit in the product order of ``points``,
+        the first coordinate most significant."""
         getter = self._shifts.get(s)
         if getter is None:
-            d, size, index = self.d, len(self.points), self._point_index
-            row = [
-                i * size + index[tuple((a - b) % d for a, b in zip(t, s))]
-                for i in range(self.n)
-                for t in self.points
-            ]
+            d = self.d
+            base = [0]
+            for b in s:
+                base = [k * d + (a - b) % d for k in base for a in range(d)]
+            row = [i * len(base) + k for i in range(self.n) for k in base]
             # itemgetter of one index returns a scalar, not a tuple; the one
             # translation of a single coordinate is the identity
             getter = self._shifts[s] = itemgetter(*row) if len(row) > 1 else tuple
@@ -400,52 +403,83 @@ def kernel_membership(w: Word, spec: KernelSpec) -> bool:
 
 
 class _ImageSubgroup:
-    """The image I of a subgroup in the free object: ``reps`` holds an
-    element of I over each point of its t-part T <= Z_d^n, and Schreier
-    generators span K, the unit coordinates in I, as RREF rows.  The free
-    object has order d^n * p^((n-1) d^n + 1) and I has order |T| * p^dim K,
-    so the closure's index is [Z_d^n : T] * p^((n-1) d^n + 1 - dim K)."""
+    """The image I of a subgroup in the free object, and its cosets.
+
+    A walk along generator products finds reps[t], an element of I over
+    each point t of its t-part T <= Z_d^n.  Each walk edge r * g that
+    lands over a point already reached gives the Schreier generator
+    (r * g)_u - reps[(r * g)_s]_u of K, the unit coordinates in I; these
+    span K and are kept as RREF rows.  The free object has order
+    d^n * p^((n-1) d^n + 1) and I has order |T| * p^dim K, so the
+    closure's index is [Z_d^n : T] * p^((n-1) d^n + 1 - dim K).
+
+    A coset of I is keyed (k, r): k indexes (in ``fobj.points``) the
+    least point b of a T-coset, and r is the unit part, reduced mod K,
+    of the coset's elements over b.
+    """
 
     def __init__(self, aut: Automaton, p: int, d: int):
         self.fobj = fobj = FreeObject(aut.rank, p, d)
-        n = fobj.n
+        n, points = fobj.n, fobj.points
         gens = [fobj.evaluate(w) for w in aut.basis()]
 
-        # transversal of the t-part subgroup, reachable by generator products
+        # transversal of the t-part subgroup, reachable by generator
+        # products; an edge to a point already reached gives a Schreier row
         reps = {(0,) * n: fobj.identity}
         queue = [fobj.identity]
+        rows = []
         while queue:
             r = queue.pop()
             for g in gens:
                 e = fobj.mul(r, g)
-                if e[0] not in reps:
+                rep = reps.get(e[0])
+                if rep is None:
                     reps[e[0]] = e
                     queue.append(e)
-        self.reps = reps
+                else:
+                    rows.append([(x - y) % p for x, y in zip(e[1], rep[1])])
 
-        # Schreier generators of the unit-part kernel, reduced to RREF rows
-        rows = []
-        for r in reps.values():
-            for g in gens:
-                e = fobj.mul(r, g)
-                k = fobj.mul(e, fobj.inv(reps[e[0]]))
-                if any(k[0]):
-                    raise AssertionError(f"Schreier generator {k} has a nonzero t-part")
-                rows.append(list(k[1]))
-        # each fully reduced row as its pivot and its nonzero entries off
-        # the pivot, which all lie outside every other pivot column
+        # each fully reduced row, in order, as its pivot and its nonzero
+        # entries off the pivot, which all lie outside every other pivot column
         reduced, pivots = rref(rows, p)
-        self.pivot_rows = [
-            (pivot, [(j, x) for j, x in enumerate(row) if x and j != pivot])
+        self.pivot_rows = {
+            pivot: [(j, x) for j, x in enumerate(row) if x and j != pivot]
             for pivot, row in zip(pivots, reduced)
-        ]
+        }
         self.index = (d**n // len(reps)) * p ** ((n - 1) * d**n + 1 - len(pivots))
+
+        # off the least point of its T-coset, a point k is carried there by
+        # an element of I: _carry[k] holds that least point, the element's
+        # unit part and its translation; in product order the first point
+        # met in a T-coset is its least
+        least: list = [None] * len(points)
+        self._carry: list = [None] * len(points)
+        for k, t in enumerate(points):
+            if least[k] is None:
+                for tau in reps:
+                    k2 = fobj._point_index[tuple((a + b) % d for a, b in zip(t, tau))]
+                    least[k2] = k
+                    if k2 != k:
+                        s, u = reps[tuple((-b) % d for b in tau)]
+                        if tuple((a + b) % d for a, b in zip(s, points[k2])) != t:
+                            raise AssertionError(
+                                f"coset representative moves {points[k2]} by {s}, not to {t}")
+                        self._carry[k2] = (k, u, fobj._shift(s))
+        # per letter a_i: the index of each point plus e_i, whose digit
+        # i has weight d^(n-1-i)
+        self._next = []
+        for i in range(n):
+            weight = d ** (n - 1 - i)
+            self._next.append([
+                k - (d - 1) * weight if (k // weight) % d == d - 1 else k + weight
+                for k in range(len(points))
+            ])
 
     def reduce_unit(self, u):
         """Representative of u mod K, one pivot row subtracted at a time."""
         p = self.fobj.p
         u = list(u)
-        for pivot, entries in self.pivot_rows:
+        for pivot, entries in self.pivot_rows.items():
             c = u[pivot]
             if c:
                 u[pivot] = 0
@@ -453,47 +487,66 @@ class _ImageSubgroup:
                     u[j] = (u[j] - c * x) % p
         return tuple(u)
 
-    def coset_key(self, element):
-        """Canonical form of I * element, itself an element of that coset."""
-        d = self.fobj.d
-        s = element[0]
-        best = min(tuple((a + b) % d for a, b in zip(s, t)) for t in self.reps)
-        delta = tuple((a - b) % d for a, b in zip(best, s))
-        shifted = self.fobj.mul(self.reps[delta], element)
-        if shifted[0] != best:
-            raise AssertionError(f"coset representative moved t-part to {shifted[0]}, not {best}")
-        return best, self.reduce_unit(shifted[1])
+    def successors(self, key) -> list:
+        """Keys of the cosets I * x * a_i, i = 1, ..., n, where ``key`` is
+        the key of I * x.
+
+        For the key (k, r) over the point b, the Fox vector e_(i,0) of a_i,
+        translated by b, is e_(i,b), so the letter a_i leads to the coset
+        of (b + e_i, r + e_(i,b)).  When b + e_i is least in its T-coset,
+        its key is r plus that one coordinate, reduced by the pivot row at
+        (i, b) if there is one, since r is zero in every pivot column.
+        Otherwise the element is carried to the least point by an element
+        of I and reduced mod K."""
+        k, r = key
+        p, size = self.fobj.p, len(self.fobj.points)
+        pivots = self.pivot_rows
+        out = []
+        for i, nxt in enumerate(self._next):
+            c, k2 = i * size + k, nxt[k]
+            carry = self._carry[k2]
+            if carry is None and c in pivots:
+                u = list(r)
+                u[c] = 0
+                for j, x in pivots[c]:
+                    u[j] = (u[j] - x) % p
+                out.append((k2, tuple(u)))
+                continue
+            u = r[:c] + ((r[c] + 1) % p,) + r[c + 1:]
+            if carry is None:
+                out.append((k2, u))
+            else:
+                least, carry_u, shift = carry
+                u = [(x + y) % p for x, y in zip(carry_u, shift(u))]
+                out.append((least, self.reduce_unit(u)))
+        return out
 
 
 def closure(aut: Automaton, p: int, d: int, cap: int = DEFAULT_CAP) -> Automaton:
     """Pro-(Ab(p)*Ab(d)) closure of the subgroup, as a complete automaton.
 
-    Coset/Schreier route: the closure is the full preimage of the image
-    subgroup in the free object, so its automaton is the Schreier graph
-    of the free object acting on the cosets of that image.  It is refused
-    before any coset is enumerated when the image's index exceeds the
-    cap; the search queues coset keys, each an element of its coset.
+    The closure is the full preimage of H's image I in the free object,
+    so its automaton is the Schreier graph of the free object acting on
+    the cosets of I.  It is refused before any coset is enumerated when
+    I's index exceeds the cap.  The search walks coset keys breadth-first
+    from I itself, one letter step (``_ImageSubgroup.successors``) per
+    edge, and numbers them in the order found.
     """
     image = _ImageSubgroup(aut, p, d)
     if image.index > cap:
         raise CapExceededError(f"closure needs more than {cap} cosets")
-    obj = image.fobj
-    queue = [image.coset_key(obj.identity)]
-    verts = {queue[0]: 0}
-    targets = [dict() for _ in range(aut.rank)]
-    while queue:
-        key = queue.pop()
-        v = verts[key]
-        for i, g in enumerate(obj.generators):
-            key2 = image.coset_key(obj.mul(key, g))
+    keys = [(0, (0,) * image.fobj.n_coords)]
+    verts = {keys[0]: 0}
+    perms = [[] for _ in range(aut.rank)]
+    for key in keys:  # the list grows while it is read
+        for perm, key2 in zip(perms, image.successors(key)):
             w = verts.get(key2)
             if w is None:
-                w = verts[key2] = len(verts)
-                queue.append(key2)
-            targets[i][v] = w
-    if len(verts) != image.index:
-        raise AssertionError(f"enumerated {len(verts)} cosets, the image has index {image.index}")
-    perms = [tuple(t[v] for v in range(len(verts))) for t in targets]
+                w = verts[key2] = len(keys)
+                keys.append(key2)
+            perm.append(w)
+    if len(keys) != image.index:
+        raise AssertionError(f"enumerated {len(keys)} cosets, the image has index {image.index}")
     return Automaton.from_action(aut.rank, perms)
 
 

@@ -588,15 +588,21 @@ class PermGroup:
 
         ValueError unless some row e is the identity, column e reads 0..n-1
         and the rows generate n elements: that group is transitive (row g
-        sends e to g), hence regular, so rows g and h compose to row gh."""
+        sends e to g), hence regular, so rows g and h compose to row gh.
+        A row becomes a generator only when it lies outside the group
+        generated so far, which at least doubles that group, so a group
+        table keeps at most log2(n) generators."""
         if len(table) != order or any(len(row) != order for row in table):
             raise ValueError("table must be order x order")
         perms = [tuple(row) for row in table]
         e = next((g for g, row in enumerate(perms) if row == perm_identity(order)), None)
         if e is None or any(row[e] != g for g, row in enumerate(perms)):
             raise ValueError("table has no two-sided identity")
-        group = cls(order, perms, cap=cap)
         try:
+            group = cls(order, [], cap=cap)
+            for row in perms:
+                if row not in group:
+                    group = cls(order, [*group.generators, row], cap=cap)
             generated = group.order
         except CapExceededError:
             if order > cap:

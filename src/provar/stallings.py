@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import CapExceededError, NotFiniteIndexError
-from .permgroup import DEFAULT_ELEMENT_CAP, PermGroup
+from .permgroup import DEFAULT_ELEMENT_CAP, PermGroup, inverse
 from .words import Word, identity, word
 
 
@@ -64,6 +64,15 @@ def _fold(nverts: int, edges):
     return find, nbr
 
 
+def _check_rank(rank: int) -> None:
+    """A rank over the default cap is refused before anything is built,
+    since an automaton holds one transition map per generator."""
+    if rank < 1:
+        raise ValueError("rank must be at least 1")
+    if rank > DEFAULT_ELEMENT_CAP:
+        raise CapExceededError(f"rank {rank} exceeds the cap {DEFAULT_ELEMENT_CAP}")
+
+
 class Automaton:
     """Folded core automaton over the free group of rank ``rank``.
 
@@ -78,15 +87,7 @@ class Automaton:
         self.base = 0
         self.succ = succ
         self.pred = pred
-        self._key = (
-            rank,
-            n_vertices,
-            tuple(
-                (v, g, targets[v])
-                for g, targets in enumerate(succ, start=1)
-                for v in sorted(targets)
-            ),
-        )
+        self._key = None
 
     # -- construction -------------------------------------------------
 
@@ -96,10 +97,7 @@ class Automaton:
 
         A rank over the default cap is refused before anything is built,
         since the result holds one transition map per generator."""
-        if rank < 1:
-            raise ValueError("rank must be at least 1")
-        if rank > DEFAULT_ELEMENT_CAP:
-            raise CapExceededError(f"rank {rank} exceeds the cap {DEFAULT_ELEMENT_CAP}")
+        _check_rank(rank)
         find, nbr = _fold(nverts, edges)
         root_base = find(base)
 
@@ -194,28 +192,63 @@ class Automaton:
 
         The result is the Schreier graph of the group generated by the
         permutations, restricted to the orbit of point 0; it represents
-        the full preimage of the stabilizer of that point.
+        the full preimage of the stabilizer of that point.  Every vertex
+        has exactly one edge in and one edge out per label, so folding
+        would merge nothing and the core trim would remove nothing: the
+        orbit is numbered directly, by a breadth-first search in the
+        signed-label order of ``_renumber``.
         """
+        _check_rank(rank)
         if len(perms) != rank:
             raise ValueError("need one permutation per generator")
         degree = len(perms[0])
         for p in perms:
             if sorted(p) != list(range(degree)):
                 raise ValueError("transitions must be permutations of the vertex set")
-        edges = [(v, g, p[v]) for g, p in enumerate(perms, start=1) for v in range(degree)]
-        return cls.from_raw(rank, degree, 0, edges)
+        inverses = [inverse(p) for p in perms]
+        order = {0: 0}
+        queue = [0]
+        for u in queue:  # the queue grows while it is read
+            for p, inv in zip(perms, inverses):
+                for t in (p[u], inv[u]):
+                    if t not in order:
+                        order[t] = len(queue)
+                        queue.append(t)
+        succ = [dict() for _ in range(rank)]
+        pred = [dict() for _ in range(rank)]
+        for old, new in order.items():
+            for g, p in enumerate(perms):
+                t = order[p[old]]
+                succ[g][new] = t
+                pred[g][t] = new
+        return cls(rank, len(order), tuple(succ), tuple(pred))
 
     # -- queries ------------------------------------------------------
 
     @property
     def key(self):
+        """The rank, the vertex count and every edge (v, g, t), sorted;
+        built on first use.  It is a function of the rank, the vertex
+        count and ``succ``, and determines them, so equality compares
+        those directly."""
+        if self._key is None:
+            self._key = (
+                self.rank,
+                self.n_vertices,
+                tuple(
+                    (v, g, targets[v])
+                    for g, targets in enumerate(self.succ, start=1)
+                    for v in sorted(targets)
+                ),
+            )
         return self._key
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Automaton) and self._key == other._key
+        return isinstance(other, Automaton) and (
+            (self.rank, self.n_vertices, self.succ) == (other.rank, other.n_vertices, other.succ))
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self.key)
 
     def __repr__(self) -> str:
         return f"Automaton(rank={self.rank}, vertices={self.n_vertices})"

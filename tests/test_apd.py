@@ -27,6 +27,7 @@ from provar.fplinalg import ApdPresentation, mat_rank
 from provar.numtheory import is_prime, q_sets
 from provar.stallings import Automaton
 from provar.words import identity, parse, word
+from tests.oracles import ImageByProducts
 from tests.test_bs import drifting_word, heights
 
 PAIRS = [(3, 2), (5, 2), (5, 4), (7, 3), (7, 6), (11, 10)]
@@ -436,6 +437,28 @@ def test_closure_agrees_with_folding_route():
             closed=b == subgroup, dense=b.n_vertices == 1, index_of_closure=b.n_vertices)
 
 
+# every closure-grid class of the benchmark, and two of d = 1, where
+# closure_by_folding cannot reach past tiny ranks
+@pytest.mark.parametrize("n,p,d", [(1, 7, 6), (2, 3, 2), (2, 5, 2), (2, 5, 4), (2, 7, 3),
+                                   (3, 3, 2), (3, 2, 1), (2, 5, 1)])
+def test_closure_and_schreier_rows_agree_with_the_product_routes(n, p, d):
+    rng = random.Random(f"product routes {n} {p} {d}")
+    walked = 0
+    for _ in range(200):
+        gens = [random_word(rng, n, 6) for _ in range(rng.randrange(0, 5))]
+        subgroup = Automaton.from_generators(gens, n)
+        image, old = _ImageSubgroup(subgroup, p, d), ImageByProducts(subgroup, p, d)
+        assert (list(image.pivot_rows.items()), image.index) == (old.pivot_rows, old.index)
+        # most draws are dense or of astronomical index; walk the others
+        if 1 < image.index <= 1500:
+            new, ref = closure(subgroup, p, d, cap=1500), old.closure()
+            assert (new.key, new.succ, new.pred) == (ref.key, ref.succ, ref.pred)
+            walked += 1
+            if walked == 6:
+                break
+    assert walked == 6
+
+
 def test_closure_idempotent_and_monotone():
     rng = random.Random(22)
     for _ in range(10):
@@ -484,13 +507,14 @@ def test_status_dense_subgroup():
 def test_closure_is_refused_before_any_coset_exactly_when_its_index_exceeds_the_cap(
         n, p, d, monkeypatch):
     keys = []
-    coset_key = _ImageSubgroup.coset_key
+    successors = _ImageSubgroup.successors
 
-    def counting_coset_key(self, element):
-        keys.append(element)
-        return coset_key(self, element)
+    def counting_successors(self, key):
+        out = successors(self, key)
+        keys.extend(out)
+        return out
 
-    monkeypatch.setattr(_ImageSubgroup, "coset_key", counting_coset_key)
+    monkeypatch.setattr(_ImageSubgroup, "successors", counting_successors)
     rng = random.Random(f"cap law {n} {p} {d}")
     sizes = set()
     for _ in range(12):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -338,6 +339,36 @@ def test_cli_transcript_is_pinned():
     assert len(transcript) >= 60
     for entry in transcript:
         assert replay(entry["argv"]) == entry, entry["argv"]
+
+
+OPTIMIZED_REPLAY = """
+import contextlib, io, json, sys
+from provar.cli import dispatch
+results = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = dispatch(argv)
+    results.append([code, out.getvalue()])
+json.dump({"optimize": sys.flags.optimize, "results": results}, sys.stdout)
+"""
+
+
+def test_cli_transcript_replays_under_python_O():
+    """The verdicts rest on checks that raise, not on ``assert``: the
+    closure, status, cl-u-approx and is-in-u entries give the same exit
+    code and stdout, byte for byte, under ``python -O``."""
+    commands = {"closure", "status", "cl-u-approx", "is-in-u"}
+    entries = [e for e in json.loads(TRANSCRIPT.read_text()) if e["argv"][0] in commands]
+    assert {e["argv"][0] for e in entries} == commands
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_REPLAY],
+                          input=json.dumps([e["argv"] for e in entries]), capture_output=True,
+                          text=True, env=env, timeout=300, check=True)
+    replayed = json.loads(proc.stdout)
+    assert replayed["optimize"] == 1
+    assert replayed["results"] == [[e["code"], e["stdout"]] for e in entries]
 
 
 if __name__ == "__main__":

@@ -261,6 +261,21 @@ def test_cayley_table_input():
         PermGroup.from_cayley_table(8, q8_table, cap=4)
 
 
+def test_cayley_table_keeps_at_most_log2_order_generators():
+    # a row outside the group generated so far at least doubles it
+    g32 = GpdGroup(3, 2).as_perm_group()
+    groups = [PermGroup(1, []), c12(), c2xc4(), q8(), s4(),
+              direct_product(GpdGroup(5, 2).as_perm_group(), g32),
+              direct_product(GpdGroup(5, 4).as_perm_group(), g32)]
+    for G in groups:
+        elements = G.elements()
+        index = {x: i for i, x in enumerate(elements)}
+        rows = [tuple(index[pg.compose(x, y)] for y in elements) for x in elements]
+        T = PermGroup.from_cayley_table(G.order, rows)
+        assert T.order == G.order and set(T.generators) <= set(rows)
+        assert 2 ** len(T.generators) <= G.order
+
+
 def test_perm_order_and_power_match_repeated_composition():
     for G in (s4(), q8(), c12(), c2xc4()):
         for x in G.elements():
@@ -423,7 +438,7 @@ def test_smaller_faithful_action_keeps_groups_that_are_not_regular_or_have_a_cen
         "regular Q8": left_regular(q8()),
         "regular C2 x G(11,10)": left_regular(direct_product(c2, GpdGroup(11, 10).as_perm_group())),
         "regular C12": left_regular(c12()),
-        "S4 by its Cayley table, every element a generator": regular(s4()),
+        "regular S4, every element a generator": PermGroup(24, regular(s4()).elements()),
         "trivial": PermGroup(1, []),
     }
     for name, group in unchanged.items():

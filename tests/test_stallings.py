@@ -234,6 +234,40 @@ def test_from_action_round_trip():
     assert Automaton.from_action(2, cay.coset_group().generators) == cay
 
 
+def random_action(rng, rank, degree, split):
+    """Random permutations that keep [0, split) and [split, degree)."""
+    perms = []
+    for _ in range(rank):
+        low, high = list(range(split)), list(range(split, degree))
+        rng.shuffle(low)
+        rng.shuffle(high)
+        perms.append(tuple(low + high))
+    return perms
+
+
+def test_from_action_equals_the_fold_of_its_edges():
+    rng = random.Random(41)
+    actions = [[(0,)], [(0,), (0,)], [(0, 1, 2)], [(0, 1, 2, 3), (1, 0, 3, 2)], [(1, 0, 2)]]
+    for _ in range(60):
+        rank, degree = rng.randrange(1, 4), rng.randrange(1, 13)
+        # split = degree gives a random action, 0 < split < degree an intransitive one
+        actions.append(random_action(rng, rank, degree, rng.randrange(1, degree + 1)))
+    intransitive = 0
+    for perms in actions:
+        rank, degree = len(perms), len(perms[0])
+        edges = [(v, g, p[v]) for g, p in enumerate(perms, start=1) for v in range(degree)]
+        got = Automaton.from_action(rank, [list(p) for p in perms])
+        folded = Automaton.from_raw(rank, degree, 0, edges)
+        assert (got.key, got.succ, got.pred) == (folded.key, folded.succ, folded.pred)
+        assert got.is_complete()
+        intransitive += got.n_vertices < degree
+    assert intransitive > 10
+    for rank, perms in [(1, [(0, 0)]), (1, [(1, 2)]), (2, [(0, 1), (0,)]), (2, [(0, 1)]),
+                        (1, [(1, 0), (1, 0)])]:
+        with pytest.raises(ValueError):
+            Automaton.from_action(rank, perms)
+
+
 def test_intermediate_subgroups_examples():
     assert Automaton.full_group(2).intermediate_subgroups() == [Automaton.full_group(2)]
 
