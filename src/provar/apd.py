@@ -7,13 +7,17 @@ elementary abelian p-groups.  For p > 2 and d > 1 the two-generator
 group of order pd presented by x^p = y^d = 1, y x y^-1 = x^q (with q of
 multiplicative order d mod p) generates the pseudovariety; that group,
 its isomorphisms, its decompositions and the presentations keep this
-domain.  The free object on n generators is Z_d^n extended by an
-F_p-module, and an element of it is stored as the d-abelianized word
+domain.  An isomorphism between two presentations, and the embedding of
+a presented group into copies of the generator and cyclic factors, are
+checked by the defining relations of their source (von Dyck's theorem),
+and the embedding's image order is read off in closed form, so no group
+element is listed.  The free object on n generators is Z_d^n extended by
+an F_p-module, and an element of it is stored as the d-abelianized word
 together with its Fox derivatives mod p, one F_p[Z_d^n] coefficient
 vector per letter: n * d^n coordinates, whatever p is.  A word is
 evaluated by reducing its Fox derivatives over Z[Z^n] (``words.fox``),
-and a rank-2 word's image in the pd-element group is read off its
-height counts (``words.height_counts``).
+and a rank-2 word's image in the pd-element group is read off its height
+counts (``words.height_counts``).
 
 This structured form keeps single elements small even when the free
 object itself is astronomically large.  A closure's index is read off
@@ -33,8 +37,8 @@ from typing import Callable, NamedTuple
 
 from .errors import CapExceededError
 from .fplinalg import ApdPresentation, rref
-from .numtheory import mult_order, require_prime, smallest_of_order
-from .permgroup import DEFAULT_ELEMENT_CAP, PermGroup
+from .numtheory import lattice_index, mult_order, require_prime, smallest_of_order
+from .permgroup import DEFAULT_ELEMENT_CAP, PermGroup, bfs_closure
 from .stallings import Automaton
 from .words import Word, fox, height_counts
 
@@ -143,22 +147,18 @@ def format_gpd_element(e: GpdElement) -> str:
     return " ".join(parts)
 
 
-def _check_homomorphism(f, source: GpdGroup, target: GpdGroup, name: str) -> None:
-    """Raise AssertionError unless ``f`` is a homomorphism source -> target.
-
-    Checks f(1) = 1 and f(a g) = f(a) f(g) for every element a and each
-    generator g in {x, y}: by induction on the length of b as a positive
-    word in x and y this gives f(a b) = f(a) f(b) for all a and b, with
-    2pd products instead of (pd)^2.
-    """
-    if f(source.identity) != target.identity:
-        raise AssertionError(f"{name} does not fix the identity")
-    gens = [(g, f(g)) for g in (source.x, source.y)]
-    for a in source.elements():
-        fa = f(a)
-        for g, fg in gens:
-            if f(source.mul(a, g)) != target.mul(fa, fg):
-                raise AssertionError(f"{name} is not multiplicative at {a}, {g}")
+def _check_y_power(source: GpdGroup, target: GpdGroup, m: int) -> None:
+    """Raise AssertionError unless x -> x, y -> y^m extends to a
+    homomorphism from ``source`` to ``target``.  By von Dyck's theorem it
+    does exactly when the images satisfy the source's defining relations:
+    x^p = 1, (y^m)^d = 1 and y^m x y^-m = x^q in the target."""
+    x, ym = target.x, GpdElement(0, m % target.d)
+    if (
+        source.p % target.element_order(x)
+        or source.d % target.element_order(ym)
+        or target.mul(target.mul(ym, x), target.inv(ym)) != GpdElement(source.q, 0)
+    ):
+        raise AssertionError(f"y -> y^{m} does not respect the relations of {source}")
 
 
 def gpd_iso(p: int, d: int, q: int, r: int) -> tuple[int, int]:
@@ -166,8 +166,9 @@ def gpd_iso(p: int, d: int, q: int, r: int) -> tuple[int, int]:
     r-presentations: x -> x, y -> y^m one way and y -> y^k back.
 
     Requires q and r of exact order d; returns m, k with r^m = q and
-    q^k = r mod p, so m k = 1 mod d.  Both maps are verified to be
-    mutually inverse isomorphisms on all pd elements.
+    q^k = r mod p.  Both maps are checked to be homomorphisms by their
+    defining relations (``_check_y_power``), and m k = 1 mod d makes
+    them mutually inverse, since each composite fixes x and y.
     """
     for value, name in ((q, "q"), (r, "r")):
         if mult_order(value, p) != d:
@@ -176,23 +177,9 @@ def gpd_iso(p: int, d: int, q: int, r: int) -> tuple[int, int]:
     k = next(k for k in range(1, d + 1) if pow(q, k, p) == r % p)
     if m * k % d != 1:
         raise AssertionError(f"m = {m} and k = {k} are not inverse mod {d}")
-
     gq, gr = GpdGroup(p, d, q), GpdGroup(p, d, r)
-
-    def forward(e: GpdElement) -> GpdElement:
-        return GpdElement(e.u, m * e.t % d)
-
-    def backward(e: GpdElement) -> GpdElement:
-        return GpdElement(e.u, k * e.t % d)
-
-    for a in gq.elements():
-        if backward(forward(a)) != a:
-            raise AssertionError(f"y -> y^{m} -> y^{m * k} does not fix {a}")
-    for a in gr.elements():
-        if forward(backward(a)) != a:
-            raise AssertionError(f"y -> y^{k} -> y^{m * k} does not fix {a}")
-    _check_homomorphism(forward, gq, gr, f"y -> y^{m}")
-    _check_homomorphism(backward, gr, gq, f"y -> y^{k}")
+    _check_y_power(gq, gr, m)
+    _check_y_power(gr, gq, k)
     return m, k
 
 
@@ -219,8 +206,11 @@ class FreeObject:
     Construction is refused when the n * d^n coordinates of an element
     exceed the default cap, or the n * n * d^n of the generators exceed
     the cap times its bit length.  The translation table grows by n * d^n
-    entries per distinct s that multiplication meets.  Element
-    enumeration (``materialize``) is capped separately.
+    entries per distinct s that multiplication meets.  Only
+    ``materialize`` (and so ``cayley_automaton`` and
+    ``closure_by_folding``) enumerates elements: it refuses an order
+    formula over its own cap before the breadth-first closure
+    (``permgroup.bfs_closure``) starts.
     """
 
     def __init__(self, n: int, p: int, d: int):
@@ -306,31 +296,20 @@ class FreeObject:
     # -- enumeration ----------------------------------------------------
 
     def materialize(self, cap: int = DEFAULT_CAP) -> list:
-        """All elements by breadth-first closure; checked against the
-        structural order formula."""
+        """All elements by breadth-first closure (``bfs_closure``), refused
+        before it starts when the order formula exceeds the cap, and
+        checked against that formula."""
         if self._elements is None:
             if self.order_formula > cap:
                 raise CapExceededError(
                     f"free object has order {self.order_formula}, beyond cap {cap}"
                 )
-            seen = {self.identity}
-            order_list = [self.identity]
-            frontier = [self.identity]
-            while frontier:
-                nxt = []
-                for e in frontier:
-                    for g in self.generators:
-                        h = self.mul(e, g)
-                        if h not in seen:
-                            seen.add(h)
-                            order_list.append(h)
-                            nxt.append(h)
-                frontier = nxt
-            if len(order_list) != self.order_formula:  # pragma: no cover
+            elements = bfs_closure(self.identity, self.generators, self.mul, cap)
+            if len(elements) != self.order_formula:  # pragma: no cover
                 raise AssertionError(
-                    f"enumerated {len(order_list)} elements, formula says {self.order_formula}"
+                    f"enumerated {len(elements)} elements, formula says {self.order_formula}"
                 )
-            self._elements = order_list
+            self._elements = elements
         return self._elements
 
     @property
@@ -585,12 +564,14 @@ def status(aut: Automaton, p: int, d: int) -> ApdStatus:
 
 @dataclass(frozen=True)
 class ApdEmbedding:
-    """An explicit injective homomorphism from a presented group into a
-    direct product of copies of the pd-group and cyclic groups C_d.
+    """A homomorphism from a presented group into a direct product of
+    copies of the pd-group and cyclic groups C_d, given on generators.
 
     ``factors`` lists the codomain factors ("gpd" or "cyclic"); each
     generator image is a tuple with one entry per factor (GpdElement for
-    gpd factors, an integer mod d for cyclic ones).
+    gpd factors, an integer mod d for cyclic ones).  ``image_order`` is
+    the order of the image, which ``decompose`` computes in closed form;
+    the map is injective when it equals ``group_order``.
     """
 
     presentation: ApdPresentation
@@ -606,26 +587,77 @@ class ApdEmbedding:
         return self.group_order == self.image_order
 
 
-def decompose(pres: ApdPresentation, cap: int = DEFAULT_CAP) -> ApdEmbedding:
-    """Embed the presented group into gpd and cyclic factors, verified
-    injective by counting the image.
+def _check_relations(group: GpdGroup, pres: ApdPresentation, factors, x_images,
+                     y_images) -> None:
+    """Raise AssertionError unless the images satisfy the presentation's
+    defining relations, so that (von Dyck's theorem) x_i -> x_images[i],
+    y_j -> y_images[j] extends to a homomorphism into the product of
+    ``factors``.  A relation holds in the product when it holds in every
+    factor, and a cyclic factor Z_d is checked as the subgroup of powers
+    of y in ``group``."""
+    p = group.p
+    for f, kind in enumerate(factors):
+        xs, ys = (
+            [image[f] if kind == "gpd" else GpdElement(0, image[f]) for image in images]
+            for images in (x_images, y_images)
+        )
+        for i, x in enumerate(xs):
+            if p % group.element_order(x):
+                raise AssertionError(f"image of x_{i + 1} does not have order dividing {p}")
+        for j, y in enumerate(ys):
+            if pres.orders[j] % group.element_order(y):
+                raise AssertionError(
+                    f"image of y_{j + 1} does not have order dividing {pres.orders[j]}"
+                )
+        for name, images in (("x", xs), ("y", ys)):
+            for (i, a), (i2, b) in itertools.combinations(enumerate(images, 1), 2):
+                if group.mul(a, b) != group.mul(b, a):
+                    raise AssertionError(f"images of {name}_{i} and {name}_{i2} do not commute")
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                # x has order dividing p, prime to d, so x = x^u and x^k = x^(k u)
+                k = pres.exponents[i][j]
+                if group.mul(group.mul(y, x), group.inv(y)) != GpdElement(k * x.u % p, 0):
+                    raise AssertionError(
+                        f"y_{j + 1} x_{i + 1} y_{j + 1}^-1 does not map to x_{i + 1}^{k}"
+                    )
+
+
+def _image_order(p: int, d: int, factors, y_images) -> int:
+    """Order of the subgroup of the product of ``factors`` that the x's of
+    the n gpd factors and ``y_images`` generate.  The x's span C_p^n, the
+    kernel of the map onto the t-parts and cyclic parts in Z_d^k, so the
+    order is p^n |Y| for the subgroup Y that the y_images span there, and
+    |Y| = d^k / [Z^k : L] for the lattice L spanned by those vectors and
+    d Z^k."""
+    k = len(factors)
+    vectors = [[v.t if kind == "gpd" else v for kind, v in zip(factors, image)]
+               for image in y_images]
+    vectors += [[d if a == b else 0 for b in range(k)] for a in range(k)]
+    return p ** factors.count("gpd") * d**k // lattice_index(vectors, k)
+
+
+def decompose(pres: ApdPresentation) -> ApdEmbedding:
+    """Embed the presented group into gpd and cyclic factors.
 
     Per x-generator one gpd factor receives x_i -> x and y_j -> y^k_ij
     with q^k_ij matching the presented conjugation exponent; cyclic
     factors record the y-exponents.  When a single y-generator already
     acts with full order on some x, the cyclic factor is redundant and
     dropped.
+
+    By von Dyck's theorem the assignment is a homomorphism exactly when
+    the images satisfy the defining relations, and they are checked one
+    factor at a time (``_check_relations``).  The image order is read off
+    in closed form (``_image_order``); AssertionError unless it is the
+    group's.
     """
     p, d, n, m = pres.p, pres.d, pres.n, pres.m
-    if pres.group_order > cap:
-        raise CapExceededError(
-            f"presented group has order {pres.group_order}, beyond cap {cap}"
-        )
     group = GpdGroup(p, d)
     q = group.q
 
     # discrete logs base q for every conjugation exponent
-    dlog = {pow(q, k, p): k for k in range(d)}
+    dlog = {qt: t for t, qt in enumerate(group._qpow)}
     k_table = [[dlog[pres.exponents[i][j] % p] for j in range(m)] for i in range(n)]
 
     drop_cyclic = m == 1 and any(
@@ -639,7 +671,7 @@ def decompose(pres: ApdPresentation, cap: int = DEFAULT_CAP) -> ApdEmbedding:
         return tuple(parts)
 
     def embed_y(j: int):
-        parts: list = [GpdElement(0, k_table[i][j] % d) for i in range(n)]
+        parts: list = [GpdElement(0, k_table[i][j]) for i in range(n)]
         if not drop_cyclic:
             parts += [0] * m
             parts[n + j] = d // pres.orders[j]
@@ -648,69 +680,8 @@ def decompose(pres: ApdPresentation, cap: int = DEFAULT_CAP) -> ApdEmbedding:
     x_images = tuple(embed_x(i) for i in range(n))
     y_images = tuple(embed_y(j) for j in range(m))
 
-    def mul(a, b):
-        out = []
-        for kind_index, kind in enumerate(factors):
-            if kind == "gpd":
-                out.append(group.mul(a[kind_index], b[kind_index]))
-            else:
-                out.append((a[kind_index] + b[kind_index]) % d)
-        return tuple(out)
+    _check_relations(group, pres, factors, x_images, y_images)
 
-    identity = tuple(
-        group.identity if kind == "gpd" else 0 for kind in factors
-    )
-
-    def power(a, k):
-        out = identity
-        for _ in range(k):
-            out = mul(out, a)
-        return out
-
-    def inv(a):
-        return tuple(
-            group.inv(v) if kind == "gpd" else (-v) % d
-            for kind, v in zip(factors, a)
-        )
-
-    # relation checks: the map is a well-defined homomorphism
-    for i, xi in enumerate(x_images):
-        if power(xi, p) != identity:
-            raise AssertionError(f"image of x_{i + 1} does not have order dividing {p}")
-        for i2, xi2 in enumerate(x_images):
-            if mul(xi, xi2) != mul(xi2, xi):
-                raise AssertionError(f"images of x_{i + 1} and x_{i2 + 1} do not commute")
-    for j, yj in enumerate(y_images):
-        if power(yj, pres.orders[j]) != identity:
-            raise AssertionError(
-                f"image of y_{j + 1} does not have order dividing {pres.orders[j]}"
-            )
-        for j2, yj2 in enumerate(y_images):
-            if mul(yj, yj2) != mul(yj2, yj):
-                raise AssertionError(f"images of y_{j + 1} and y_{j2 + 1} do not commute")
-        for i, xi in enumerate(x_images):
-            conj = mul(mul(yj, xi), inv(yj))
-            k = pres.exponents[i][j]
-            if conj != power(xi, k):
-                raise AssertionError(
-                    f"y_{j + 1} x_{i + 1} y_{j + 1}^-1 does not map to x_{i + 1}^{k}"
-                )
-
-    # injectivity by image counting
-    seen = {identity}
-    frontier = [identity]
-    gens = list(x_images) + list(y_images)
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                h = mul(e, g)
-                if h not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceededError(f"image exceeds cap {cap}")
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
     embedding = ApdEmbedding(
         presentation=pres,
         q=q,
@@ -718,8 +689,10 @@ def decompose(pres: ApdPresentation, cap: int = DEFAULT_CAP) -> ApdEmbedding:
         x_images=x_images,
         y_images=y_images,
         group_order=pres.group_order,
-        image_order=len(seen),
+        image_order=_image_order(p, d, factors, y_images),
     )
     if not embedding.injective:  # pragma: no cover - construction guarantees it
-        raise AssertionError("embedding failed the image count")
+        raise AssertionError(
+            f"the image has order {embedding.image_order}, the group {embedding.group_order}"
+        )
     return embedding

@@ -56,7 +56,8 @@ def _group_arg(args, cap) -> PermGroup:
 
 
 def _capped_d(args, cap) -> int:
-    """``--d``, refused over the cap before d roots or powers are formed."""
+    """``--d``, refused over the cap before d roots, powers or discrete
+    logs are formed."""
     if args.d > cap:
         raise CapExceededError(f"d = {args.d} exceeds the cap {cap}")
     return args.d
@@ -291,7 +292,7 @@ def _run(args) -> dict:
                 "y_order": group.element_order(group.y)}
 
     if cmd == "gpd-iso":
-        m, k = apd.gpd_iso(args.p, args.d, args.q, args.r)
+        m, k = apd.gpd_iso(args.p, _capped_d(args, cap), args.q, args.r)
         return {"m": m, "k": k}
 
     if cmd == "free-object":
@@ -314,14 +315,15 @@ def _run(args) -> dict:
                 "exponents": [list(row) for row in pres.exponents]}
 
     if cmd == "decompose":
+        d = _capped_d(args, cap)
         exponents = _int_array(json.loads(args.exponents), 2, "exponents")
         orders = [int(x) for x in args.orders.split(",") if x.strip()]
         pres = fplinalg.ApdPresentation(
-            p=args.p, d=args.d, n=len(exponents), m=len(orders),
+            p=args.p, d=d, n=len(exponents), m=len(orders),
             orders=tuple(orders),
             exponents=tuple(tuple(row) for row in exponents),
         )
-        emb = apd.decompose(pres, cap=cap)
+        emb = apd.decompose(pres)
         return {
             "factors": list(emb.factors),
             "q": emb.q,

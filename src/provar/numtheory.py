@@ -1,4 +1,5 @@
-"""Primality, multiplicative orders, the sets Q_{p,d} and primitive-root search.
+"""Primality, multiplicative orders, lattice indices, the sets Q_{p,d} and
+primitive-root search.
 
 All functions work on plain Python integers and are exact at any size;
 arguments documented as primes are re-checked on entry.
@@ -122,6 +123,38 @@ def mult_order(q: int, p: int) -> int:
         while order % f == 0 and pow(q, order // f, p) == 1:
             order //= f
     return order
+
+
+def lattice_index(vectors, n: int):
+    """Index of the sublattice of Z^n spanned by the vectors; None when
+    the rank is deficient (infinite index).
+
+    Euclidean column elimination: rows are processed top to bottom, and
+    within a row the columns are combined until one pivot survives, so
+    the pivots end up lower-triangular and the index is the product of
+    their absolute values.
+    """
+    cols = [list(v) for v in vectors]
+    index = 1
+    for row in range(n):
+        while True:
+            nonzero = [c for c in cols if c[row] != 0]
+            if len(nonzero) <= 1:
+                break
+            nonzero.sort(key=lambda c: abs(c[row]))
+            pivot = nonzero[0]
+            for c in nonzero[1:]:
+                factor = c[row] // pivot[row]
+                if factor:
+                    for r in range(n):
+                        c[r] -= factor * pivot[r]
+        nonzero = [c for c in cols if c[row] != 0]
+        if not nonzero:
+            return None
+        pivot = nonzero[0]
+        index *= abs(pivot[row])
+        cols = [c for c in cols if c is not pivot]
+    return index
 
 
 def q_sets(p: int, d: int) -> tuple[set[int], set[int]]:

@@ -128,25 +128,22 @@ def _over_cap(cap: int) -> CapExceededError:
     return CapExceededError(f"group closure exceeds the element cap {cap}")
 
 
-def _closure(degree: int, generators, cap: int) -> list[Perm]:
-    """Breadth-first closure of the generated subgroup, identity first."""
-    ident = perm_identity(degree)
-    seen = {ident}
-    order_list = [ident]
-    frontier = [ident]
-    gens = [g for g in generators if g != ident]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                h = compose(e, g)
-                if h not in seen:
-                    if len(seen) >= cap:
-                        raise _over_cap(cap)
-                    seen.add(h)
-                    order_list.append(h)
-                    nxt.append(h)
-        frontier = nxt
+def bfs_closure(identity, generators, product, cap: int) -> list:
+    """The subgroup of a finite group that ``generators`` generate under
+    ``product``, identity first, in breadth-first order: in a finite
+    group the products of generators already form that subgroup.  It is
+    refused (CapExceededError) before an element past the cap is stored."""
+    seen = {identity}
+    order_list = [identity]
+    gens = [g for g in generators if g != identity]
+    for e in order_list:  # the list grows while it is read
+        for g in gens:
+            h = product(e, g)
+            if h not in seen:
+                if len(seen) >= cap:
+                    raise _over_cap(cap)
+                seen.add(h)
+                order_list.append(h)
     return order_list
 
 
@@ -187,7 +184,8 @@ class PermGroup:
 
     def elements(self) -> list[Perm]:
         if self._elements is None:
-            self._elements = _closure(self.degree, self.generators, self.cap)
+            self._elements = bfs_closure(perm_identity(self.degree), self.generators,
+                                         compose, self.cap)
             self._element_set = frozenset(self._elements)
         return self._elements
 

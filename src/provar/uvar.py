@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from . import apd
-from .numtheory import factorize, is_prime
+from .numtheory import factorize, is_prime, lattice_index
 from .permgroup import (
     DEFAULT_ELEMENT_CAP,
     PermGroup,
@@ -180,38 +180,6 @@ def not_fg_certificate(aut: Automaton):
     return None
 
 
-def _lattice_index(vectors, n: int):
-    """Index of the sublattice of Z^n spanned by the vectors; None when
-    the rank is deficient (infinite index).
-
-    Euclidean column elimination: rows are processed top to bottom, and
-    within a row the columns are combined until one pivot survives, so
-    the pivots end up lower-triangular and the index is the product of
-    their absolute values.
-    """
-    cols = [list(v) for v in vectors]
-    index = 1
-    for row in range(n):
-        while True:
-            nonzero = [c for c in cols if c[row] != 0]
-            if len(nonzero) <= 1:
-                break
-            nonzero.sort(key=lambda c: abs(c[row]))
-            pivot = nonzero[0]
-            for c in nonzero[1:]:
-                factor = c[row] // pivot[row]
-                if factor:
-                    for r in range(n):
-                        c[r] -= factor * pivot[r]
-        nonzero = [c for c in cols if c[row] != 0]
-        if not nonzero:
-            return None
-        pivot = nonzero[0]
-        index *= abs(pivot[row])
-        cols = [c for c in cols if c is not pivot]
-    return index
-
-
 @dataclass(frozen=True)
 class DensityReport:
     necessary_ok: bool
@@ -224,6 +192,6 @@ def u_density_check(aut: Automaton, bound: int = DEFAULT_PRIME_BOUND) -> Density
     U-density) plus pro-(Ab(p)*Ab(p-1)) density, by ``apd.status``, for
     every prime p up to the bound, 2 included; no closure is enumerated."""
     vectors = [w.abelianization() for w in aut.basis()]
-    necessary = _lattice_index(vectors, aut.rank) == 1
+    necessary = lattice_index(vectors, aut.rank) == 1
     dense = all(apd.status(aut, p, p - 1).dense for p in range(2, bound + 1) if is_prime(p))
     return DensityReport(necessary_ok=necessary, dense_up_to_bound=dense, prime_bound=bound)

@@ -1,9 +1,109 @@
 """Reference routines that only the tests use."""
 
-from provar.apd import FreeObject
-from provar.fplinalg import rref
-from provar.permgroup import PermGroup
+from typing import NamedTuple
+
+from provar.apd import FreeObject, GpdElement, GpdGroup
+from provar.fplinalg import ApdPresentation, rref
+from provar.numtheory import mult_order
+from provar.permgroup import DEFAULT_ELEMENT_CAP, PermGroup, bfs_closure
 from provar.stallings import Automaton
+
+
+def check_homomorphism(f, source: GpdGroup, target: GpdGroup, name: str) -> None:
+    """Raise AssertionError unless ``f`` is a homomorphism source -> target.
+
+    Checks f(1) = 1 and f(a g) = f(a) f(g) for every element a and each
+    generator g in {x, y}: by induction on the length of b as a positive
+    word in x and y this gives f(a b) = f(a) f(b) for all a and b, with
+    2pd products instead of (pd)^2.
+    """
+    if f(source.identity) != target.identity:
+        raise AssertionError(f"{name} does not fix the identity")
+    gens = [(g, f(g)) for g in (source.x, source.y)]
+    for a in source.elements():
+        fa = f(a)
+        for g, fg in gens:
+            if f(source.mul(a, g)) != target.mul(fa, fg):
+                raise AssertionError(f"{name} is not multiplicative at {a}, {g}")
+
+
+def factorwise_product(group: GpdGroup, factors):
+    """The product of a direct product of ``group`` ("gpd") and Z_d
+    ("cyclic") factors, and its identity."""
+    d = group.d
+
+    def mul(a, b):
+        return tuple(group.mul(x, y) if kind == "gpd" else (x + y) % d
+                     for kind, x, y in zip(factors, a, b))
+
+    return mul, tuple(group.identity if kind == "gpd" else 0 for kind in factors)
+
+
+def image_order_by_enumeration(group: GpdGroup, factors, generators) -> int:
+    """Order of the subgroup that ``generators`` generate, counted by
+    breadth-first closure under the factorwise product."""
+    mul, identity = factorwise_product(group, factors)
+    return len(bfs_closure(identity, generators, mul, DEFAULT_ELEMENT_CAP))
+
+
+def relations_hold_by_products(group: GpdGroup, pres: ApdPresentation, factors, x_images,
+                               y_images) -> bool:
+    """Whether the images satisfy the presentation's defining relations,
+    each power formed by repeated factorwise products."""
+    p, d = group.p, group.d
+    mul, identity = factorwise_product(group, factors)
+
+    def inv(a):
+        return tuple(group.inv(x) if kind == "gpd" else (-x) % d for kind, x in zip(factors, a))
+
+    def power(a, k):
+        out = identity
+        for _ in range(k):
+            out = mul(out, a)
+        return out
+
+    return (
+        all(power(x, p) == identity for x in x_images)
+        and all(power(y, o) == identity for y, o in zip(y_images, pres.orders))
+        and all(mul(a, b) == mul(b, a) for gens in (x_images, y_images) for a in gens for b in gens)
+        and all(mul(mul(y, x), inv(y)) == power(x, pres.exponents[i][j])
+                for i, x in enumerate(x_images) for j, y in enumerate(y_images))
+    )
+
+
+class Decomposition(NamedTuple):
+    factors: tuple
+    x_images: tuple
+    y_images: tuple
+    relations_hold: bool
+    image_order: int
+
+
+def decompose_by_enumeration(pres: ApdPresentation) -> Decomposition:
+    """``apd.decompose``'s factors and generator images, with each discrete
+    log found by a scan; whether they satisfy the defining relations
+    (``relations_hold_by_products``); and the order of their image
+    (``image_order_by_enumeration``)."""
+    p, d, n, m = pres.p, pres.d, pres.n, pres.m
+    group = GpdGroup(p, d)
+    drop = m == 1 and any(mult_order(row[0], p) == pres.orders[0] for row in pres.exponents)
+    factors = ("gpd",) * n + (() if drop else ("cyclic",) * m)
+    cyclic_x = () if drop else (0,) * m
+    x_images = tuple(
+        tuple(group.x if a == i else group.identity for a in range(n)) + cyclic_x for i in range(n)
+    )
+
+    def log(e):
+        return next(t for t in range(d) if pow(group.q, t, p) == e % p)
+
+    y_images = tuple(
+        tuple(GpdElement(0, log(pres.exponents[i][j])) for i in range(n))
+        + (() if drop else tuple(d // pres.orders[j] if c == j else 0 for c in range(m)))
+        for j in range(m)
+    )
+    relations_hold = relations_hold_by_products(group, pres, factors, x_images, y_images)
+    image_order = image_order_by_enumeration(group, factors, x_images + y_images)
+    return Decomposition(factors, x_images, y_images, relations_hold, image_order)
 
 
 def all_subgroups(group: PermGroup) -> list[PermGroup]:

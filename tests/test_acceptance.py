@@ -233,7 +233,7 @@ def test_criterion_10_presentation_exponent_isomorphisms():
                 assert m * k % d == 1
                 pairs_checked += 1
     report(10, f"{pairs_checked} exponent pairs verified as mutually inverse "
-               "isomorphisms on all pd elements")
+               "isomorphisms by their defining relations")
 
 
 def test_criterion_11_bs_separation():

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -9,7 +10,9 @@ from provar.apd import (
     ApdStatus,
     FreeObject,
     _ImageSubgroup,
-    _check_homomorphism,
+    _check_relations,
+    _check_y_power,
+    _image_order,
     GpdElement,
     GpdGroup,
     KernelSpec,
@@ -22,12 +25,19 @@ from provar.apd import (
     kernel_membership,
     status,
 )
+from provar.cli import dispatch
 from provar.errors import CapExceededError
 from provar.fplinalg import ApdPresentation, mat_rank
 from provar.numtheory import is_prime, q_sets
 from provar.stallings import Automaton
 from provar.words import identity, parse, word
-from tests.oracles import ImageByProducts
+from tests.oracles import (
+    ImageByProducts,
+    check_homomorphism,
+    decompose_by_enumeration,
+    image_order_by_enumeration,
+    relations_hold_by_products,
+)
 from tests.test_bs import drifting_word, heights
 
 PAIRS = [(3, 2), (5, 2), (5, 4), (7, 3), (7, 6), (11, 10)]
@@ -149,9 +159,9 @@ def all_pairs_homomorphism(f, source, target):
     return all(f(source.mul(a, b)) == target.mul(f(a), f(b)) for a in elems for b in elems)
 
 
-def accepts(f, source, target):
+def accepts(source, target, m):
     try:
-        _check_homomorphism(f, source, target, "f")
+        _check_y_power(source, target, m)
     except AssertionError:
         return False
     return True
@@ -159,7 +169,8 @@ def accepts(f, source, target):
 
 def test_homomorphism_check_agrees_with_all_pairs():
     # y -> y^m between the q- and r-presentations is a homomorphism
-    # exactly when r^m = q; the others are bijections that are not
+    # exactly when r^m = q; the others are bijections that are not.
+    # gpd_iso's relation check gives the all-pairs verdict for every m.
     verdicts = set()
     for p, d in [(5, 4), (7, 3), (7, 6), (11, 10)]:
         _, q_exact = q_sets(p, d)
@@ -170,7 +181,7 @@ def test_homomorphism_check_agrees_with_all_pairs():
                     def f(e, m=m, d=d):
                         return GpdElement(e.u, m * e.t % d)
                     verdict = all_pairs_homomorphism(f, gq, gr)
-                    assert accepts(f, gq, gr) == verdict
+                    assert accepts(gq, gr, m) == verdict
                     assert verdict == (pow(r, m, p) == q)
                     verdicts.add(verdict)
     assert verdicts == {True, False}
@@ -193,9 +204,9 @@ def test_homomorphism_check_rejects_non_homomorphisms():
     for f in (translate, square_y, shear):
         assert not all_pairs_homomorphism(f, g, g)
         with pytest.raises(AssertionError):
-            _check_homomorphism(f, g, g, "f")
+            check_homomorphism(f, g, g, "f")
     with pytest.raises(AssertionError, match="identity"):
-        _check_homomorphism(translate, g, g, "f")
+        check_homomorphism(translate, g, g, "f")
 
 
 def test_gpd_iso_rejects_wrong_order():
@@ -584,10 +595,97 @@ def test_decompose_multiple_y_generators():
     assert emb.image_order == 7**2 * 6 * 3
 
 
-def test_decompose_cap():
-    pres = ApdPresentation(p=11, d=10, n=3, m=1, orders=(10,), exponents=((2,), (2,), (2,)))
-    with pytest.raises(CapExceededError):
-        decompose(pres, cap=100)
+def test_decompose_cap(capsys):
+    # the image order is read off in closed form, so a group of order
+    # 13 310 is embedded under a cap of 100; only a --d over the cap is
+    # refused, before the d discrete logs are formed
+    code = dispatch(["--cap", "100", "decompose", "--p", "11", "--d", "10",
+                     "--exponents", "[[2],[2],[2]]", "--orders", "10"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["image_order"] == payload["group_order"] == 13_310 and payload["injective"]
+    for argv in (["decompose", "--p", "11", "--d", "10", "--exponents", "[[2]]", "--orders", "10"],
+                 ["gpd-iso", "--p", "11", "--d", "10", "--q", "2", "--r", "2"]):
+        assert dispatch(["--cap", "9", *argv]) == 3
+        assert capsys.readouterr().err == "error: d = 10 exceeds the cap 9\n"
+
+
+def random_presentation(rng, p):
+    d = rng.choice([d for d in range(2, p) if (p - 1) % d == 0])
+    n, m = rng.randint(1, 2), rng.randint(1, 2)
+    orders = [rng.choice([o for o in range(2, d + 1) if d % o == 0]) for _ in range(m)]
+    roots = {o: [e for e in range(1, p) if pow(e, o, p) == 1] for o in orders}
+    exponents = [[rng.choice(roots[o]) for o in orders] for _ in range(n)]
+    return ApdPresentation(p=p, d=d, n=n, m=m, orders=tuple(orders),
+                           exponents=tuple(map(tuple, exponents)))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_decompose_agrees_with_the_enumeration_oracle(p):
+    # closed-form image order, factors and images against the old route:
+    # relations by repeated products and the image counted breadth-first
+    rng = random.Random(p)
+    dropped = 0
+    for _ in range(60):
+        pres = random_presentation(rng, p)
+        emb = decompose(pres)
+        oracle = decompose_by_enumeration(pres)
+        assert oracle.relations_hold
+        assert (emb.factors, emb.x_images, emb.y_images, emb.image_order) == (
+            oracle.factors, oracle.x_images, oracle.y_images, oracle.image_order)
+        assert emb.injective
+        dropped += "cyclic" not in emb.factors
+    assert dropped
+
+
+def test_relation_check_agrees_with_repeated_products():
+    # one entry of decompose's images replaced at random: the factorwise
+    # check raises exactly when the oracle finds a relation that fails
+    rng = random.Random(21)
+    verdicts = set()
+    for p in (5, 7, 11, 13):
+        for _ in range(40):
+            pres = random_presentation(rng, p)
+            emb = decompose(pres)
+            group = GpdGroup(p, pres.d)
+            images = [list(map(list, emb.x_images)), list(map(list, emb.y_images))]
+            row = rng.choice(images[0] + images[1])
+            f = rng.randrange(len(emb.factors))
+            row[f] = (GpdElement(rng.randrange(p), rng.randrange(pres.d))
+                      if emb.factors[f] == "gpd" else rng.randrange(pres.d))
+            xs, ys = (tuple(map(tuple, side)) for side in images)
+            expected = relations_hold_by_products(group, pres, emb.factors, xs, ys)
+            try:
+                _check_relations(group, pres, emb.factors, xs, ys)
+            except AssertionError:
+                assert not expected
+            else:
+                assert expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_image_order_agrees_with_the_breadth_first_count():
+    # any y-images, not only decompose's: the image is then often a proper
+    # subgroup, and its order p^n |Y| is checked against a count
+    rng = random.Random(12)
+    orders = set()
+    for p, d in [(3, 2), (5, 4), (7, 6), (7, 3), (11, 10), (13, 4)]:
+        group = GpdGroup(p, d)
+        for _ in range(40):
+            size = rng.randint(0, 2)
+            n = rng.randint(0, size)
+            cyclic = size - n
+            factors = ("gpd",) * n + ("cyclic",) * cyclic
+            xs = [tuple(group.x if a == i else group.identity for a in range(n)) + (0,) * cyclic
+                  for i in range(n)]
+            ys = [tuple(GpdElement(rng.randrange(p), rng.randrange(d)) for _ in range(n))
+                  + tuple(rng.randrange(d) for _ in range(cyclic))
+                  for _ in range(rng.randint(0, 3))]
+            order = _image_order(p, d, factors, ys)
+            assert order == image_order_by_enumeration(group, factors, xs + ys)
+            orders.add(order < p**n * d ** len(factors))
+    assert orders == {True, False}
 
 
 def fold_evaluate(obj, w):

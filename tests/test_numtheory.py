@@ -1,7 +1,12 @@
+import itertools
+import math
+import random
+
 import pytest
 
 from provar import numtheory as nt
 from provar.errors import BudgetExhaustedError
+from provar.permgroup import bfs_closure
 
 
 def brute_order(q, p):
@@ -133,6 +138,46 @@ def test_smallest_of_order_of_a_large_prime_forms_d_roots():
     assert nt.smallest_of_order(10000019, 2) == 10000018
     q = nt.smallest_of_order(1000003, 3)  # the roots of order 3 are q and q^2
     assert q != 1 and pow(q, 3, 1000003) == 1 and q < q * q % 1000003
+
+
+def span_mod(vectors, k, d):
+    # the subgroup of Z_d^k that the vectors generate, breadth-first
+    def add(v, w):
+        return tuple((a + b) % d for a, b in zip(v, w))
+
+    return bfs_closure((0,) * k, vectors, add, d**k)
+
+
+def determinant(rows):
+    return sum(
+        (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        * math.prod(row[c] for row, c in zip(rows, perm))
+        for perm in itertools.permutations(range(len(rows)))
+    )
+
+
+def test_lattice_index_against_enumeration_of_the_span_mod_d():
+    # with d Z^k added the index is that of the span Y in Z_d^k; k vectors
+    # alone give |det| or None, and vectors of rank below k give None
+    rng = random.Random(7)
+    seen_none = 0
+    for _ in range(300):
+        k, d = rng.randint(1, 3), rng.randint(2, 6)
+        vectors = [tuple(rng.randint(-6, 6) for _ in range(k)) for _ in range(rng.randint(0, 4))]
+        padded = vectors + [tuple(d if a == b else 0 for b in range(k)) for a in range(k)]
+        assert nt.lattice_index(padded, k) * len(span_mod(vectors, k, d)) == d**k
+
+        square = [tuple(rng.randint(-4, 4) for _ in range(k)) for _ in range(k)]
+        det = abs(determinant(square))
+        assert nt.lattice_index(square, k) == (det or None)
+
+        basis = [tuple(rng.randint(-4, 4) for _ in range(k)) for _ in range(rng.randint(0, k - 1))]
+        combinations = [[rng.randint(-3, 3) for _ in basis] for _ in range(rng.randint(0, 4))]
+        deficient = [tuple(sum(c * b[i] for c, b in zip(cs, basis)) for i in range(k))
+                     for cs in combinations]
+        assert nt.lattice_index(deficient, k) is None
+        seen_none += det == 0
+    assert seen_none
 
 
 def test_find_pr_prime_examples():

@@ -5,6 +5,7 @@ import pytest
 from provar import apd, uvar
 from provar import permgroup as pg
 from provar.apd import GpdGroup
+from provar.numtheory import lattice_index
 from provar.permgroup import PermGroup, perm_identity
 from provar.stallings import Automaton
 from provar.words import commutator, parse, word
@@ -151,12 +152,12 @@ def test_not_fg_certificate_examples():
 
 
 def test_lattice_index():
-    assert uvar._lattice_index([(1, 0), (0, 1)], 2) == 1
-    assert uvar._lattice_index([(2, 0), (0, 3)], 2) == 6
-    assert uvar._lattice_index([(1, 0)], 2) is None
-    assert uvar._lattice_index([(2, 2), (0, 4), (2, 6)], 2) == 8
-    assert uvar._lattice_index([], 1) is None
-    assert uvar._lattice_index([(1, 1), (1, -1)], 2) == 2
+    assert lattice_index([(1, 0), (0, 1)], 2) == 1
+    assert lattice_index([(2, 0), (0, 3)], 2) == 6
+    assert lattice_index([(1, 0)], 2) is None
+    assert lattice_index([(2, 2), (0, 4), (2, 6)], 2) == 8
+    assert lattice_index([], 1) is None
+    assert lattice_index([(1, 1), (1, -1)], 2) == 2
 
 
 def test_u_density_check_examples():
