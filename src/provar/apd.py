@@ -392,6 +392,12 @@ class _ImageSubgroup:
     d^n * p^((n-1) d^n + 1) and I has order |T| * p^dim K, so the
     closure's index is [Z_d^n : T] * p^((n-1) d^n + 1 - dim K).
 
+    The walk keeps about |T| * k vectors of n * d^n coordinates for k
+    basis words.  T is spanned by their exponent sums mod d, so |T| is
+    known before any word is evaluated, and past the cap times its bit
+    length, FreeObject's budget for its generators, the walk is refused
+    (CapExceededError).  AssertionError if it reaches another |T|.
+
     A coset of I is keyed (k, r): k indexes (in ``fobj.points``) the
     least point b of a T-coset, and r is the unit part, reduced mod K,
     of the coset's elements over b.
@@ -400,7 +406,16 @@ class _ImageSubgroup:
     def __init__(self, aut: Automaton, p: int, d: int):
         self.fobj = fobj = FreeObject(aut.rank, p, d)
         n, points = fobj.n, fobj.points
-        gens = [fobj.evaluate(w) for w in aut.basis()]
+        basis = aut.basis()
+        span = [w.abelianization() for w in basis]
+        span += [[d if j == i else 0 for j in range(n)] for i in range(n)]
+        t_order = d**n // lattice_index(span, n)
+        if t_order * len(basis) * fobj.n_coords > DEFAULT_CAP * DEFAULT_CAP.bit_length():
+            raise CapExceededError(
+                f"the image's walk needs {t_order} * {len(basis)} rows of {fobj.n_coords} Fox "
+                f"coordinates, beyond cap {DEFAULT_CAP} times its bit length"
+            )
+        gens = [fobj.evaluate(w) for w in basis]
 
         # transversal of the t-part subgroup, reachable by generator
         # products; an edge to a point already reached gives a Schreier row
@@ -425,7 +440,9 @@ class _ImageSubgroup:
             pivot: [(j, x) for j, x in enumerate(row) if x and j != pivot]
             for pivot, row in zip(pivots, reduced)
         }
-        self.index = (d**n // len(reps)) * p ** ((n - 1) * d**n + 1 - len(pivots))
+        if len(reps) != t_order:
+            raise AssertionError(f"the walk reached {len(reps)} points of T, not {t_order}")
+        self.index = (d**n // t_order) * p ** ((n - 1) * d**n + 1 - len(pivots))
 
         # off the least point of its T-coset, a point k is carried there by
         # an element of I: _carry[k] holds that least point, the element's
@@ -553,8 +570,9 @@ class ApdStatus:
 
 def status(aut: Automaton, p: int, d: int) -> ApdStatus:
     """Closedness and density of H for the pro-(Ab(p)*Ab(d)) topology, read
-    off the closure's index with no coset search and so no cap: H lies in
-    its closure, so it is closed exactly when its own index equals that one."""
+    off the closure's index with no coset search and so no coset cap (the
+    image walk's storage budget applies): H lies in its closure, so it is
+    closed exactly when its own index equals that one."""
     index = _ImageSubgroup(aut, p, d).index
     return ApdStatus(closed=aut.index() == index, dense=index == 1, index_of_closure=index)
 

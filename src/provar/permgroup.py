@@ -18,10 +18,7 @@ enumeration of that action checks that its elements are distinct.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -351,56 +348,6 @@ class PermGroup:
                 for b in self.generators[i + 1 :]
             )
         return self._derived
-
-    def normal_subgroups_containing(self, base: "PermGroup") -> Iterator["PermGroup"]:
-        """Every normal subgroup containing the normal subgroup ``base``,
-        yielded by increasing order.
-
-        Each is a product of atoms, the normal closures of ``base`` and
-        one element.  One element is taken per conjugacy class of
-        G/base: the preimage of a class is the G-class of an element
-        times ``base``.  The products with a subgroup are formed when it
-        is yielded; they are larger than it, so a heap keyed by order
-        yields every subgroup in order and a caller that stops early
-        leaves the rest of the lattice unbuilt.
-        """
-        below = base.elements()
-        inverses = [inverse(g) for g in self.generators]
-        classified = set(below)
-        atoms: dict[frozenset[Perm], PermGroup] = {}
-        for x in self.elements():
-            if x in classified:
-                continue
-            conjugacy_class = {x}
-            frontier = [x]
-            while frontier:
-                y = frontier.pop()
-                for g, g_inv in zip(self.generators, inverses):
-                    c = compose(compose(g, y), g_inv)
-                    if c not in conjugacy_class:
-                        conjugacy_class.add(c)
-                        frontier.append(c)
-            for c in conjugacy_class:
-                if c not in classified:
-                    classified.update(compose(c, d) for d in below)
-            atom = self.normal_closure([x, *base.generators])
-            atoms.setdefault(atom.element_set(), atom)
-        found = {base.element_set()}
-        tiebreak = itertools.count()
-        heap = [(base.order, next(tiebreak), base)]
-        while heap:
-            _, _, current = heapq.heappop(heap)
-            yield current
-            inside = current.element_set()
-            for key, atom in atoms.items():
-                if key <= inside:
-                    continue
-                product = PermGroup(
-                    self.degree, list(current.generators) + list(atom.generators), cap=self.cap
-                )
-                if product.element_set() not in found:
-                    found.add(product.element_set())
-                    heapq.heappush(heap, (product.order, next(tiebreak), product))
 
     def sylow(self, p: int) -> "PermGroup":
         """A Sylow p-subgroup, grown through the normalizer tower once

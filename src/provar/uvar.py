@@ -6,7 +6,9 @@ squarefree exponent, and abelian Sylow subgroups.  A finite-index
 subgroup H of a free group is U-closed iff its coset-action group G
 lies in U.  Its exact U-closure is H·R, where R is the preimage of the
 U-residual of G, the smallest normal subgroup N with G/N in U; it
-exists because U is closed under subdirect products.  For arbitrary
+exists because U is closed under subdirect products, and it is the
+normal closure of elements that each of the three conditions puts in
+every such N, with no search over normal subgroups.  For arbitrary
 subgroups only upper approximations are available: the meet of the
 per-prime closures over any finite prime set, each the
 pro-(Ab(p)*Ab(p-1)) closure from ``apd.closure``; for p = 2 that is
@@ -91,16 +93,35 @@ def is_u_closed(aut: Automaton, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
 
 
 def u_residual(group: PermGroup) -> PermGroup:
-    """The U-residual: the smallest normal subgroup R with G/R in U.
+    """The U-residual: the smallest normal subgroup R with G/R in U, as
+    one normal closure.
 
-    U is closed under subdirect products, so the normal subgroups N with
-    G/N in U are closed under intersection and R is the first of them
-    by increasing order.  The search starts at the normal closure of
-    what every such N holds.  The Sylow subgroups of G/N are abelian, so
-    N holds the commutators of the generators of each Sylow subgroup of
-    G.  (G/N)' = G'N/N is abelian of squarefree exponent, so N holds G''
-    and, for each generator g of G', the power of g by the product of
-    the primes dividing its order.
+    U is closed under subdirect products, so R exists.  Each seed lies
+    in every normal N with G/N in U.  The Sylow subgroups of G/N are
+    abelian: N holds the commutators of the generators of each Sylow
+    subgroup of G.  (G/N)' = G'N/N is abelian of squarefree exponent: N
+    holds G'' and g^r for each generator g of G', with r the product of
+    the primes dividing its order.  Let N0 be the normal closure of
+    these seeds.  Last, for each such prime p and each generator s of
+    G, N holds [g^(r/p), s^(p-1)]: g^(r/p) lies in (G/N)'_p, a sum of
+    1-dimensional modules (as below, by supersolvability), on which
+    s^(p-1) acts trivially.
+
+    In Gb = G/N0, an abelian Sylow p-subgroup contains the normal Gb'_p,
+    so Gb acts on the F_p-space Gb'_p through an abelian p'-group that
+    the images of the s generate, and by Maschke's theorem the module is
+    semisimple.  Its 1-dimensional constituents are those on which every
+    s^(p-1) acts trivially, as commuting elements of order dividing
+    p - 1 are diagonal over F_p together.  On each other constituent
+    some s^(p-1) acts by an element other than 1 of the field
+    End(constituent), so without nonzero fixed points.  Their sum W_p is
+    thus the sum over s of [Gb'_p, s^(p-1)], which the last seeds
+    generate, as the images of the g^(r/p) span Gb'_p.  Gb over the sum
+    of the W_p has only 1-dimensional constituents in Gb' above an
+    abelian Gb/Gb', so it is supersolvable; it keeps the other two
+    conditions, and it is G/R.
+
+    AssertionError unless ``is_in_u`` holds for G/R.
     """
     if is_in_u(group).verdict:
         return PermGroup(group.degree, [], cap=group.cap)
@@ -109,32 +130,37 @@ def u_residual(group: PermGroup) -> PermGroup:
     for p in factorize(group.order):
         gens = group.sylow(p).generators
         seeds += [commutator(a, b) for i, a in enumerate(gens) for b in gens[i + 1 :]]
-    seeds += [perm_power(g, math.prod(factorize(perm_order(g)))) for g in derived.generators]
-    return next(
-        normal
-        for normal in group.normal_subgroups_containing(group.normal_closure(seeds))
-        if not normal.is_trivial() and is_in_u(group.quotient(normal)).verdict
-    )
+    for g in derived.generators:
+        primes = factorize(perm_order(g))
+        r = math.prod(primes)
+        seeds.append(perm_power(g, r))
+        for p in primes:
+            seeds += [commutator(perm_power(g, r // p), perm_power(s, p - 1))
+                      for s in group.generators]
+    residual = group.normal_closure(seeds)
+    if not is_in_u(group.quotient(residual)).verdict:
+        raise AssertionError("G/R is not in U for the normal closure R of the residual seeds")
+    return residual
 
 
 def cl_u_finite_index(aut: Automaton, cap: int = DEFAULT_ELEMENT_CAP) -> Automaton:
     """Exact U-closure of a finite-index subgroup H: the product H·R with
     the preimage R of the U-residual of the coset-action group.
 
-    The vertices of its automaton are the orbits of the residual on the
-    cosets of H; mapping each vertex to its orbit and folding once gives
-    the automaton, based at the orbit of the basepoint.
+    The residual is normal, so its orbits on the cosets of H are blocks
+    of the coset action, and the vertices of the closure's automaton are
+    these blocks, based at the block of the basepoint.  The automaton is
+    the action on the blocks.
     """
     residual = u_residual(aut.coset_group(cap))
     if residual.is_trivial():
         return aut
-    orbit = orbit_labels(aut.n_vertices, residual.generators)
-    edges = {
-        (orbit[v], g, orbit[t])
-        for g, targets in enumerate(aut.succ, start=1)
-        for v, t in targets.items()
-    }
-    return Automaton.from_raw(aut.rank, max(orbit) + 1, orbit[aut.base], edges)
+    block = orbit_labels(aut.n_vertices, residual.generators)
+    first = {}  # block -> its smallest point, in block order
+    for v, b in enumerate(block):
+        first.setdefault(b, v)
+    perms = [[block[targets[v]] for v in first.values()] for targets in aut.succ]
+    return Automaton.from_action(aut.rank, perms)
 
 
 @dataclass(frozen=True)

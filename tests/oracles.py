@@ -1,12 +1,16 @@
 """Reference routines that only the tests use."""
 
+import heapq
+import itertools
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from provar.apd import FreeObject, GpdElement, GpdGroup
 from provar.fplinalg import ApdPresentation, rref
 from provar.numtheory import mult_order
-from provar.permgroup import DEFAULT_ELEMENT_CAP, PermGroup, bfs_closure
+from provar.permgroup import DEFAULT_ELEMENT_CAP, PermGroup, bfs_closure, compose, inverse
 from provar.stallings import Automaton
+from provar.uvar import is_in_u
 
 
 def check_homomorphism(f, source: GpdGroup, target: GpdGroup, name: str) -> None:
@@ -124,6 +128,69 @@ def all_subgroups(group: PermGroup) -> list[PermGroup]:
                 found[key] = bigger
                 frontier.append(bigger)
     return sorted(found.values(), key=lambda g: (g.order, sorted(g.element_set())))
+
+
+def normal_subgroups_containing(group: PermGroup, base: PermGroup) -> Iterator[PermGroup]:
+    """Every normal subgroup of ``group`` containing its normal subgroup
+    ``base``, yielded by increasing order.
+
+    Each is a product of atoms, the normal closures of ``base`` and one
+    element.  One element is taken per conjugacy class of G/base: the
+    preimage of a class is the G-class of an element times ``base``.
+    The products with a subgroup are formed when it is yielded; they are
+    larger than it, so a heap keyed by order yields every subgroup in
+    order and a caller that stops early leaves the rest of the lattice
+    unbuilt.
+    """
+    below = base.elements()
+    inverses = [inverse(g) for g in group.generators]
+    classified = set(below)
+    atoms: dict[frozenset, PermGroup] = {}
+    for x in group.elements():
+        if x in classified:
+            continue
+        conjugacy_class = {x}
+        frontier = [x]
+        while frontier:
+            y = frontier.pop()
+            for g, g_inv in zip(group.generators, inverses):
+                c = compose(compose(g, y), g_inv)
+                if c not in conjugacy_class:
+                    conjugacy_class.add(c)
+                    frontier.append(c)
+        for c in conjugacy_class:
+            if c not in classified:
+                classified.update(compose(c, d) for d in below)
+        atom = group.normal_closure([x, *base.generators])
+        atoms.setdefault(atom.element_set(), atom)
+    found = {base.element_set()}
+    tiebreak = itertools.count()
+    heap = [(base.order, next(tiebreak), base)]
+    while heap:
+        _, _, current = heapq.heappop(heap)
+        yield current
+        inside = current.element_set()
+        for key, atom in atoms.items():
+            if key <= inside:
+                continue
+            product = PermGroup(group.degree, list(current.generators) + list(atom.generators),
+                                cap=group.cap)
+            if product.element_set() not in found:
+                found.add(product.element_set())
+                heapq.heappush(heap, (product.order, next(tiebreak), product))
+
+
+def u_residual_by_lattice(group: PermGroup) -> PermGroup:
+    """The U-residual as the first normal subgroup N, by increasing
+    order, with G/N in U: the normal subgroups with a quotient in U are
+    closed under intersection, so that one lies in all the others."""
+    if is_in_u(group).verdict:
+        return PermGroup(group.degree, [], cap=group.cap)
+    return next(
+        normal
+        for normal in normal_subgroups_containing(group, PermGroup(group.degree, []))
+        if not normal.is_trivial() and is_in_u(group.quotient(normal)).verdict
+    )
 
 
 class ImageByProducts:

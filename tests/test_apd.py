@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from provar import apd
 from provar.apd import (
     ApdStatus,
     FreeObject,
@@ -550,6 +551,58 @@ def test_status_of_a_commutator_needs_no_coset_cap():
     # 6^2 * 7^((2 - 1) * 6^2 + 1 - 1), far beyond any coset cap
     st = status(aut(2, "abAB"), 7, 6)
     assert st == ApdStatus(closed=False, dense=False, index_of_closure=36 * 7**36)
+
+
+def t_part_order(subgroup, d):
+    """|T|: the span of the basis words' exponent sums in Z_d^n, enumerated."""
+    n = subgroup.rank
+    steps = [tuple(x % d for x in w.abelianization()) for w in subgroup.basis()]
+    seen = {(0,) * n}
+    frontier = list(seen)
+    for t in frontier:  # grows while it is walked
+        for s in steps:
+            u = tuple((a + b) % d for a, b in zip(t, s))
+            if u not in seen:
+                seen.add(u)
+                frontier.append(u)
+    return len(seen)
+
+
+@pytest.mark.parametrize("n,p,d", [(1, 7, 6), (2, 5, 4), (2, 7, 6), (3, 3, 2)])
+def test_image_walk_is_refused_exactly_past_its_storage_budget(n, p, d, monkeypatch):
+    # |T| * k * n * d^n against cap * cap.bit_length(), with the cap set
+    # at the budget's edge; FreeObject's own bounds stay below it
+    rng = random.Random(f"storage budget {n} {p} {d}")
+    checked = 0
+    for _ in range(12):
+        gens = [random_word(rng, n, 6) for _ in range(rng.randrange(1, 5))]
+        subgroup = Automaton.from_generators(gens, n)
+        need = t_part_order(subgroup, d) * len(subgroup.basis()) * n * d**n
+        cap = next(c for c in itertools.count(1) if c * c.bit_length() >= need)
+        if n * d**n > cap - 1 or n * n * d**n > (cap - 1) * (cap - 1).bit_length():
+            continue
+        monkeypatch.setattr(apd, "DEFAULT_CAP", cap)
+        status(subgroup, p, d)
+        monkeypatch.setattr(apd, "DEFAULT_CAP", cap - 1)
+        with pytest.raises(CapExceededError, match="rows of .* Fox coordinates"):
+            status(subgroup, p, d)
+        checked += 1
+    assert checked >= 6
+
+
+def test_full_rank_two_walk_is_refused_before_any_word_is_evaluated(monkeypatch):
+    # over (37, 36) the full group needs 36^2 points of T and 2 basis
+    # words with rows of 2 * 36^2 coordinates: 6 718 464 > 200 000 * 18
+    evaluated = []
+    evaluate = FreeObject.evaluate
+    monkeypatch.setattr(FreeObject, "evaluate",
+                        lambda self, w: evaluated.append(w) or evaluate(self, w))
+    with pytest.raises(CapExceededError, match=r"1296 \* 2 rows of 2592 Fox coordinates"):
+        status(Automaton.full_group(2), 37, 36)
+    assert evaluated == []
+    # T of order 1 at the same rank and (p, d) stays far below the budget
+    st = status(aut(2, "a^36", "b^36"), 37, 36)
+    assert evaluated and not st.dense and st.index_of_closure % 36**2 == 0
 
 
 def test_decompose_identity_case():
