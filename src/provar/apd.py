@@ -214,22 +214,10 @@ class FreeObject:
     """
 
     def __init__(self, n: int, p: int, d: int):
-        if n < 1:
-            raise ValueError("n must be at least 1")
-        require_prime(p, "p")
-        if d < 1 or (p - 1) % d:
-            raise ValueError(f"d = {d} must be a positive divisor of p - 1 = {p - 1}")
+        _check_free_object(n, p, d)
         self.n = n
         self.p = p
         self.d = d
-        bits = DEFAULT_CAP.bit_length()
-        # for d > 1, 2^n alone exceeds the cap past its bit length, and
-        # testing n first keeps d**n small; for d = 1 the generators bound n
-        if (d > 1 and n > bits) or n * d**n > DEFAULT_CAP or n * n * d**n > bits * DEFAULT_CAP:
-            raise CapExceededError(
-                f"free object on {n} generators needs n generators of n * d^n Fox "
-                f"coordinates each, beyond cap {DEFAULT_CAP}"
-            )
         self.points = list(itertools.product(range(d), repeat=n))
         self._point_index = {t: k for k, t in enumerate(self.points)}
         self.n_coords = n * len(self.points)
@@ -332,6 +320,23 @@ class FreeObject:
         return f"FreeObject(n={self.n}, p={self.p}, d={self.d})"
 
 
+def _check_free_object(n: int, p: int, d: int) -> None:
+    """FreeObject's argument checks and its budget (CapExceededError)."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    require_prime(p, "p")
+    if d < 1 or (p - 1) % d:
+        raise ValueError(f"d = {d} must be a positive divisor of p - 1 = {p - 1}")
+    bits = DEFAULT_CAP.bit_length()
+    # for d > 1, 2^n alone exceeds the cap past its bit length, and
+    # testing n first keeps d**n small; for d = 1 the generators bound n
+    if (d > 1 and n > bits) or n * d**n > DEFAULT_CAP or n * n * d**n > bits * DEFAULT_CAP:
+        raise CapExceededError(
+            f"free object on {n} generators needs n generators of n * d^n Fox "
+            f"coordinates each, beyond cap {DEFAULT_CAP}"
+        )
+
+
 def free_object(n: int, p: int, d: int, cap: int = DEFAULT_CAP) -> FreeObject:
     """Construct and fully enumerate the free object (order asserted)."""
     obj = FreeObject(n, p, d)
@@ -381,6 +386,26 @@ def kernel_membership(w: Word, spec: KernelSpec) -> bool:
 # -- closures -------------------------------------------------------------
 
 
+def check_image_walk(aut: Automaton, p: int, d: int) -> tuple[list[Word], int]:
+    """H's basis and the order of its t-part T, once FreeObject's checks
+    and the storage budget of ``_ImageSubgroup``'s walk have passed:
+    CapExceededError when the walk's |T| * k rows of n * d^n coordinates
+    (k basis words) exceed the cap times its bit length."""
+    n = aut.rank
+    _check_free_object(n, p, d)
+    basis = aut.basis()
+    span = [w.abelianization() for w in basis]
+    span += [[d if j == i else 0 for j in range(n)] for i in range(n)]
+    t_order = d**n // lattice_index(span, n)
+    n_coords = n * d**n
+    if t_order * len(basis) * n_coords > DEFAULT_CAP * DEFAULT_CAP.bit_length():
+        raise CapExceededError(
+            f"the image's walk needs {t_order} * {len(basis)} rows of {n_coords} Fox "
+            f"coordinates, beyond cap {DEFAULT_CAP} times its bit length"
+        )
+    return basis, t_order
+
+
 class _ImageSubgroup:
     """The image I of a subgroup in the free object, and its cosets.
 
@@ -395,8 +420,9 @@ class _ImageSubgroup:
     The walk keeps about |T| * k vectors of n * d^n coordinates for k
     basis words.  T is spanned by their exponent sums mod d, so |T| is
     known before any word is evaluated, and past the cap times its bit
-    length, FreeObject's budget for its generators, the walk is refused
-    (CapExceededError).  AssertionError if it reaches another |T|.
+    length, FreeObject's budget for its generators, ``check_image_walk``
+    refuses the walk (CapExceededError).  AssertionError if it reaches
+    another |T|.
 
     A coset of I is keyed (k, r): k indexes (in ``fobj.points``) the
     least point b of a T-coset, and r is the unit part, reduced mod K,
@@ -404,17 +430,9 @@ class _ImageSubgroup:
     """
 
     def __init__(self, aut: Automaton, p: int, d: int):
+        basis, t_order = check_image_walk(aut, p, d)
         self.fobj = fobj = FreeObject(aut.rank, p, d)
         n, points = fobj.n, fobj.points
-        basis = aut.basis()
-        span = [w.abelianization() for w in basis]
-        span += [[d if j == i else 0 for j in range(n)] for i in range(n)]
-        t_order = d**n // lattice_index(span, n)
-        if t_order * len(basis) * fobj.n_coords > DEFAULT_CAP * DEFAULT_CAP.bit_length():
-            raise CapExceededError(
-                f"the image's walk needs {t_order} * {len(basis)} rows of {fobj.n_coords} Fox "
-                f"coordinates, beyond cap {DEFAULT_CAP} times its bit length"
-            )
         gens = [fobj.evaluate(w) for w in basis]
 
         # transversal of the t-part subgroup, reachable by generator

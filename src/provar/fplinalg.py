@@ -137,25 +137,18 @@ def diagonalize(m: Matrix, p: int) -> tuple[Matrix, list[int]]:
     return pmat, eigenvalues
 
 
-def _express_in_basis(basis_cols: list[Vector], vectors: list[Vector], p: int) -> list[Vector]:
-    """Coordinates of each vector in the given independent column basis."""
-    k = len(basis_cols)
-    aug = _from_columns(basis_cols + vectors)
-    reduced, pivots = rref(aug, p)
-    if pivots[:k] != list(range(k)) or len(pivots) > k:
-        raise ValueError("vector outside the spanned subspace")
-    return [[reduced[r][k + j] for r in range(k)] for j in range(len(vectors))]
-
-
 def simultaneous_diagonalize(ms: list[Matrix], p: int) -> tuple[Matrix, list[list[int]]]:
     """One P diagonalizing every matrix of a commuting family.
 
     Works by refining common invariant subspaces: split the space along
     the first matrix's eigenspaces, then split each piece along the next
-    matrix's eigenspaces restricted to it, and so on.  Every piece is a
-    block of common eigenvectors with one eigenvalue per matrix, and each
-    split lists its pieces by ascending eigenvalue, so the columns of P
-    come in lexicographic order of their tuples of eigenvalues.
+    matrix's eigenspaces restricted to it, and so on.  A piece with basis
+    columns B splits along the kernels of (m - lam) B = B (R - lam), R
+    the restriction, with no need to form R: B has independent columns,
+    so both matrices share one RREF and one kernel basis.  Every piece is
+    a block of common eigenvectors with one eigenvalue per matrix, and
+    each split lists its pieces by ascending eigenvalue, so the columns
+    of P come in lexicographic order of their tuples of eigenvalues.
     """
     require_prime(p, "p")
     if not ms:
@@ -173,20 +166,14 @@ def simultaneous_diagonalize(ms: list[Matrix], p: int) -> tuple[Matrix, list[lis
     for m in ms:
         refined: list[list[Vector]] = []
         for basis in blocks:
-            images = [mat_vec(m, v, p) for v in basis]
-            restricted = _from_columns(_express_in_basis(basis, images, p))
+            bmat = _from_columns(basis)
+            images = mat_mul(m, bmat, p)
             k = len(basis)
             found = 0
             for lam in range(1, p):
-                shifted = [
-                    [(restricted[i][j] - (lam if i == j else 0)) % p for j in range(k)]
-                    for i in range(k)
-                ]
-                piece = [
-                    [sum(c * basis[t][row] for t, c in enumerate(coords)) % p
-                     for row in range(n)]
-                    for coords in kernel_basis(shifted, p)
-                ]
+                shifted = [[(x - lam * y) % p for x, y in zip(row, brow)]
+                           for row, brow in zip(images, bmat)]
+                piece = [mat_vec(bmat, coords, p) for coords in kernel_basis(shifted, p)]
                 if piece:
                     refined.append(piece)
                     found += len(piece)

@@ -11,13 +11,14 @@ pass by ``words.fox``.
 
 For a word with nonzero flow, a homomorphism onto some group
 C_p x| C_{p-1} (with a primitive root q acting) that keeps the image
-nontrivial is found by evaluating the row-sum Laurent polynomial
-P(x) = sum_n h_n x^n at q: the image of the word is x^(P(q) mod p)
-y^(n0 mod p-1).  Small primes are tried directly; a bound-driven
-fallback with a guaranteed witness covers the remaining cases.  Every
-witness is checked again by ``GpdGroup.evaluate``, which reads the word
-through its height counts (``words.height_counts``), a route apart from
-the row sums that found it.
+nontrivial is found by evaluating P(x) = sum_n h_n x^n at q: the image
+of the word is x^(P(q) mod p) y^(n0 mod p-1).  The h_n are the input's
+edge counts summed along parallel grid lines, its Fox derivatives
+collapsed to one variable.  Small primes are tried directly; a
+bound-driven fallback with a guaranteed witness covers the remaining
+cases.  Every witness is checked again by ``GpdGroup.evaluate`` on the
+transformed word, through its height counts (``words.height_counts``),
+a route apart from the line sums that found it.
 """
 
 from __future__ import annotations
@@ -55,17 +56,21 @@ class Flow:
 
     def h_sums(self) -> dict[int, int]:
         """Row sums of the a-edges: n -> sum over m."""
-        out: dict[int, int] = {}
-        for (m, n), c in self.a_edges.items():
-            out[n] = out.get(n, 0) + c
-        return {n: c for n, c in out.items() if c}
+        return _line_sums(self.a_edges, (0, 1))
 
     def v_sums(self) -> dict[int, int]:
         """Column sums of the b-edges: m -> sum over n."""
-        out: dict[int, int] = {}
-        for (m, n), c in self.b_edges.items():
-            out[m] = out.get(m, 0) + c
-        return {m: c for m, c in out.items() if c}
+        return _line_sums(self.b_edges, (1, 0))
+
+
+def _line_sums(edges: dict[tuple[int, int], int], w: tuple[int, int]) -> dict[int, int]:
+    """Edge counts summed along the lines w . (m, n) = const, keyed by
+    the constant; zero sums are dropped."""
+    out: dict[int, int] = {}
+    for (m, n), c in edges.items():
+        key = w[0] * m + w[1] * n
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
 
 
 def flow_of(u: Word) -> Flow:
@@ -105,22 +110,15 @@ def first_quadrant_shift(u: Word) -> tuple[int, Word]:
     """
     if u.rank != 2:
         raise ValueError("rank-2 word required")
-    x = y = 0
-    lowest = 0
+    x = y = lowest = 0
     for letter in u.letters:
-        if letter == 1:
-            x += 1
-        elif letter == -1:
-            x -= 1
-        elif letter == 2:
-            y += 1
+        if abs(letter) == 1:
+            x += letter
         else:
-            y -= 1
+            y += letter // 2
         lowest = min(lowest, x, y)
     m = -lowest
-    if m == 0:
-        return 0, u
-    return m, _shift(u, m)
+    return m, (_shift(u, m) if m else u)
 
 
 def _shift(u: Word, m: int) -> Word:
@@ -135,17 +133,8 @@ def theta_substitute(u: Word, k: int) -> Word:
         raise ValueError("rank-2 word required")
     if k < 1:
         raise ValueError("k must be positive")
-    letters: list[int] = []
-    for letter in u.letters:
-        if letter == 1:
-            letters.extend((1, 2))
-        elif letter == -1:
-            letters.extend((-2, -1))
-        elif letter == 2:
-            letters.extend([2] * k)
-        else:
-            letters.extend([-2] * k)
-    return word(letters, 2)
+    images = {1: (1, 2), -1: (-2, -1), 2: (2,) * k, -2: (-2,) * k}
+    return word([x for letter in u.letters for x in images[letter]], 2)
 
 
 @dataclass(frozen=True)
@@ -213,9 +202,7 @@ def _polynomial_value_mod(h: dict[int, int], q: int, p: int) -> int:
     return total % p
 
 
-def _direct_search(flow: Flow):
-    h = flow.h_sums()
-    n0 = flow.endpoint[1]
+def _direct_search(h: dict[int, int], n0: int):
     for p in primes_from(3):
         if p > DIRECT_PRIME_BOUND:
             return None
@@ -227,22 +214,19 @@ def _direct_search(flow: Flow):
     return None  # pragma: no cover
 
 
-def _guaranteed_search(w: Word):
-    """Bound-driven fallback with a guaranteed witness.
+def _guaranteed_search(h: dict[int, int], n0: int, k: int):
+    """Bound-driven fallback with a guaranteed witness for the row sums h
+    and end height n0 of a word of length k.
 
-    For a prime q exceeding k = |w| and p with q a primitive root mod p
-    and p > k q^k, the scaled row-sum polynomial
-    sum_n h_n q^(n - n_min) is a nonzero integer of absolute value less
-    than p (the leading row contributes q^spread, everything else at
-    most k q^(spread - 1), and the spread is at most k), so the image
-    x-exponent P(q) cannot vanish mod p.
+    For a prime q exceeding k and p with q a primitive root mod p and
+    p > k q^k, the scaled row-sum polynomial sum_n h_n q^(n - n_min) is
+    a nonzero integer of absolute value less than p (the leading row
+    contributes q^spread, everything else at most k q^(spread - 1), and
+    the spread is at most k), so the image x-exponent P(q) cannot
+    vanish mod p.
     """
-    flow = flow_of(w)
-    h = flow.h_sums()
     if not h:
         raise AssertionError("fallback requires a nonzero row sum")
-    k = len(w)
-    n0 = flow.endpoint[1]
     n_min = min(h)
     tried = 0
     for q in primes_from(k + 1):
@@ -272,36 +256,38 @@ def separating_witness(u: Word) -> SeparationWitness:
     they stand; nonzero column sums after swapping the generators; and
     in the remaining case the substitution a -> ab, b -> b^k (applied to
     a first-quadrant conjugate, k its length) transports some edge count
-    to a nonzero row sum.  Primes are tried in increasing order, so the
+    to a nonzero row sum.  Every case reads the transformed word's row
+    sums h and end height n0 off u's flow, the only flow traced; that
+    word is built only to re-check the witness (and for its length in
+    the fallback).  Primes are tried in increasing order, so the
     returned witness is minimal for this search order.
     """
     flow = flow_of(u)
     if flow.is_zero():
         raise NoWitnessError("the word is trivial in the free metabelian group")
-    steps: list[tuple] = []
-    w, w_flow = u, flow
-    if not flow.h_sums():
-        if flow.v_sums():
-            steps.append(("swap",))
-            w = swap_generators(u)
-        else:
-            m, shifted = first_quadrant_shift(u)
-            if m:
-                steps.append(("shift", m))
-            k = len(shifted)
-            steps.append(("theta", k))
-            w = theta_substitute(shifted, k)
-        w_flow = flow_of(w)
-        if not w_flow.h_sums():
+    steps: tuple = ()
+    h, n0 = flow.h_sums(), flow.endpoint[1]
+    if not h:
+        steps, h, n0 = (("swap",),), flow.v_sums(), flow.endpoint[0]
+    if not h:
+        # u lies in F' and ends at (0, 0), so n0 = 0; conjugating by
+        # a^m b^m translates its flow by (m, m), and theta(k) carries an
+        # a-edge at (i, j) to height i + k j
+        m, shifted = first_quadrant_shift(u)
+        k = len(shifted)
+        steps = ((("shift", m),) if m else ()) + (("theta", k),)
+        h = {n + m * (1 + k): c for n, c in _line_sums(flow.a_edges, (1, k)).items()}
+        if not h:
             raise AssertionError("the transformed word must have a nonzero row sum")
 
-    found = _direct_search(w_flow)
+    pre_map = PreMap(steps)
+    found = _direct_search(h, n0)
     if found is not None:
         p, q, image = found
     else:  # pragma: no cover - exercised only with a tiny DIRECT_PRIME_BOUND
-        p, q, image = _guaranteed_search(w)
+        p, q, image = _guaranteed_search(h, n0, len(pre_map.apply(u)))
 
-    witness = SeparationWitness(p=p, q=q, pre_map=PreMap(tuple(steps)), image=image)
+    witness = SeparationWitness(p=p, q=q, pre_map=pre_map, image=image)
     _verify_witness(witness, u)
     return witness
 

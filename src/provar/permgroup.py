@@ -81,23 +81,16 @@ def perm_order(p: Perm, points=None) -> int:
 
 
 def perm_power(p: Perm, k: int) -> Perm:
-    """p^k, by moving each point k steps along its cycle."""
-    out = [0] * len(p)
-    seen = bytearray(len(p))
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = 1
-        x = p[start]
-        while x != start:
-            seen[x] = 1
-            cycle.append(x)
-            x = p[x]
-        shift = k % len(cycle)
-        for i, x in enumerate(cycle):
-            out[x] = cycle[(i + shift) % len(cycle)]
-    return tuple(out)
+    """p^k, by repeated squaring; a negative k powers the inverse."""
+    if k < 0:
+        p, k = inverse(p), -k
+    out = tuple(range(len(p)))
+    while k:
+        if k & 1:
+            out = compose(out, p)
+        p = compose(p, p)
+        k >>= 1
+    return out
 
 
 def orbit_labels(degree: int, generators) -> list[int]:
@@ -395,6 +388,16 @@ class PermGroup:
                 raise AssertionError("normalizer tower stalled below the p-part")
         return current
 
+    def on_orbits_of(self, normal: "PermGroup") -> "PermGroup":
+        """G acting on the orbits of a normal subgroup N, which are blocks,
+        numbered in order of their smallest points."""
+        block = orbit_labels(self.degree, normal.generators)
+        first = {}
+        for x, b in enumerate(block):
+            first.setdefault(b, x)
+        return PermGroup(len(first), [[block[g[x]] for x in first.values()] for g in self.generators],
+                         cap=self.cap)
+
     def quotient(self, normal: "PermGroup") -> "PermGroup":
         """Faithful action of G/N for a verified normal subgroup N.
 
@@ -406,15 +409,7 @@ class PermGroup:
         """
         if not normal.is_normal_in(self):
             raise ValueError("subgroup is not normal")
-        block = orbit_labels(self.degree, normal.generators)
-        first = {}
-        for x, b in enumerate(block):
-            first.setdefault(b, x)
-        on_blocks = PermGroup(
-            len(first),
-            [tuple(block[g[x]] for x in first.values()) for g in self.generators],
-            cap=self.cap,
-        )
+        on_blocks = self.on_orbits_of(normal)
         if on_blocks.order * normal.order == self.order:
             return on_blocks
         n_elems = normal.element_set()

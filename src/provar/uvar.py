@@ -26,7 +26,6 @@ from .permgroup import (
     DEFAULT_ELEMENT_CAP,
     PermGroup,
     commutator,
-    orbit_labels,
     perm_order,
     perm_power,
 )
@@ -152,15 +151,11 @@ def cl_u_finite_index(aut: Automaton, cap: int = DEFAULT_ELEMENT_CAP) -> Automat
     these blocks, based at the block of the basepoint.  The automaton is
     the action on the blocks.
     """
-    residual = u_residual(aut.coset_group(cap))
+    group = aut.coset_group(cap)
+    residual = u_residual(group)
     if residual.is_trivial():
         return aut
-    block = orbit_labels(aut.n_vertices, residual.generators)
-    first = {}  # block -> its smallest point, in block order
-    for v, b in enumerate(block):
-        first.setdefault(b, v)
-    perms = [[block[targets[v]] for v in first.values()] for targets in aut.succ]
-    return Automaton.from_action(aut.rank, perms)
+    return Automaton.from_action(aut.rank, group.on_orbits_of(residual).generators)
 
 
 @dataclass(frozen=True)
@@ -216,8 +211,13 @@ class DensityReport:
 def u_density_check(aut: Automaton, bound: int = DEFAULT_PRIME_BOUND) -> DensityReport:
     """Bounded density test: full abelianization image (necessary for
     U-density) plus pro-(Ab(p)*Ab(p-1)) density, by ``apd.status``, for
-    every prime p up to the bound, 2 included; no closure is enumerated."""
+    every prime p up to the bound, 2 included; no closure is enumerated.
+    Every prime's image walk is checked against its budget
+    (``apd.check_image_walk``, in ascending order) before any walk runs."""
     vectors = [w.abelianization() for w in aut.basis()]
     necessary = lattice_index(vectors, aut.rank) == 1
-    dense = all(apd.status(aut, p, p - 1).dense for p in range(2, bound + 1) if is_prime(p))
+    primes = [p for p in range(2, bound + 1) if is_prime(p)]
+    for p in primes:
+        apd.check_image_walk(aut, p, p - 1)
+    dense = all(apd.status(aut, p, p - 1).dense for p in primes)
     return DensityReport(necessary_ok=necessary, dense_up_to_bound=dense, prime_bound=bound)

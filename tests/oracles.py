@@ -6,7 +6,7 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from provar.apd import FreeObject, GpdElement, GpdGroup
-from provar.fplinalg import ApdPresentation, rref
+from provar.fplinalg import ApdPresentation, kernel_basis, mat_inv, mat_mul, mat_vec, rref
 from provar.numtheory import mult_order
 from provar.permgroup import DEFAULT_ELEMENT_CAP, PermGroup, bfs_closure, compose, inverse
 from provar.stallings import Automaton
@@ -108,6 +108,37 @@ def decompose_by_enumeration(pres: ApdPresentation) -> Decomposition:
     relations_hold = relations_hold_by_products(group, pres, factors, x_images, y_images)
     image_order = image_order_by_enumeration(group, factors, x_images + y_images)
     return Decomposition(factors, x_images, y_images, relations_hold, image_order)
+
+
+def simultaneous_diagonalize_by_restriction(ms, p: int):
+    """``fplinalg.simultaneous_diagonalize`` for a commuting family of
+    diagonalizable matrices, splitting each piece with basis columns B
+    along the eigenspaces of the restriction R of m to it, R read off the
+    row reduction of [B | m B], and mapping R's eigenvectors back through B."""
+    n = len(ms[0])
+    blocks = [[[int(i == j) for i in range(n)] for j in range(n)]]
+    for m in ms:
+        refined = []
+        for basis in blocks:
+            k = len(basis)
+            images = [mat_vec(m, v, p) for v in basis]
+            reduced, pivots = rref([list(row) for row in zip(*(basis + images))], p)
+            if pivots != list(range(k)):
+                raise AssertionError("a piece is not invariant")
+            restricted = [reduced[r][k:] for r in range(k)]
+            for lam in range(1, p):
+                shifted = [[(restricted[i][j] - lam * (i == j)) % p for j in range(k)]
+                           for i in range(k)]
+                piece = [[sum(c * basis[t][row] for t, c in enumerate(coords)) % p
+                          for row in range(n)]
+                         for coords in kernel_basis(shifted, p)]
+                if piece:
+                    refined.append(piece)
+        blocks = refined
+    pmat = [list(row) for row in zip(*(v for block in blocks for v in block))]
+    pinv = mat_inv(pmat, p)
+    return pmat, [[row[i] for i, row in enumerate(mat_mul(mat_mul(pinv, m, p), pmat, p))]
+                  for m in ms]
 
 
 def all_subgroups(group: PermGroup) -> list[PermGroup]:

@@ -357,10 +357,12 @@ json.dump({"optimize": sys.flags.optimize, "results": results}, sys.stdout)
 def test_cli_transcript_replays_under_python_O():
     """The verdicts rest on checks that raise, not on ``assert``: the
     closure, status, cl-u, cl-u-approx, is-u-closed, u-density, is-in-u,
-    decompose and gpd-iso entries give the same exit code and stdout, byte
-    for byte, under ``python -O``."""
+    supersolvable, decompose, gpd-iso, diagonalize, action-to-presentation
+    and metab-witness entries give the same exit code and stdout, byte for
+    byte, under ``python -O``."""
     commands = {"closure", "status", "cl-u", "cl-u-approx", "is-u-closed", "u-density", "is-in-u",
-                "decompose", "gpd-iso"}
+                "supersolvable", "decompose", "gpd-iso", "diagonalize", "action-to-presentation",
+                "metab-witness"}
     entries = [e for e in json.loads(TRANSCRIPT.read_text()) if e["argv"][0] in commands]
     assert {e["argv"][0] for e in entries} == commands
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -4,6 +4,7 @@ import pytest
 
 from provar import fplinalg as fl
 from provar.errors import NotDiagonalizableError
+from tests.oracles import simultaneous_diagonalize_by_restriction
 
 
 def random_invertible(rng, n, p):
@@ -200,6 +201,24 @@ def test_simultaneous_commuting_pairs_many():
         # eigenvalue multisets are conjugation invariants
         assert sorted(eigs[0]) == sorted(d1)
         assert sorted(eigs[1]) == sorted(d2)
+
+
+def test_simultaneous_pieces_match_the_restriction_route():
+    # pieces read off (m - lam) B agree with pieces read off the matrix of
+    # m restricted to the block, on families with repeated eigenvalues
+    rng = random.Random(615)
+    for _ in range(600):
+        p = rng.choice([3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+        n = rng.randrange(1, 5)
+        t = random_invertible(rng, n, p)
+        tinv = fl.mat_inv(t, p)
+        values = [rng.randrange(1, p) for _ in range(2)]
+        family = []
+        for _ in range(rng.randrange(1, 4)):
+            d = [[rng.choice(values) if i == j else 0 for j in range(n)] for i in range(n)]
+            family.append(fl.mat_mul(fl.mat_mul(t, d, p), tinv, p))
+        assert fl.simultaneous_diagonalize(family, p) == \
+            simultaneous_diagonalize_by_restriction(family, p), (family, p)
 
 
 def test_action_to_presentation_examples():

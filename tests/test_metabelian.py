@@ -262,16 +262,62 @@ def test_separating_witness_traces_each_word_once(monkeypatch):
     monkeypatch.setattr(mb, "flow_of", counting_flow_of)
     a, b = parse("a", 2), parse("b", 2)
     c = commutator(a, b)
-    for u, transformed in ((parse("abAB", 2), False),
-                           (c * c.conjugate(a).inverse(), True),
-                           (exotic_word(), True)):
+    cases = ((parse("abAB", 2), "direct"), (c * c.conjugate(a).inverse(), "swap"),
+             (exotic_word(), "theta"), (parse("ABabABabaBAAbaabABAbaB", 2), "shift"))
+    for u, kind in cases:
         traced.clear()
         witness = mb.separating_witness(u)
-        assert traced[0] == u
-        # the input's flow, then the transformed word's, each once
-        assert len(traced) == 1 + transformed
-        assert len(set(traced)) == len(traced)
+        # only the input's flow is traced, whatever the pre-map
+        assert traced == [u]
+        assert witness.pre_map.describe().startswith(kind)
         assert witness.image != GpdElement(0, 0)
+
+
+def _words_of_each_case(rng, per_case):
+    """Seeded words for each pre-map case: direct and swap words are
+    products of random words and conjugates of a column-case word; theta
+    words are products of conjugates of ``exotic_word()``, with and
+    without a first-quadrant shift."""
+    a, b = parse("a", 2), parse("b", 2)
+    c = commutator(a, b)
+    column = c * c.conjugate(a).inverse()
+    found = {"direct": [], "swap": [], "theta": [], "shift": []}
+    while any(len(words) < per_case for words in found.values()):
+        factor = exotic_word() if rng.random() < 0.5 else column
+        u = identity(2)
+        for _ in range(rng.randint(1, 3)):
+            g = random_word(rng, 3)
+            u = u * (factor if rng.random() < 0.5 else factor.inverse()).conjugate(g)
+        if rng.random() < 0.3:
+            u = u * random_word(rng, 6)
+        f = mb.flow_of(u)
+        if f.is_zero():
+            continue
+        h, v = mb.sums(f)
+        kind = ("direct" if h else "swap" if v
+                else "shift" if mb.first_quadrant_shift(u)[0] else "theta")
+        if len(found[kind]) < per_case:
+            found[kind].append(u)
+    return found
+
+
+def test_row_sums_read_off_the_input_match_the_transformed_word(monkeypatch):
+    used = []
+    direct_search = mb._direct_search
+
+    def recording_direct_search(h, n0):
+        used.append((h, n0))
+        return direct_search(h, n0)
+
+    monkeypatch.setattr(mb, "_direct_search", recording_direct_search)
+    for kind, words in _words_of_each_case(random.Random(14), 300).items():
+        for u in words:
+            used.clear()
+            witness = mb.separating_witness(u)
+            assert witness.pre_map.describe().startswith(kind), (kind, u)
+            transformed = witness.pre_map.apply(u)
+            f = mb.flow_of(transformed)
+            assert used == [(f.h_sums(), f.endpoint[1])], (kind, u)
 
 
 def test_separating_witness_random_words():
@@ -310,7 +356,8 @@ def test_separating_witness_minimality():
 def test_guaranteed_search_small_word():
     # exercise the bound-driven fallback directly on a short word
     u = parse("abAB", 2)
-    p, q, image = mb._guaranteed_search(u)
+    f = mb.flow_of(u)
+    p, q, image = mb._guaranteed_search(f.h_sums(), f.endpoint[1], len(u))
     assert q > len(u) and p > len(u) * q ** len(u)
     assert image != GpdElement(0, 0)
     group = GpdGroup(p, p - 1, q)
@@ -322,7 +369,7 @@ def test_guaranteed_search_negative_rows():
     u = parse("BaBabA", 2)
     f = mb.flow_of(u)
     assert any(n < 0 for n in f.h_sums()), f.h_sums()
-    p, q, image = mb._guaranteed_search(u)
+    p, q, image = mb._guaranteed_search(f.h_sums(), f.endpoint[1], len(u))
     assert image != GpdElement(0, 0)
     group = GpdGroup(p, p - 1, q)
     assert group.evaluate(u) == image
@@ -331,10 +378,29 @@ def test_guaranteed_search_negative_rows():
 def test_witness_via_tiny_direct_bound_falls_back(monkeypatch):
     # force the fallback by making the direct search bound useless
     monkeypatch.setattr(mb, "DIRECT_PRIME_BOUND", 2)
-    u = parse("abAB", 2)
-    w = mb.separating_witness(u)
-    group = GpdGroup(w.p, w.p - 1, w.q)
-    assert group.evaluate(w.pre_map.apply(u)) == w.image != GpdElement(0, 0)
+    for u, kind in ((parse("abAB", 2), "direct"), (parse("bb", 2), "swap")):
+        w = mb.separating_witness(u)
+        assert w.pre_map.describe() == kind
+        group = GpdGroup(w.p, w.p - 1, w.q)
+        assert group.evaluate(w.pre_map.apply(u)) == w.image != GpdElement(0, 0)
+
+    # a theta word's fallback prime is far too large to build its group,
+    # so only the fallback's input is checked: the transformed word's
+    # row sums, end height and length
+    class Reached(Exception):
+        pass
+
+    def stop(*args):
+        raise Reached(args)
+
+    monkeypatch.setattr(mb, "_guaranteed_search", stop)
+    u = exotic_word()
+    with pytest.raises(Reached) as reached:
+        mb.separating_witness(u)
+    m, shifted = mb.first_quadrant_shift(u)
+    transformed = mb.theta_substitute(shifted, len(shifted))
+    f = mb.flow_of(transformed)
+    assert reached.value.args[0] == (f.h_sums(), 0, len(transformed))
 
 
 def test_verify_witness_refuses_a_corrupted_image():

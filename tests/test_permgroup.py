@@ -288,6 +288,7 @@ def test_perm_order_and_power_match_repeated_composition():
             power = G.identity()
             for k in range(2 * order + 1):
                 assert pg.perm_power(x, k) == power
+                assert pg.perm_power(x, -k) == pg.inverse(power)
                 power = pg.compose(power, x)
 
 

@@ -6,6 +6,7 @@ import pytest
 from provar import apd, uvar
 from provar import permgroup as pg
 from provar.apd import GpdGroup
+from provar.errors import CapExceededError
 from provar.numtheory import factorize, lattice_index
 from provar.permgroup import PermGroup, perm_identity
 from provar.stallings import Automaton
@@ -172,6 +173,28 @@ def test_u_density_check_examples():
     report = uvar.u_density_check(aut(2, "a", "baB", "b^3"), bound=5)
     assert not report.necessary_ok  # abelianization image has index 3
     assert not report.dense_up_to_bound
+
+
+def test_u_density_refuses_before_any_image_walk(monkeypatch):
+    # p = 37 is the first prime whose walk over the full rank-2 group is
+    # past its budget; every prime is checked before the first walk
+    built = []
+    image_subgroup = apd._ImageSubgroup
+
+    class CountingImageSubgroup(image_subgroup):
+        def __init__(self, aut, p, d):
+            built.append(p)
+            super().__init__(aut, p, d)
+
+    monkeypatch.setattr(apd, "_ImageSubgroup", CountingImageSubgroup)
+    with pytest.raises(CapExceededError) as refused:
+        uvar.u_density_check(Automaton.full_group(2), bound=100)
+    assert built == []
+    assert str(refused.value) == ("the image's walk needs 1296 * 2 rows of 2592 Fox coordinates, "
+                                  "beyond cap 200000 times its bit length")
+    # under the budget every prime is walked, in ascending order
+    assert uvar.u_density_check(Automaton.full_group(2), bound=7).dense_up_to_bound
+    assert built == [2, 3, 5, 7]
 
 
 def test_u_membership_implies_metabelian():
