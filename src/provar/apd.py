@@ -21,10 +21,14 @@ counts (``words.height_counts``).
 
 This structured form keeps single elements small even when the free
 object itself is astronomically large.  A closure's index is read off
-H's image (its t-part and unit subspace), so ``status`` needs no cap and
-``closure`` refuses an index over its cap before it enumerates a coset.
-The cosets are then walked one letter at a time, and a letter adds one
-Fox coordinate to a coset's key.
+H's image: its t-part T and its unit part K, which splits by the
+characters of T into one small elimination per character (the basis
+words' Fox vectors folded over the cosets of T, ``_ImageSubgroup``), so
+``status`` needs no cap and ``closure`` refuses an index over its cap
+before it builds a coset.  A coset is then a T-coset and a vector of
+F_p^c, c = log_p(index / [Z_d^n : T]), and each letter acts on each such
+fibre by a coordinate-wise affine map, so ``closure`` writes its
+permutations fibre by fibre with no coset keys to look up.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import add, itemgetter, mul
 from typing import Callable, NamedTuple
 
 from .errors import CapExceededError
@@ -56,7 +60,9 @@ class GpdGroup:
     """The group of order pd presented by x^p = y^d = 1, y x y^-1 = x^q.
 
     Elements are GpdElement pairs (u, t) for x^u y^t; multiplication is
-    (u, t)(u', t') = (u + q^t u' mod p, t + t' mod d).
+    (u, t)(u', t') = (u + q^t u' mod p, t + t' mod d).  Each power q^t is
+    formed by ``pow(q, t, p)`` when it is needed, so the group keeps no
+    table of d powers and a prime of any size fits in memory.
     """
 
     def __init__(self, p: int, d: int, q: int | None = None):
@@ -72,9 +78,6 @@ class GpdGroup:
         self.p = p
         self.d = d
         self.q = q % p
-        self._qpow = [1] * d
-        for t in range(1, d):
-            self._qpow[t] = self._qpow[t - 1] * self.q % p
 
     @property
     def order(self) -> int:
@@ -93,11 +96,12 @@ class GpdGroup:
         return GpdElement(0, 1)
 
     def mul(self, a: GpdElement, b: GpdElement) -> GpdElement:
-        return GpdElement((a.u + self._qpow[a.t] * b.u) % self.p, (a.t + b.t) % self.d)
+        p = self.p
+        return GpdElement((a.u + pow(self.q, a.t, p) * b.u) % p, (a.t + b.t) % self.d)
 
     def inv(self, a: GpdElement) -> GpdElement:
         t = (-a.t) % self.d
-        return GpdElement((-self._qpow[t] * a.u) % self.p, t)
+        return GpdElement((-pow(self.q, t, self.p) * a.u) % self.p, t)
 
     def element_order(self, a: GpdElement) -> int:
         """Order of x^u y^t, in closed form.  For t != 0 mod d it is
@@ -120,8 +124,8 @@ class GpdGroup:
         u = sum_j c_j q^(j mod d) mod p over the height counts c_j and
         t the final height mod d."""
         counts, height = height_counts(w)
-        qpow, d = self._qpow, self.d
-        return GpdElement(sum(c * qpow[j % d] for j, c in counts.items()) % self.p, height % d)
+        p, q, d = self.p, self.q, self.d
+        return GpdElement(sum(c * pow(q, j % d, p) for j, c in counts.items()) % p, height % d)
 
     def as_perm_group(self) -> PermGroup:
         """Left-regular permutation representation on the pd elements."""
@@ -205,8 +209,12 @@ class FreeObject:
 
     Construction is refused when the n * d^n coordinates of an element
     exceed the default cap, or the n * n * d^n of the generators exceed
-    the cap times its bit length.  The translation table grows by n * d^n
-    entries per distinct s that multiplication meets.  Only
+    the cap times its bit length.  The translation table (``_shift``)
+    keeps one getter of n * d^n indices per distinct s that
+    multiplication meets as its left factor's t-part; ``closure``
+    multiplies only a basis word's image by a transversal element, so it
+    meets one per distinct t-part of a basis word and budgets them with
+    that transversal.  Only
     ``materialize`` (and so ``cayley_automaton`` and
     ``closure_by_folding``) enumerates elements: it refuses an order
     formula over its own cap before the breadth-first closure
@@ -388,9 +396,13 @@ def kernel_membership(w: Word, spec: KernelSpec) -> bool:
 
 def check_image_walk(aut: Automaton, p: int, d: int) -> tuple[list[Word], int]:
     """H's basis and the order of its t-part T, once FreeObject's checks
-    and the storage budget of ``_ImageSubgroup``'s walk have passed:
-    CapExceededError when the walk's |T| * k rows of n * d^n coordinates
-    (k basis words) exceed the cap times its bit length."""
+    and the two budgets of ``_ImageSubgroup`` have passed, before any word
+    is evaluated.  CapExceededError when the k * n * d^n Fox coordinates
+    of the k basis words, or the |T| * sum_j min(|w_j|, n * d^n) terms
+    that fold their Fox supports into the |T| characters, exceed the cap
+    times its bit length; a word's Fox support has at most one point per
+    letter, and at most n * d^n.  T is spanned by the basis words'
+    exponent sums mod d, so |T| is read off a lattice index."""
     n = aut.rank
     _check_free_object(n, p, d)
     basis = aut.basis()
@@ -398,142 +410,226 @@ def check_image_walk(aut: Automaton, p: int, d: int) -> tuple[list[Word], int]:
     span += [[d if j == i else 0 for j in range(n)] for i in range(n)]
     t_order = d**n // lattice_index(span, n)
     n_coords = n * d**n
-    if t_order * len(basis) * n_coords > DEFAULT_CAP * DEFAULT_CAP.bit_length():
+    budget = DEFAULT_CAP * DEFAULT_CAP.bit_length()
+    if len(basis) * n_coords > budget:
         raise CapExceededError(
-            f"the image's walk needs {t_order} * {len(basis)} rows of {n_coords} Fox "
-            f"coordinates, beyond cap {DEFAULT_CAP} times its bit length"
+            f"the image needs {len(basis)} basis words of {n_coords} Fox coordinates, "
+            f"beyond cap {DEFAULT_CAP} times its bit length"
+        )
+    support = sum(min(len(w), n_coords) for w in basis)
+    if t_order * support > budget:
+        raise CapExceededError(
+            f"the image folds {support} Fox support points into {t_order} characters, "
+            f"beyond cap {DEFAULT_CAP} times its bit length"
         )
     return basis, t_order
 
 
+def _pairing(t, d: int) -> list[int]:
+    """<c, t> mod d for every point c of Z_d^n, in the product order of
+    ``FreeObject.points``, built digit by digit."""
+    row = [0]
+    for b in t:
+        row = [(x + a * b) % d for x in row for a in range(d)]
+    return row
+
+
 class _ImageSubgroup:
-    """The image I of a subgroup in the free object, and its cosets.
+    """The image I of a subgroup in the free object, split by the
+    characters of its t-part T <= Z_d^n.
 
-    A walk along generator products finds reps[t], an element of I over
-    each point t of its t-part T <= Z_d^n.  Each walk edge r * g that
-    lands over a point already reached gives the Schreier generator
-    (r * g)_u - reps[(r * g)_s]_u of K, the unit coordinates in I; these
-    span K and are kept as RREF rows.  The free object has order
-    d^n * p^((n-1) d^n + 1) and I has order |T| * p^dim K, so the
-    closure's index is [Z_d^n : T] * p^((n-1) d^n + 1 - dim K).
+    With zeta = ``smallest_of_order(p, d)`` (1 when d = 1), a point c of
+    Z_d^n gives the character t -> zeta^<c, t>, and the points fall into
+    |T| classes chi by their values <c, s_j> mod d on the t-parts s_j of
+    H's basis words; each class holds [Z_d^n : T] points, and
+    AssertionError is raised otherwise.  A class's folded coordinates of a
+    Fox vector u are F_i(beta) = sum u_i(t) zeta^<c, t> over the points t
+    of the T-coset beta, for a fixed point c of the class: the Fourier
+    values of u at the class's points are the transform of F over
+    Z_d^n / T, so they have the same linear relations, and a translation
+    by t in T multiplies F by chi(t).  K, the unit part of I, is the
+    image of the relators of T, and its Fox-Jacobian reading splits it by
+    class:
 
-    The walk keeps about |T| * k vectors of n * d^n coordinates for k
-    basis words.  T is spanned by their exponent sums mod d, so |T| is
-    known before any word is evaluated, and past the cap times its bit
-    length, FreeObject's budget for its generators, ``check_image_walk``
-    refuses the walk (CapExceededError).  AssertionError if it reaches
-    another |T|.
+        K_chi = { sum_j b_j F_j : sum_j b_j (1 - chi(s_j)) = 0 },
 
-    A coset of I is keyed (k, r): k indexes (in ``fobj.points``) the
-    least point b of a T-coset, and r is the unit part, reduced mod K,
-    of the coset's elements over b.
+    spanned by the F_j when chi is trivial and by (1 - chi(s_j)) F_i0 -
+    (1 - chi(s_i0)) F_j for a fixed i0 with chi(s_i0) != 1 otherwise.
+
+    An edge (beta, i) of the T-cosets carries F_i(beta).  The unit module
+    A_0, Fox vectors of t-part 0, is cut out on a class by one equation
+    per coset, sum of zeta^(c_i) F_i(beta - e_i) - F_i(beta) over i, and
+    these equations fix the edges of a spanning tree of the cosets and,
+    for a nontrivial chi, one more edge whose cycle crosses a point g of
+    T with chi(g) != 1: with that edge the equations have a nonzero
+    determinant, a multiple of chi(g) - 1.  So the other edges are
+    coordinates of A_0's part, and each piece of K is one small
+    elimination in them; dim K is the sum of their ranks.  The free
+    object has order d^n * p^((n-1) d^n + 1) and I has order
+    |T| * p^dim K, so the closure's index is
+    [Z_d^n : T] * p^((n-1) d^n + 1 - dim K).
+
+    The k basis words keep k * n * d^n Fox coordinates and their folded
+    coordinates as many, and folding costs one term per class and Fox
+    support point; ``check_image_walk`` budgets both before any word is
+    evaluated.
     """
 
     def __init__(self, aut: Automaton, p: int, d: int):
-        basis, t_order = check_image_walk(aut, p, d)
+        basis, self.t_order = check_image_walk(aut, p, d)
         self.fobj = fobj = FreeObject(aut.rank, p, d)
-        n, points = fobj.n, fobj.points
-        gens = [fobj.evaluate(w) for w in basis]
+        n, points, size, index_of = fobj.n, fobj.points, len(fobj.points), fobj._point_index
+        zeta = smallest_of_order(p, d)
+        self.zpow = zpow = [pow(zeta, e, p) for e in range(d)]
+        self.gens = [fobj.evaluate(w) for w in basis]
+        zero = points[0]
 
-        # transversal of the t-part subgroup, reachable by generator
-        # products; an edge to a point already reached gives a Schreier row
-        reps = {(0,) * n: fobj.identity}
-        queue = [fobj.identity]
-        rows = []
-        while queue:
-            r = queue.pop()
-            for g in gens:
-                e = fobj.mul(r, g)
-                rep = reps.get(e[0])
-                if rep is None:
-                    reps[e[0]] = e
-                    queue.append(e)
+        # T by a breadth-first walk on the basis words' t-parts, with the
+        # point and the word each new point is reached from
+        t_points, self.t_walk = [zero], []
+        seen = {zero}
+        for t in t_points:  # the list grows while it is read
+            for j, (s, _) in enumerate(self.gens):
+                t2 = tuple((a + b) % d for a, b in zip(s, t))
+                if t2 not in seen:
+                    seen.add(t2)
+                    t_points.append(t2)
+                    self.t_walk.append((t2, t, j))
+        if len(t_points) != self.t_order:
+            raise AssertionError(f"the walk reached {len(t_points)} points of T, not {self.t_order}")
+
+        # the T-cosets by a breadth-first walk on the letters: coset f is
+        # first reached at the point reached[f], coset[k] numbers the coset
+        # of point k, and edge f * n + i, the letter a_i from reached[f],
+        # leads to coset f2 across g = reached[f] + e_i - reached[f2] in T;
+        # g is 0 on the walk's tree, and every other edge closes a cycle
+        self.coset = coset = [None] * size
+        self.reached, self.steps, cotree = [], [], []
+
+        def enter(t):
+            for tau in t_points:
+                coset[index_of[tuple((a + b) % d for a, b in zip(t, tau))]] = len(self.reached)
+            self.reached.append(t)
+
+        enter(zero)
+        for t in self.reached:  # the list grows while it is read
+            for i in range(n):
+                t2 = list(t)
+                t2[i] = (t2[i] + 1) % d
+                t2 = tuple(t2)
+                f2 = coset[index_of[t2]]
+                if f2 is None:
+                    self.steps.append((len(self.reached), zero))
+                    enter(t2)
                 else:
-                    rows.append([(x - y) % p for x, y in zip(e[1], rep[1])])
+                    cotree.append(len(self.steps))
+                    self.steps.append((f2, tuple((a - b) % d for a, b in zip(t2, self.reached[f2]))))
 
-        # each fully reduced row, in order, as its pivot and its nonzero
-        # entries off the pivot, which all lie outside every other pivot column
-        reduced, pivots = rref(rows, p)
-        self.pivot_rows = {
-            pivot: [(j, x) for j, x in enumerate(row) if x and j != pivot]
-            for pivot, row in zip(pivots, reduced)
-        }
-        if len(reps) != t_order:
-            raise AssertionError(f"the walk reached {len(reps)} points of T, not {t_order}")
-        self.index = (d**n // t_order) * p ** ((n - 1) * d**n + 1 - len(pivots))
+        pairings = [_pairing(s, d) for s, _ in self.gens]
+        classes: dict[tuple, list[int]] = {}
+        for k, sig in enumerate(zip(*pairings) if pairings else [()] * size):
+            classes.setdefault(sig, []).append(k)
+        if len(classes) != self.t_order or any(
+                len(c) * self.t_order != size for c in classes.values()):
+            raise AssertionError(
+                f"{len(classes)} character classes of sizes "
+                f"{sorted({len(c) for c in classes.values()})}, for |T| = {self.t_order}")
+        class_points = [points[c[0]] for c in classes.values()]
 
-        # off the least point of its T-coset, a point k is carried there by
-        # an element of I: _carry[k] holds that least point, the element's
-        # unit part and its translation; in product order the first point
-        # met in a T-coset is its least
-        least: list = [None] * len(points)
-        self._carry: list = [None] * len(points)
-        for k, t in enumerate(points):
-            if least[k] is None:
-                for tau in reps:
-                    k2 = fobj._point_index[tuple((a + b) % d for a, b in zip(t, tau))]
-                    least[k2] = k
-                    if k2 != k:
-                        s, u = reps[tuple((-b) % d for b in tau)]
-                        if tuple((a + b) % d for a, b in zip(s, points[k2])) != t:
-                            raise AssertionError(
-                                f"coset representative moves {points[k2]} by {s}, not to {t}")
-                        self._carry[k2] = (k, u, fobj._shift(s))
-        # per letter a_i: the index of each point plus e_i, whose digit
-        # i has weight d^(n-1-i)
-        self._next = []
-        for i in range(n):
-            weight = d ** (n - 1 - i)
-            self._next.append([
-                k - (d - 1) * weight if (k // weight) % d == d - 1 else k + weight
-                for k in range(len(points))
-            ])
+        # each word's folded coordinates, per edge a list over the classes
+        # (None for an edge that no Fox support point reaches)
+        columns = list(zip(*class_points))
+        folded = []
+        for _, u in self.gens:
+            edges: list = [None] * len(self.steps)
+            for i in range(n):
+                block = u[i * size:(i + 1) * size]
+                for k in [k for k, x in enumerate(block) if x]:
+                    pair = [0] * self.t_order
+                    for a, col in zip(points[k], columns):
+                        if a:
+                            pair = [x + a * y for x, y in zip(pair, col)]
+                    x, e = block[k], coset[k] * n + i
+                    terms = [x * zpow[q % d] for q in pair]
+                    edges[e] = terms if edges[e] is None else list(map(add, edges[e], terms))
+            folded.append(edges)
 
-    def reduce_unit(self, u):
-        """Representative of u mod K, one pivot row subtracted at a time."""
-        p = self.fobj.p
-        u = list(u)
-        for pivot, entries in self.pivot_rows.items():
-            c = u[pivot]
-            if c:
-                u[pivot] = 0
-                for j, x in entries:
-                    u[j] = (u[j] - c * x) % p
-        return tuple(u)
+        # each piece: its class's point, the edges that are coordinates of
+        # A_0's part, and K_chi's reduced rows and pivots in them
+        self.pieces = []
+        self.dim_k = 0
+        for h, (sig, c) in enumerate(zip(classes, class_points)):
+            free = cotree
+            i0 = next((j for j, e in enumerate(sig) if e), None)
+            if i0 is not None:
+                fixed = next((e for e in cotree if sum(map(mul, c, self.steps[e][1])) % d), None)
+                if fixed is None:
+                    raise AssertionError(f"no cycle of the cosets crosses a point of T off the kernel of {c}")
+                free = [e for e in cotree if e != fixed]
+            vecs = [[x[h] % p if x else 0 for x in map(edges.__getitem__, free)] for edges in folded]
+            if i0 is not None:
+                chi = [zpow[e] for e in sig]
+                a0, v0 = 1 - chi[i0], vecs[i0]
+                vecs = [[((1 - chi[j]) * x - a0 * y) % p for x, y in zip(v0, v)]
+                        for j, v in enumerate(vecs) if j != i0]
+            rows, pivots = rref(vecs, p)
+            self.dim_k += len(pivots)
+            self.pieces.append((c, free, rows, pivots))
+        self.n_keys = (n - 1) * size + 1 - self.dim_k
+        self.index = len(self.reached) * p**self.n_keys
 
-    def successors(self, key) -> list:
-        """Keys of the cosets I * x * a_i, i = 1, ..., n, where ``key`` is
-        the key of I * x.
+    def transversal(self) -> dict:
+        """reps[t], an element of I over each point t of T: one
+        ``FreeObject.mul`` per new point of T's walk, so |T| - 1 products,
+        each the basis word's image times the rep it extends, so that
+        every product translates by a basis word's t-part.
+        AssertionError unless each product lies over its point."""
+        fobj = self.fobj
+        reps = {fobj.identity[0]: fobj.identity}
+        for t, parent, j in self.t_walk:
+            rep = reps[t] = fobj.mul(self.gens[j], reps[parent])
+            if rep[0] != t:
+                raise AssertionError(f"the transversal element for {t} lies over {rep[0]}")
+        return reps
 
-        For the key (k, r) over the point b, the Fox vector e_(i,0) of a_i,
-        translated by b, is e_(i,b), so the letter a_i leads to the coset
-        of (b + e_i, r + e_(i,b)).  When b + e_i is least in its T-coset,
-        its key is r plus that one coordinate, reduced by the pivot row at
-        (i, b) if there is one, since r is zero in every pivot column.
-        Otherwise the element is carried to the least point by an element
-        of I and reduced mod K."""
-        k, r = key
-        p, size = self.fobj.p, len(self.fobj.points)
-        pivots = self.pivot_rows
-        out = []
-        for i, nxt in enumerate(self._next):
-            c, k2 = i * size + k, nxt[k]
-            carry = self._carry[k2]
-            if carry is None and c in pivots:
-                u = list(r)
-                u[c] = 0
-                for j, x in pivots[c]:
-                    u[j] = (u[j] - x) % p
-                out.append((k2, tuple(u)))
-                continue
-            u = r[:c] + ((r[c] + 1) % p,) + r[c + 1:]
-            if carry is None:
-                out.append((k2, u))
-            else:
-                least, carry_u, shift = carry
-                u = [(x + y) % p for x, y in zip(carry_u, shift(u))]
-                out.append((least, self.reduce_unit(u)))
-        return out
+    def key_rows(self):
+        """Q, the coset keys' functionals on Fox coordinates, one row at a
+        time, each with the point of its class.
+
+        On a class, each non-pivot coordinate j of K_chi's reduced rows
+        gives the functional x_j - sum_r x_(pivot r) row_r[j], which
+        vanishes on K_chi and is onto F_p together with the others; on
+        A_0 their joint kernel is K.  On Fox coordinates the functional is
+        the row whose entry at (i, t) is its coefficient at (coset of t, i)
+        times zeta^<c, t>.  A translation by t in T multiplies the row's
+        value by chi(t) = zeta^<c, t>."""
+        fobj, p = self.fobj, self.fobj.p
+        n, coset = fobj.n, self.coset
+        for c, free, rows, pivots in self.pieces:
+            weights = [self.zpow[e] for e in _pairing(c, fobj.d)]
+            pivot_set = set(pivots)
+            for j, e in enumerate(free):
+                if j in pivot_set:
+                    continue
+                coef = [0] * len(self.steps)
+                coef[e] = 1
+                for pivot, r in zip(pivots, rows):
+                    coef[free[pivot]] = -r[j]
+                row: list[int] = []
+                for i in range(n):
+                    row += [coef[f * n + i] * w % p for f, w in zip(coset, weights)]
+                yield c, row
+
+
+def _affine_fibre(base: int, shifts, scales, p: int) -> list[int]:
+    """The targets of the p^c points of a fibre under the coordinate-wise
+    affine map q -> shifts + scales * q of F_p^c, numbered base * p^c +
+    sum_j q_j p^(c-1-j): the c maps of F_p composed one digit at a time."""
+    out = [base]
+    for a, m in zip(shifts, scales):
+        step = [(a + m * x) % p for x in range(p)]
+        out = [v * p + y for v in out for y in step]
+    return out
 
 
 def closure(aut: Automaton, p: int, d: int, cap: int = DEFAULT_CAP) -> Automaton:
@@ -541,27 +637,70 @@ def closure(aut: Automaton, p: int, d: int, cap: int = DEFAULT_CAP) -> Automaton
 
     The closure is the full preimage of H's image I in the free object,
     so its automaton is the Schreier graph of the free object acting on
-    the cosets of I.  It is refused before any coset is enumerated when
-    I's index exceeds the cap.  The search walks coset keys breadth-first
-    from I itself, one letter step (``_ImageSubgroup.successors``) per
-    edge, and numbers them in the order found.
+    the cosets of I.  It is refused before any coset is built when I's
+    index exceeds the cap.  It is refused too, before the transversal is
+    built, when its |T| - 1 new elements and the translation getters its
+    products leave in ``FreeObject``, one per distinct nonzero t-part of
+    a basis word, exceed the default cap times its bit length in units
+    of n * d^n coordinates.  The key table Q
+    (``_ImageSubgroup.key_rows``) is read one row at a time, and only
+    its values at the letter steps and at the carried transversal
+    elements are kept.
+
+    A coset is (f, q): f a T-coset, reached by the image's walk at the
+    point r_f, and q = Q u in F_p^c for the coset's elements (r_f, u);
+    all p^c values occur.  The letter a_i sends (f, q) to the point
+    r_f + e_i = r_f2 + g with value q + Q e_(i,r_f).  When g != 0 the
+    transversal element (-g, u_-g) carries the coset back over r_f2, and
+    the value becomes Q u_-g + chi(-g) (q + Q e_(i,r_f)) coordinate by
+    coordinate.  So each letter acts on each fibre by a coordinate-wise
+    affine map of F_p^c, and the permutation lists are written fibre by
+    fibre (``_affine_fibre``), with no coset keys; ``Automaton.from_action``
+    numbers the orbit of the coset of I, and AssertionError is raised
+    unless it has ``index`` points.
     """
     image = _ImageSubgroup(aut, p, d)
     if image.index > cap:
         raise CapExceededError(f"closure needs more than {cap} cosets")
-    keys = [(0, (0,) * image.fobj.n_coords)]
-    verts = {keys[0]: 0}
-    perms = [[] for _ in range(aut.rank)]
-    for key in keys:  # the list grows while it is read
-        for perm, key2 in zip(perms, image.successors(key)):
-            w = verts.get(key2)
-            if w is None:
-                w = verts[key2] = len(keys)
-                keys.append(key2)
-            perm.append(w)
-    if len(keys) != image.index:
-        raise AssertionError(f"enumerated {len(keys)} cosets, the image has index {image.index}")
-    return Automaton.from_action(aut.rank, perms)
+    fobj = image.fobj
+    n, size, zero = fobj.n, len(fobj.points), fobj.identity[0]
+    getters = len({s for s, _ in image.gens if s != zero})
+    if (image.t_order - 1 + getters) * fobj.n_coords > DEFAULT_CAP * DEFAULT_CAP.bit_length():
+        raise CapExceededError(
+            f"the closure needs {image.t_order - 1} transversal elements and {getters} "
+            f"translation getters of {fobj.n_coords} Fox coordinates, beyond cap "
+            f"{DEFAULT_CAP} times its bit length"
+        )
+    reps = image.transversal()
+
+    # per letter step, its Fox coordinate e_(i,r_f) and the values of Q
+    # there; per carrying g, chi(-g) and Q u_-g
+    spots = [i * size + fobj._point_index[t] for t in image.reached for i in range(n)]
+    columns: list[list[int]] = [[] for _ in spots]
+    carried = {g: ([], []) for _, g in image.steps if g != zero}
+    for c, row in image.key_rows():
+        for column, spot in zip(columns, spots):
+            column.append(row[spot])
+        for g, (scales, moved) in carried.items():
+            scales.append(image.zpow[-sum(map(mul, c, g)) % d])
+            moved.append(sum(map(mul, row, reps[tuple((-x) % d for x in g)][1])))
+    if any(len(column) != image.n_keys for column in columns):
+        raise AssertionError(f"the key table has not {image.n_keys} rows")
+
+    ones = [1] * image.n_keys
+    perms: list[list[int]] = [[] for _ in range(n)]
+    for e, ((f2, g), column) in enumerate(zip(image.steps, columns)):
+        if g == zero:
+            perms[e % n].extend(_affine_fibre(f2, column, ones, p))
+        else:
+            scales, moved = carried[g]
+            shifts = [(v + m * x) % p for v, m, x in zip(moved, scales, column)]
+            perms[e % n].extend(_affine_fibre(f2, shifts, scales, p))
+    result = Automaton.from_action(n, perms)
+    if result.n_vertices != image.index:
+        raise AssertionError(f"the action has {result.n_vertices} points in the orbit of the "
+                             f"image's coset, the image has index {image.index}")
+    return result
 
 
 def closure_by_folding(aut: Automaton, p: int, d: int, cap: int = DEFAULT_CAP,
@@ -589,8 +728,8 @@ class ApdStatus:
 def status(aut: Automaton, p: int, d: int) -> ApdStatus:
     """Closedness and density of H for the pro-(Ab(p)*Ab(d)) topology, read
     off the closure's index with no coset search and so no coset cap (the
-    image walk's storage budget applies): H lies in its closure, so it is
-    closed exactly when its own index equals that one."""
+    image's budgets, ``check_image_walk``, apply): H lies in its
+    closure, so it is closed exactly when its own index equals that one."""
     index = _ImageSubgroup(aut, p, d).index
     return ApdStatus(closed=aut.index() == index, dense=index == 1, index_of_closure=index)
 
@@ -693,7 +832,7 @@ def decompose(pres: ApdPresentation) -> ApdEmbedding:
     q = group.q
 
     # discrete logs base q for every conjugation exponent
-    dlog = {qt: t for t, qt in enumerate(group._qpow)}
+    dlog = {pow(q, t, p): t for t in range(d)}
     k_table = [[dlog[pres.exponents[i][j] % p] for j in range(m)] for i in range(n)]
 
     drop_cyclic = m == 1 and any(

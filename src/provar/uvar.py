@@ -212,8 +212,10 @@ def u_density_check(aut: Automaton, bound: int = DEFAULT_PRIME_BOUND) -> Density
     """Bounded density test: full abelianization image (necessary for
     U-density) plus pro-(Ab(p)*Ab(p-1)) density, by ``apd.status``, for
     every prime p up to the bound, 2 included; no closure is enumerated.
-    Every prime's image walk is checked against its budget
-    (``apd.check_image_walk``, in ascending order) before any walk runs."""
+    Every prime's image is checked against its budgets
+    (``apd.check_image_walk``, in ascending order) before any image is
+    built, and the primes are then decided in ascending order until one
+    is not dense."""
     vectors = [w.abelianization() for w in aut.basis()]
     necessary = lattice_index(vectors, aut.rank) == 1
     primes = [p for p in range(2, bound + 1) if is_prime(p)]

@@ -225,10 +225,12 @@ def u_residual_by_lattice(group: PermGroup) -> PermGroup:
 
 
 class ImageByProducts:
-    """H's image in the free object as ``apd._ImageSubgroup`` described it
-    before the letter-step walk: each Schreier generator formed by three
-    products and an inverse, r * g * reps[(r * g)_s]^-1, and each coset
-    keyed by a full product with its T-transversal element."""
+    """H's image in the free object by generator products, the reference
+    for ``apd._ImageSubgroup``'s index and dim K and for ``apd.closure``'s
+    automata: each Schreier generator formed by three products and an
+    inverse, r * g * reps[(r * g)_s]^-1, K the span of these rows (one
+    wide row reduction), and each coset keyed by a full product with its
+    T-transversal element."""
 
     def __init__(self, aut: Automaton, p: int, d: int):
         self.fobj = fobj = FreeObject(aut.rank, p, d)

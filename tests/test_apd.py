@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -460,7 +461,7 @@ def test_closure_and_schreier_rows_agree_with_the_product_routes(n, p, d):
         gens = [random_word(rng, n, 6) for _ in range(rng.randrange(0, 5))]
         subgroup = Automaton.from_generators(gens, n)
         image, old = _ImageSubgroup(subgroup, p, d), ImageByProducts(subgroup, p, d)
-        assert (list(image.pivot_rows.items()), image.index) == (old.pivot_rows, old.index)
+        assert (image.index, image.dim_k) == (old.index, len(old.pivot_rows))
         # most draws are dense or of astronomical index; walk the others
         if 1 < image.index <= 1500:
             new, ref = closure(subgroup, p, d, cap=1500), old.closure()
@@ -514,19 +515,49 @@ def test_status_dense_subgroup():
     assert st.dense == (st.index_of_closure == 1)
 
 
+def random_subgroup(rng, n, draw, max_degree):
+    """For an odd draw, the subgroup of 1 to n + 3 random words of length
+    at most 6; for an even one, the stabilizer of a random action of
+    degree at most ``max_degree``, whose closure has index at most that."""
+    if draw % 2:
+        gens = [random_word(rng, n, 6) for _ in range(rng.randrange(1, n + 4))]
+        return Automaton.from_generators(gens, n)
+    degree = rng.randrange(2, max_degree + 1)
+    return Automaton.from_action(n, [rng.sample(range(degree), degree) for _ in range(n)])
+
+
+# classes beyond the benchmark grid
+@pytest.mark.parametrize("n,p,d", [(3, 5, 4), (2, 11, 5), (2, 13, 3), (4, 3, 2), (4, 5, 2),
+                                   (2, 5, 1)])
+def test_image_and_closure_agree_with_the_product_routes_beyond_the_grid(n, p, d):
+    rng = random.Random(f"beyond the grid {n} {p} {d}")
+    walked = 0
+    for draw in range(16):
+        subgroup = random_subgroup(rng, n, draw, 4)
+        image, old = _ImageSubgroup(subgroup, p, d), ImageByProducts(subgroup, p, d)
+        assert (image.index, image.dim_k) == (old.index, len(old.pivot_rows))
+        if image.index <= 1500:
+            new, ref = closure(subgroup, p, d, cap=1500), old.closure()
+            assert (new.key, new.succ, new.pred) == (ref.key, ref.succ, ref.pred)
+            assert status(subgroup, p, d).index_of_closure == new.n_vertices
+            assert closure(new, p, d, cap=1500) == new
+            walked += 1
+    assert walked >= 8
+
+
 @pytest.mark.parametrize("n,p,d", [(1, 7, 6), (2, 2, 1), (3, 2, 1), (2, 3, 2), (2, 5, 4),
                                    (2, 7, 3), (3, 3, 2)])
 def test_closure_is_refused_before_any_coset_exactly_when_its_index_exceeds_the_cap(
         n, p, d, monkeypatch):
-    keys = []
-    successors = _ImageSubgroup.successors
+    fibres = []
+    affine_fibre = apd._affine_fibre
 
-    def counting_successors(self, key):
-        out = successors(self, key)
-        keys.extend(out)
+    def counting_fibre(*args):
+        out = affine_fibre(*args)
+        fibres.append(out)
         return out
 
-    monkeypatch.setattr(_ImageSubgroup, "successors", counting_successors)
+    monkeypatch.setattr(apd, "_affine_fibre", counting_fibre)
     rng = random.Random(f"cap law {n} {p} {d}")
     sizes = set()
     for _ in range(12):
@@ -535,14 +566,14 @@ def test_closure_is_refused_before_any_coset_exactly_when_its_index_exceeds_the_
         index = status(subgroup, p, d).index_of_closure
         sizes.add(index)
         for cap in [index - 1, index] if index <= 400 else [400]:
-            keys.clear()
+            fibres.clear()
             if index > cap:
                 with pytest.raises(CapExceededError, match=f"closure needs more than {cap} cosets"):
                     closure(subgroup, p, d, cap=cap)
-                assert keys == []
+                assert fibres == []
             else:
                 assert closure(subgroup, p, d, cap=cap).n_vertices == index
-                assert keys
+                assert fibres
     assert len(sizes) > 2
 
 
@@ -568,41 +599,126 @@ def t_part_order(subgroup, d):
     return len(seen)
 
 
+def budget_edge(need):
+    """The least cap whose product with its bit length covers ``need``."""
+    return next(c for c in itertools.count(1) if c * c.bit_length() >= need)
+
+
+def free_object_fits(n, d, cap):
+    return n * d**n <= cap and n * n * d**n <= cap * cap.bit_length()
+
+
+def image_needs(subgroup, d):
+    """The image's two budgets: the k * n * d^n Fox coordinates of its
+    basis words, and the |T| * sum_j min(|w_j|, n * d^n) folding terms."""
+    n, basis = subgroup.rank, subgroup.basis()
+    size = n * d**n
+    return len(basis) * size, t_part_order(subgroup, d) * sum(min(len(w), size) for w in basis)
+
+
+def abelian_stabilizer(n, d, max_degree):
+    """The stabilizer of a point under letter i shifting coordinate i of
+    Z_r1 x ... x Z_rn, the r_i divisors of d of largest product at most
+    ``max_degree``: its t-part is the kernel of Z_d^n onto that product."""
+    divisors = [r for r in range(1, d + 1) if d % r == 0]
+    orders = max((rs for rs in itertools.product(divisors, repeat=n)
+                  if math.prod(rs) <= max_degree), key=math.prod)
+    points = list(itertools.product(*(range(r) for r in orders)))
+    index = {t: k for k, t in enumerate(points)}
+    perms = [[index[t[:i] + ((t[i] + 1) % r,) + t[i + 1:]] for t in points]
+             for i, r in enumerate(orders)]
+    return Automaton.from_action(n, perms)
+
+
 @pytest.mark.parametrize("n,p,d", [(1, 7, 6), (2, 5, 4), (2, 7, 6), (3, 3, 2)])
 def test_image_walk_is_refused_exactly_past_its_storage_budget(n, p, d, monkeypatch):
-    # |T| * k * n * d^n against cap * cap.bit_length(), with the cap set
-    # at the budget's edge; FreeObject's own bounds stay below it
+    # three budgets against cap * cap.bit_length(), each with the cap at its
+    # edge: the image's k * n * d^n Fox coordinates and its |T| * sum of
+    # min(|w_j|, n * d^n) folding terms (status), whichever is larger, and
+    # the closure's |T| - 1 transversal elements and translation getters of
+    # n * d^n coordinates; a draw checks a budget only where FreeObject's
+    # bounds, and for the closure the image's, stay below it at the edge;
+    # the stabilizer of a product of cyclic shifts gives many basis words
+    # over a small t-part, for which the coordinates bind first
     rng = random.Random(f"storage budget {n} {p} {d}")
-    checked = 0
-    for _ in range(12):
-        gens = [random_word(rng, n, 6) for _ in range(rng.randrange(1, 5))]
-        subgroup = Automaton.from_generators(gens, n)
-        need = t_part_order(subgroup, d) * len(subgroup.basis()) * n * d**n
-        cap = next(c for c in itertools.count(1) if c * c.bit_length() >= need)
-        if n * d**n > cap - 1 or n * n * d**n > (cap - 1) * (cap - 1).bit_length():
-            continue
-        monkeypatch.setattr(apd, "DEFAULT_CAP", cap)
-        status(subgroup, p, d)
-        monkeypatch.setattr(apd, "DEFAULT_CAP", cap - 1)
-        with pytest.raises(CapExceededError, match="rows of .* Fox coordinates"):
-            status(subgroup, p, d)
-        checked += 1
-    assert checked >= 6
+    checked = {"Fox coordinates": 0, "Fox support points": 0, "closure": 0}
+    size = n * d**n
+    draws = [random_subgroup(rng, n, draw, 11) for draw in range(24)]
+    for subgroup in draws + [abelian_stabilizer(n, d, 11)]:
+        image = _ImageSubgroup(subgroup, p, d)
+        stored, folded = image_needs(subgroup, d)
+        cap = budget_edge(max(stored, folded))
+        if free_object_fits(n, d, cap - 1):
+            binding = "Fox coordinates" if stored >= folded else "Fox support points"
+            with monkeypatch.context() as m:
+                m.setattr(apd, "DEFAULT_CAP", cap)
+                status(subgroup, p, d)
+                m.setattr(apd, "DEFAULT_CAP", cap - 1)
+                with pytest.raises(CapExceededError, match=binding):
+                    status(subgroup, p, d)
+            checked[binding] += 1
+        shifts = {tuple(x % d for x in w.abelianization()) for w in subgroup.basis()}
+        getters = len(shifts - {(0,) * n})
+        cap = budget_edge((image.t_order - 1 + getters) * size)
+        if (image.index <= 2000 and image.t_order > 1 and free_object_fits(n, d, cap - 1)
+                and max(stored, folded) <= (cap - 1) * (cap - 1).bit_length()):
+            with monkeypatch.context() as m:
+                m.setattr(apd, "DEFAULT_CAP", cap)
+                closure(subgroup, p, d, cap=2000)
+                m.setattr(apd, "DEFAULT_CAP", cap - 1)
+                with pytest.raises(CapExceededError, match="translation getters of"):
+                    closure(subgroup, p, d, cap=2000)
+            checked["closure"] += 1
+    assert checked["closure"] >= 4
+    assert checked["Fox support points"] >= 3
+    assert checked["Fox coordinates"] >= (1 if n > 1 else 0)
 
 
-def test_full_rank_two_walk_is_refused_before_any_word_is_evaluated(monkeypatch):
-    # over (37, 36) the full group needs 36^2 points of T and 2 basis
-    # words with rows of 2 * 36^2 coordinates: 6 718 464 > 200 000 * 18
+def test_image_budget_is_checked_before_any_word_is_evaluated(monkeypatch):
+    # the full rank-2 group past p = 31 is answered: 2 basis words of
+    # 2 * d^2 Fox coordinates stay far below the budget
+    for p in (37, 41):
+        assert status(Automaton.full_group(2), p, p - 1) == ApdStatus(
+            closed=True, dense=True, index_of_closure=1)
+    # the kernel of a -> 0, b -> 1 onto Z_39 has 40 basis words, of 838
+    # letters in all; over (37, 36) its t-part has order 36 * 12, so
+    # folding them needs 432 * 838 terms, more than their 40 * 2592 Fox
+    # coordinates
     evaluated = []
     evaluate = FreeObject.evaluate
     monkeypatch.setattr(FreeObject, "evaluate",
                         lambda self, w: evaluated.append(w) or evaluate(self, w))
-    with pytest.raises(CapExceededError, match=r"1296 \* 2 rows of 2592 Fox coordinates"):
-        status(Automaton.full_group(2), 37, 36)
+    kernel = Automaton.from_action(2, [list(range(39)), [(i + 1) % 39 for i in range(39)]])
+    assert len(kernel.basis()) == 40
+    assert image_needs(kernel, 36) == (40 * 2592, 432 * 838)
+    cap = budget_edge(432 * 838)
+    monkeypatch.setattr(apd, "DEFAULT_CAP", cap - 1)
+    with pytest.raises(CapExceededError) as refused:
+        status(kernel, 37, 36)
+    assert str(refused.value) == (f"the image folds 838 Fox support points into 432 characters, "
+                                  f"beyond cap {cap - 1} times its bit length")
     assert evaluated == []
-    # T of order 1 at the same rank and (p, d) stays far below the budget
-    st = status(aut(2, "a^36", "b^36"), 37, 36)
-    assert evaluated and not st.dense and st.index_of_closure % 36**2 == 0
+    monkeypatch.setattr(apd, "DEFAULT_CAP", cap)
+    st = status(kernel, 37, 36)
+    assert len(evaluated) == 40 and not st.dense and st.index_of_closure % 3 == 0
+
+
+def test_a_long_rank_one_word_is_folded_in_linear_memory(monkeypatch):
+    # a^1296 over (1297, 1296) has all 1296 points in its Fox support and a
+    # trivial t-part: one character, whose fold keeps one term per coset,
+    # not a row of d^n powers per support point (1296^2 of them); the
+    # basis is computed first and handed back, so only apd is measured
+    subgroup = Automaton.from_generators([parse("a^1296", 1)], 1)
+    basis = subgroup.basis()
+    monkeypatch.setattr(Automaton, "basis", lambda self: basis)
+    tracemalloc.start()
+    try:
+        st = status(subgroup, 1297, 1296)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert st == ApdStatus(closed=True, dense=False, index_of_closure=1296)
+    assert peak < 4_000_000
 
 
 def test_decompose_identity_case():

@@ -365,6 +365,13 @@ def test_cli_transcript_replays_under_python_O():
                 "metab-witness"}
     entries = [e for e in json.loads(TRANSCRIPT.read_text()) if e["argv"][0] in commands]
     assert {e["argv"][0] for e in entries} == commands
+    answered = [e["argv"] for e in entries if e["code"] == 0]
+    for argv in (["status", "--p", "41", "--d", "40", "--rank", "2", "--gens", "a,b"],
+                 ["status", "--p", "7", "--d", "6", "--rank", "4", "--gens", "abAB,cdd,aCb,bbd"],
+                 ["u-density", "--rank", "3", "--gens", "a,b,c", "--bound", "11"],
+                 ["u-density", "--rank", "2", "--gens", "a,b", "--bound", "100"],
+                 ["u-density", "--rank", "2", "--gens", "aa,b", "--bound", "100"]):
+        assert argv in answered
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_REPLAY],

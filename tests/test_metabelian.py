@@ -403,6 +403,17 @@ def test_witness_via_tiny_direct_bound_falls_back(monkeypatch):
     assert reached.value.args[0] == (f.h_sums(), 0, len(transformed))
 
 
+def test_fallback_witness_of_a_large_prime_is_checked(monkeypatch):
+    # the swap word's fallback prime is about 2.6 * 10^11; its group forms
+    # each power of q when it needs it, so the witness is checked again
+    monkeypatch.setattr(mb, "DIRECT_PRIME_BOUND", 2)
+    u = parse("BBABAbaBaB", 2)
+    w = mb.separating_witness(u)
+    assert w.pre_map.describe() == "swap" and w.p > 10**11
+    mb._verify_witness(w, u)
+    assert GpdGroup(w.p, w.p - 1, w.q).evaluate(w.pre_map.apply(u)) == w.image != GpdElement(0, 0)
+
+
 def test_verify_witness_refuses_a_corrupted_image():
     a, b = parse("a", 2), parse("b", 2)
     c = commutator(a, b)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -176,8 +177,11 @@ def test_u_density_check_examples():
 
 
 def test_u_density_refuses_before_any_image_walk(monkeypatch):
-    # p = 37 is the first prime whose walk over the full rank-2 group is
-    # past its budget; every prime is checked before the first walk
+    # the kernel of a -> 0, b -> 1 onto Z_39 has 40 basis words; up to
+    # p = 7 the largest need is p = 5's folding, 16 characters times 799
+    # Fox support points (each word's length, at most 2 * 4^2), and with
+    # the cap at its edge every prime is checked before the first image
+    # is built
     built = []
     image_subgroup = apd._ImageSubgroup
 
@@ -187,12 +191,18 @@ def test_u_density_refuses_before_any_image_walk(monkeypatch):
             super().__init__(aut, p, d)
 
     monkeypatch.setattr(apd, "_ImageSubgroup", CountingImageSubgroup)
+    kernel = Automaton.from_action(2, [list(range(39)), [(i + 1) % 39 for i in range(39)]])
+    cap = next(c for c in itertools.count(1) if c * c.bit_length() >= 16 * 799)
+    monkeypatch.setattr(apd, "DEFAULT_CAP", cap - 1)
     with pytest.raises(CapExceededError) as refused:
-        uvar.u_density_check(Automaton.full_group(2), bound=100)
+        uvar.u_density_check(kernel, bound=7)
     assert built == []
-    assert str(refused.value) == ("the image's walk needs 1296 * 2 rows of 2592 Fox coordinates, "
-                                  "beyond cap 200000 times its bit length")
+    assert str(refused.value) == (f"the image folds 799 Fox support points into 16 characters, "
+                                  f"beyond cap {cap - 1} times its bit length")
+    monkeypatch.setattr(apd, "DEFAULT_CAP", cap)
+    assert not uvar.u_density_check(kernel, bound=7).necessary_ok
     # under the budget every prime is walked, in ascending order
+    built.clear()
     assert uvar.u_density_check(Automaton.full_group(2), bound=7).dense_up_to_bound
     assert built == [2, 3, 5, 7]
 
