@@ -11,13 +11,11 @@ from .apd import (
     FreeObject,
     GpdElement,
     GpdGroup,
-    KernelSpec,
     closure,
     closure_by_folding,
     decompose,
     free_object,
     gpd_iso,
-    kernel_membership,
     status,
 )
 from .bs import BsElement, bs_eval, bs_is_trivial, bs_separating_prime
@@ -36,7 +34,6 @@ from .metabelian import (
     flow_of,
     metab_equal,
     separating_witness,
-    sums,
     theta_substitute,
 )
 from .numtheory import PrSearchResult, find_pr_prime, is_prime, mult_order, q_sets

@@ -1,11 +1,11 @@
-"""The pseudovariety Ab(p)*Ab(d): its minimum generator, free objects,
-verbal kernels and subgroup closures in the corresponding pro-topology.
+"""The pseudovariety Ab(p)*Ab(d): its minimum generator, free objects
+and subgroup closures in the corresponding pro-topology.
 
-Free objects, verbal kernels and closures take any prime p and any
-divisor d >= 1 of p - 1; with d = 1 the pseudovariety is Ab(p), the
-elementary abelian p-groups.  For p > 2 and d > 1 the two-generator
-group of order pd presented by x^p = y^d = 1, y x y^-1 = x^q (with q of
-multiplicative order d mod p) generates the pseudovariety; that group,
+Free objects and closures take any prime p and any divisor d >= 1 of
+p - 1; with d = 1 the pseudovariety is Ab(p), the elementary abelian
+p-groups.  For p > 2 and d > 1 the two-generator group of order pd
+presented by x^p = y^d = 1, y x y^-1 = x^q (with q of multiplicative
+order d mod p) generates the pseudovariety; that group,
 its isomorphisms, its decompositions and the presentations keep this
 domain.  An isomorphism between two presentations, and the embedding of
 a presented group into copies of the generator and cyclic factors, are
@@ -352,77 +352,42 @@ def free_object(n: int, p: int, d: int, cap: int = DEFAULT_CAP) -> FreeObject:
     return obj
 
 
-# -- verbal kernels ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """A verbal kernel: either exponent-m abelianization (kind "K") or
-    the kernel of the map onto the free object of Ab(p)*Ab(d) (kind "L")."""
-
-    kind: str
-    n: int
-    m: int = 0
-    p: int = 0
-    d: int = 0
-
-    @classmethod
-    def abelian(cls, n: int, m: int) -> "KernelSpec":
-        if m < 1:
-            raise ValueError("m must be at least 1")
-        return cls(kind="K", n=n, m=m)
-
-    @classmethod
-    def relatively_free(cls, n: int, p: int, d: int) -> "KernelSpec":
-        require_prime(p, "p")
-        if d < 1 or (p - 1) % d:
-            raise ValueError(f"d = {d} must be a positive divisor of p - 1 = {p - 1}")
-        return cls(kind="L", n=n, p=p, d=d)
-
-
-def kernel_membership(w: Word, spec: KernelSpec) -> bool:
-    if w.rank != spec.n:
-        raise ValueError("word rank does not match the kernel spec")
-    if spec.kind == "K":
-        return all(e % spec.m == 0 for e in w.abelianization())
-    if spec.kind == "L":
-        obj = FreeObject(spec.n, spec.p, spec.d)
-        return obj.evaluate(w) == obj.identity
-    raise ValueError(f"unknown kernel kind {spec.kind!r}")
-
-
 # -- closures -------------------------------------------------------------
 
 
-def check_image_walk(aut: Automaton, p: int, d: int) -> tuple[list[Word], int]:
-    """H's basis and the order of its t-part T, once FreeObject's checks
-    and the two budgets of ``_ImageSubgroup`` have passed, before any word
-    is evaluated.  CapExceededError when the k * n * d^n Fox coordinates
-    of the k basis words, or the |T| * sum_j min(|w_j|, n * d^n) terms
-    that fold their Fox supports into the |T| characters, exceed the cap
-    times its bit length; a word's Fox support has at most one point per
-    letter, and at most n * d^n.  T is spanned by the basis words'
-    exponent sums mod d, so |T| is read off a lattice index."""
+def check_image_walk(aut: Automaton, p: int, d: int) -> int:
+    """The order of H's t-part T, once FreeObject's checks and the two
+    budgets of ``_ImageSubgroup`` have passed; no basis word is spelled
+    and none evaluated.  CapExceededError when the k * n * d^n Fox
+    coordinates of the k basis words, or the |T| * sum_j min(|w_j|, n * d^n)
+    terms that fold their Fox supports into the |T| characters, exceed
+    the cap times its bit length; a word's Fox support has at most one
+    point per letter, and at most n * d^n.  T is spanned by the basis
+    words' exponent sums mod d, so |T| is read off a lattice index.
+
+    The exponent sums and lengths come from ``Automaton.basis_sums``,
+    which reads them off the spanning tree in O(V * n + k * n), so both
+    budgets are checked before the basis's letters take any memory."""
     n = aut.rank
     _check_free_object(n, p, d)
-    basis = aut.basis()
-    span = [w.abelianization() for w in basis]
+    shapes = aut.basis_sums()
+    span = [sums for sums, _ in shapes]
     span += [[d if j == i else 0 for j in range(n)] for i in range(n)]
     t_order = d**n // lattice_index(span, n)
     n_coords = n * d**n
     budget = DEFAULT_CAP * DEFAULT_CAP.bit_length()
-    if len(basis) * n_coords > budget:
+    if len(shapes) * n_coords > budget:
         raise CapExceededError(
-            f"the image needs {len(basis)} basis words of {n_coords} Fox coordinates, "
+            f"the image needs {len(shapes)} basis words of {n_coords} Fox coordinates, "
             f"beyond cap {DEFAULT_CAP} times its bit length"
         )
-    support = sum(min(len(w), n_coords) for w in basis)
+    support = sum(min(length, n_coords) for _, length in shapes)
     if t_order * support > budget:
         raise CapExceededError(
             f"the image folds {support} Fox support points into {t_order} characters, "
             f"beyond cap {DEFAULT_CAP} times its bit length"
         )
-    return basis, t_order
+    return t_order
 
 
 def _pairing(t, d: int) -> list[int]:
@@ -471,17 +436,18 @@ class _ImageSubgroup:
 
     The k basis words keep k * n * d^n Fox coordinates and their folded
     coordinates as many, and folding costs one term per class and Fox
-    support point; ``check_image_walk`` budgets both before any word is
-    evaluated.
+    support point; ``check_image_walk`` budgets both from the basis's
+    exponent sums and lengths, and the basis words are spelled and
+    evaluated only after both pass.
     """
 
     def __init__(self, aut: Automaton, p: int, d: int):
-        basis, self.t_order = check_image_walk(aut, p, d)
+        self.t_order = check_image_walk(aut, p, d)
         self.fobj = fobj = FreeObject(aut.rank, p, d)
         n, points, size, index_of = fobj.n, fobj.points, len(fobj.points), fobj._point_index
         zeta = smallest_of_order(p, d)
         self.zpow = zpow = [pow(zeta, e, p) for e in range(d)]
-        self.gens = [fobj.evaluate(w) for w in basis]
+        self.gens = [fobj.evaluate(w) for w in aut.basis()]
         zero = points[0]
 
         # T by a breadth-first walk on the basis words' t-parts, with the

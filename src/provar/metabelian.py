@@ -81,10 +81,6 @@ def flow_of(u: Word) -> Flow:
     return Flow(a_edges, b_edges, endpoint)
 
 
-def sums(f: Flow) -> tuple[dict[int, int], dict[int, int]]:
-    return f.h_sums(), f.v_sums()
-
-
 def metab_equal(u: Word, v: Word) -> bool:
     """Equality in the rank-2 free metabelian group."""
     return flow_of(u) == flow_of(v)

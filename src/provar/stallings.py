@@ -12,8 +12,8 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import CapExceededError, NotFiniteIndexError
-from .permgroup import DEFAULT_ELEMENT_CAP, PermGroup, inverse
-from .words import Word, identity, word
+from .permgroup import DEFAULT_ELEMENT_CAP, PermGroup
+from .words import Word
 
 
 def _fold(nverts: int, edges):
@@ -197,31 +197,47 @@ class Automaton:
         would merge nothing and the core trim would remove nothing: the
         orbit is numbered directly, by a breadth-first search in the
         signed-label order of ``_renumber``.
+
+        Each permutation is checked first, in one pass that builds its
+        inverse: ValueError for a length other than the first one's, a
+        target out of range, or a target met twice.  The cost is linear
+        in rank * degree, and every vertex number is one int object
+        shared by all the transition maps.
         """
         _check_rank(rank)
         if len(perms) != rank:
             raise ValueError("need one permutation per generator")
         degree = len(perms[0])
+        if not degree:
+            raise ValueError("transitions need at least the point 0")
+        inverses = []
         for p in perms:
-            if sorted(p) != list(range(degree)):
-                raise ValueError("transitions must be permutations of the vertex set")
-        inverses = [inverse(p) for p in perms]
-        order = {0: 0}
+            if len(p) != degree:
+                raise ValueError("transitions must all have the same length")
+            inv = [-1] * degree
+            for x, t in enumerate(p):
+                if not 0 <= t < degree or inv[t] >= 0:
+                    raise ValueError(f"transition target {t} is met twice" if 0 <= t < degree
+                                     else f"transition target {t} is out of range for {degree} vertices")
+                inv[t] = x
+            inverses.append(inv)
+        # per vertex, its neighbours in the signed-label order
+        neighbours = list(zip(*[q for pair in zip(perms, inverses) for q in pair]))
+        order = [-1] * degree
+        order[0] = 0
         queue = [0]
         for u in queue:  # the queue grows while it is read
-            for p, inv in zip(perms, inverses):
-                for t in (p[u], inv[u]):
-                    if t not in order:
-                        order[t] = len(queue)
-                        queue.append(t)
-        succ = [dict() for _ in range(rank)]
-        pred = [dict() for _ in range(rank)]
-        for old, new in order.items():
-            for g, p in enumerate(perms):
-                t = order[p[old]]
-                succ[g][new] = t
-                pred[g][t] = new
-        return cls(rank, len(order), tuple(succ), tuple(pred))
+            for t in neighbours[u]:
+                if order[t] < 0:
+                    order[t] = len(queue)
+                    queue.append(t)
+        numbers = [order[old] for old in queue]
+        succ, pred = [], []
+        for p in perms:
+            targets = [order[p[old]] for old in queue]
+            succ.append(dict(zip(numbers, targets)))
+            pred.append(dict(zip(targets, numbers)))
+        return cls(rank, len(queue), tuple(succ), tuple(pred))
 
     # -- queries ------------------------------------------------------
 
@@ -279,42 +295,97 @@ class Automaton:
         """Index in the free group: vertex count when complete, else None."""
         return self.n_vertices if self.is_complete() else None
 
-    def _spanning_tree(self):
-        """BFS tree: per-vertex word from the basepoint and the tree edge set."""
-        reps: list[Word | None] = [None] * self.n_vertices
-        reps[self.base] = identity(self.rank)
-        tree: set[tuple[int, int, int]] = set()
-        queue = deque([self.base])
-        signed = [s for g in range(1, self.rank + 1) for s in (g, -g)]
-        while queue:
-            u = queue.popleft()
-            for letter in signed:
-                t = self.step(u, letter)
-                if t is not None and reps[t] is None:
-                    reps[t] = reps[u] * word((letter,), self.rank)
-                    tree.add((u, abs(letter), t) if letter > 0 else (t, abs(letter), u))
-                    queue.append(t)
-        return reps, tree
+    def _tree(self):
+        """The breadth-first spanning tree from the basepoint, in the
+        signed-label order of ``_renumber`` (a < a^-1 < b < ...): per
+        vertex its parent and the signed letter from it (-1 and 0 at the
+        basepoint) and its depth, with the vertices in the order the
+        search reaches them, so every parent comes before its children."""
+        n = self.n_vertices
+        parent, letter, depth = [-1] * n, [0] * n, [0] * n
+        maps = [(s, m) for g, (out, into) in enumerate(zip(self.succ, self.pred), start=1)
+                for s, m in ((g, out), (-g, into))]
+        seen = [False] * n
+        seen[self.base] = True
+        order = [self.base]
+        for u in order:  # the list grows while it is read
+            below = depth[u] + 1
+            for s, m in maps:
+                t = m.get(u)
+                if t is not None and not seen[t]:
+                    seen[t] = True
+                    parent[t], letter[t], depth[t] = u, s, below
+                    order.append(t)
+        return parent, letter, depth, order
 
-    def index_and_basis(self):
-        """(index or None, free basis of the subgroup via a spanning tree)."""
-        reps, tree = self._spanning_tree()
-        basis = []
+    def _cotree(self, parent, letter):
+        """The edges (u, g, v) off the tree, by label and then by source;
+        a tree edge is the one along which the search first reached one
+        of its ends."""
         for g, targets in enumerate(self.succ, start=1):
             for u in sorted(targets):
                 v = targets[u]
-                if (u, g, v) in tree:
-                    continue
-                basis.append(reps[u] * word((g,), self.rank) * reps[v].inverse())
+                if not ((parent[v] == u and letter[v] == g) or (parent[u] == v and letter[u] == -g)):
+                    yield u, g, v
+
+    def _climb(self, parent, letter, v):
+        """The letters of the tree path from the basepoint to v, last first."""
+        up = []
+        while v != self.base:
+            up.append(letter[v])
+            v = parent[v]
+        return up
+
+    def index_and_basis(self):
+        """(index or None, free basis of the subgroup): one word per edge
+        (u, g, v) off the breadth-first tree, path(u) g path(v)^-1, in
+        the order of ``_cotree``.
+
+        Each word is spelled once, by climbing the parent pointers from u
+        and from v, so the cost is the tree search plus the basis's total
+        length, and no word is kept per vertex.  No letters cancel at the
+        joins, as the automaton is folded: path(u) does not end in g^-1,
+        since then v would be u's parent and the edge a tree edge, nor
+        path(v) in g, for the same reason."""
+        parent, letter, _, _ = self._tree()
+        basis = []
+        for u, g, v in self._cotree(parent, letter):
+            letters = self._climb(parent, letter, u)[::-1]
+            letters.append(g)
+            letters += [-s for s in self._climb(parent, letter, v)]
+            basis.append(Word(tuple(letters), self.rank))
         return self.index(), basis
 
     def basis(self):
         return self.index_and_basis()[1]
 
+    def basis_sums(self):
+        """(exponent-sum vector, length) of each word of ``basis()``, in
+        its order, without spelling any word: the word of an edge (u, g, v)
+        has exponent sums phi(u) + e_g - phi(v) and length
+        depth(u) + 1 + depth(v), phi(v) being the exponent sums of the
+        tree path to v.  O(V * rank) for phi and O(rank) per word."""
+        parent, letter, depth, order = self._tree()
+        phi = [None] * self.n_vertices
+        phi[self.base] = (0,) * self.rank
+        for v in order[1:]:
+            s = letter[v]
+            sums = list(phi[parent[v]])
+            sums[abs(s) - 1] += 1 if s > 0 else -1
+            phi[v] = tuple(sums)
+        out = []
+        for u, g, v in self._cotree(parent, letter):
+            sums = [a - b for a, b in zip(phi[u], phi[v])]
+            sums[g - 1] += 1
+            out.append((tuple(sums), depth[u] + 1 + depth[v]))
+        return out
+
     def coset_representatives(self):
-        """One word per vertex, mapping the basepoint to that coset."""
-        reps, _ = self._spanning_tree()
-        return reps
+        """One word per vertex, mapping the basepoint to that coset: its
+        tree path, spelled from the parent pointers of ``_tree``."""
+        parent, letter, _, _ = self._tree()
+        return [Word(tuple(reversed(self._climb(parent, letter, v))), self.rank)
+                for v in range(self.n_vertices)]
 
     def contains_subgroup(self, other: "Automaton") -> bool:
         if other.rank != self.rank:

@@ -85,9 +85,21 @@ def is_in_u(group: PermGroup) -> UMembershipReport:
 
 
 def is_u_closed(aut: Automaton, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
-    """U-closedness: finite index and coset-action group in U."""
+    """U-closedness: for finite index, the coset-action group lies in U.
+
+    Of infinite index, only the trivial subgroup of Z is closed; it is
+    the one subgroup of Z of infinite index, as a folded core automaton
+    of rank 1 is a cycle or the basepoint alone.  Z is residually U, as
+    m != 0 survives in Z_p, in Ab(p), for every prime p not dividing m.
+    In rank n >= 2 a closed H is the intersection of the open subgroups
+    containing it, and each of those contains a normal N with F/N in U,
+    so metabelian, so N and H contain F''.
+    A finitely generated subgroup of a free group that contains a
+    nontrivial normal subgroup has finite index (Karrass-Solitar;
+    Greenberg), so a closed H of infinite index does not exist there.
+    """
     if not aut.is_complete():
-        return False
+        return aut.rank == 1
     return is_in_u(aut.coset_group(cap)).verdict
 
 
@@ -150,7 +162,15 @@ def cl_u_finite_index(aut: Automaton, cap: int = DEFAULT_ELEMENT_CAP) -> Automat
     of the coset action, and the vertices of the closure's automaton are
     these blocks, based at the block of the basepoint.  The automaton is
     the action on the blocks.
+
+    The trivial subgroup of Z is returned as it is, being U-closed
+    (``is_u_closed``).  Any other subgroup of infinite index is refused
+    by ``coset_group`` with NotFiniteIndexError: its rank is at least 2,
+    and by the argument of ``is_u_closed`` its closure has finite index
+    or is not finitely generated, and this route builds neither.
     """
+    if aut.rank == 1 and not aut.is_complete():
+        return aut
     group = aut.coset_group(cap)
     residual = u_residual(group)
     if residual.is_trivial():
@@ -194,7 +214,7 @@ def not_fg_certificate(aut: Automaton):
     When such a j exists the U-closure has infinite index and is not
     finitely generated.
     """
-    vectors = [w.abelianization() for w in aut.basis()]
+    vectors = [sums for sums, _ in aut.basis_sums()]
     for j in range(aut.rank):
         if all(v[j] == 0 for v in vectors):
             return j + 1
@@ -215,8 +235,10 @@ def u_density_check(aut: Automaton, bound: int = DEFAULT_PRIME_BOUND) -> Density
     Every prime's image is checked against its budgets
     (``apd.check_image_walk``, in ascending order) before any image is
     built, and the primes are then decided in ascending order until one
-    is not dense."""
-    vectors = [w.abelianization() for w in aut.basis()]
+    is not dense.  The abelianization image and the budgets are read off
+    the basis's exponent sums and lengths (``Automaton.basis_sums``), so
+    no basis word is spelled before every prime has passed."""
+    vectors = [sums for sums, _ in aut.basis_sums()]
     necessary = lattice_index(vectors, aut.rank) == 1
     primes = [p for p in range(2, bound + 1) if is_prime(p)]
     for p in primes:

@@ -2,15 +2,19 @@
 
 import heapq
 import itertools
+from collections import deque
 from collections.abc import Iterator
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from provar.apd import FreeObject, GpdElement, GpdGroup
 from provar.fplinalg import ApdPresentation, kernel_basis, mat_inv, mat_mul, mat_vec, rref
-from provar.numtheory import mult_order
+from provar.metabelian import Flow
+from provar.numtheory import mult_order, require_prime
 from provar.permgroup import DEFAULT_ELEMENT_CAP, PermGroup, bfs_closure, compose, inverse
 from provar.stallings import Automaton
 from provar.uvar import is_in_u
+from provar.words import Word, identity, word
 
 
 def check_homomorphism(f, source: GpdGroup, target: GpdGroup, name: str) -> None:
@@ -302,3 +306,77 @@ class ImageByProducts:
         if len(verts) != self.index:
             raise AssertionError(f"enumerated {len(verts)} cosets, the image has index {self.index}")
         return Automaton.from_raw(obj.n, len(verts), 0, edges)
+
+
+def vertex_words(aut: Automaton):
+    """The breadth-first tree in the signed-label order a < a^-1 < b < ...,
+    with each vertex's word built as a product along the tree, and the
+    set of tree edges (u, g, v)."""
+    reps: list[Word | None] = [None] * aut.n_vertices
+    reps[aut.base] = identity(aut.rank)
+    tree: set[tuple[int, int, int]] = set()
+    queue = deque([aut.base])
+    signed = [s for g in range(1, aut.rank + 1) for s in (g, -g)]
+    while queue:
+        u = queue.popleft()
+        for letter in signed:
+            t = aut.step(u, letter)
+            if t is not None and reps[t] is None:
+                reps[t] = reps[u] * word((letter,), aut.rank)
+                tree.add((u, abs(letter), t) if letter > 0 else (t, abs(letter), u))
+                queue.append(t)
+    return reps, tree
+
+
+def index_and_basis_by_vertex_words(aut: Automaton):
+    """(index or None, basis): reps[u] * g * reps[v]^-1 for each edge
+    (u, g, v) off the tree of ``vertex_words``, by label and then source."""
+    reps, tree = vertex_words(aut)
+    basis = []
+    for g, targets in enumerate(aut.succ, start=1):
+        for u in sorted(targets):
+            v = targets[u]
+            if (u, g, v) not in tree:
+                basis.append(reps[u] * word((g,), aut.rank) * reps[v].inverse())
+    return aut.index(), basis
+
+
+@dataclass(frozen=True)
+class KernelSpec:
+    """A verbal kernel: either exponent-m abelianization (kind "K") or
+    the kernel of the map onto the free object of Ab(p)*Ab(d) (kind "L")."""
+
+    kind: str
+    n: int
+    m: int = 0
+    p: int = 0
+    d: int = 0
+
+    @classmethod
+    def abelian(cls, n: int, m: int) -> "KernelSpec":
+        if m < 1:
+            raise ValueError("m must be at least 1")
+        return cls(kind="K", n=n, m=m)
+
+    @classmethod
+    def relatively_free(cls, n: int, p: int, d: int) -> "KernelSpec":
+        require_prime(p, "p")
+        if d < 1 or (p - 1) % d:
+            raise ValueError(f"d = {d} must be a positive divisor of p - 1 = {p - 1}")
+        return cls(kind="L", n=n, p=p, d=d)
+
+
+def kernel_membership(w: Word, spec: KernelSpec) -> bool:
+    if w.rank != spec.n:
+        raise ValueError("word rank does not match the kernel spec")
+    if spec.kind == "K":
+        return all(e % spec.m == 0 for e in w.abelianization())
+    if spec.kind == "L":
+        obj = FreeObject(spec.n, spec.p, spec.d)
+        return obj.evaluate(w) == obj.identity
+    raise ValueError(f"unknown kernel kind {spec.kind!r}")
+
+
+def sums(f: Flow) -> tuple[dict[int, int], dict[int, int]]:
+    """The row sums of a flow's a-edges and the column sums of its b-edges."""
+    return f.h_sums(), f.v_sums()

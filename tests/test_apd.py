@@ -17,14 +17,12 @@ from provar.apd import (
     _image_order,
     GpdElement,
     GpdGroup,
-    KernelSpec,
     closure,
     closure_by_folding,
     decompose,
     format_gpd_element,
     free_object,
     gpd_iso,
-    kernel_membership,
     status,
 )
 from provar.cli import dispatch
@@ -35,9 +33,11 @@ from provar.stallings import Automaton
 from provar.words import identity, parse, word
 from tests.oracles import (
     ImageByProducts,
+    KernelSpec,
     check_homomorphism,
     decompose_by_enumeration,
     image_order_by_enumeration,
+    kernel_membership,
     relations_hold_by_products,
 )
 from tests.test_bs import drifting_word, heights

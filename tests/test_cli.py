@@ -370,7 +370,10 @@ def test_cli_transcript_replays_under_python_O():
                  ["status", "--p", "7", "--d", "6", "--rank", "4", "--gens", "abAB,cdd,aCb,bbd"],
                  ["u-density", "--rank", "3", "--gens", "a,b,c", "--bound", "11"],
                  ["u-density", "--rank", "2", "--gens", "a,b", "--bound", "100"],
-                 ["u-density", "--rank", "2", "--gens", "aa,b", "--bound", "100"]):
+                 ["u-density", "--rank", "2", "--gens", "aa,b", "--bound", "100"],
+                 ["status", "--p", "65537", "--d", "65536", "--rank", "1", "--gens", "a^65536"],
+                 ["is-u-closed", "--rank", "1", "--gens", ""],
+                 ["cl-u", "--rank", "1", "--gens", ""]):
         assert argv in answered
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

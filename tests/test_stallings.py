@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -6,7 +8,7 @@ from provar import permgroup as pg
 from provar.errors import CapExceededError, NotFiniteIndexError
 from provar.stallings import Automaton
 from provar.words import commutator, identity, parse, word
-from tests.oracles import all_subgroups
+from tests.oracles import all_subgroups, index_and_basis_by_vertex_words, vertex_words
 
 
 def aut(rank, *texts):
@@ -126,6 +128,51 @@ def test_index_and_basis_examples():
     assert len(basis) == 3  # Nielsen-Schreier: 1 + 2(2-1)
     for w in basis:
         assert eval_word(C2_IMAGES, w) == pg.perm_identity(2)
+
+
+def test_index_and_basis_match_the_vertex_word_oracle():
+    # the parent-pointer spelling against words built per vertex by
+    # products along the same tree, on folded and action automata of
+    # rank 1-3, intransitive actions included; the exponent sums and
+    # lengths read off the tree against the spelled words'
+    rng = random.Random(16)
+    automata = []
+    for _ in range(200):
+        rank = rng.randrange(1, 4)
+        gens = [random_word(rng, rank, 9) for _ in range(rng.randrange(1, 5))]
+        automata.append(Automaton.from_generators(gens, rank))
+    for _ in range(200):
+        rank, degree = rng.randrange(1, 4), rng.randrange(1, 16)
+        split = rng.choice([degree, rng.randrange(1, degree + 1)])
+        automata.append(Automaton.from_action(rank, random_action(rng, rank, degree, split)))
+    automata += [Automaton.trivial(2), Automaton.full_group(3), aut(1, "a^40"), aut(2, "a^9b^-7a")]
+    words = 0
+    for a in automata:
+        index, basis = a.index_and_basis()
+        assert (index, basis) == index_and_basis_by_vertex_words(a), a.to_json_dict()
+        assert a.basis_sums() == [(w.abelianization(), len(w)) for w in basis]
+        assert a.coset_representatives() == vertex_words(a)[0]
+        assert len(basis) == sum(map(len, a.succ)) - a.n_vertices + 1
+        words += len(basis)
+    assert words > 1000
+
+
+def test_a_long_cycle_is_spelled_in_linear_time_and_memory():
+    # <a^12288> has one basis word, of 12288 letters; words built per
+    # vertex by products along the tree peak at about 305 MB under tracemalloc
+    cycle = aut(1, "a^12288")
+    start = time.perf_counter()
+    basis = cycle.basis()
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        assert cycle.basis() == basis == [parse("a^12288", 1)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    assert elapsed < 2.0
+    assert cycle.basis_sums() == [((12288,), 12288)]
 
 
 def test_nielsen_schreier_rank_for_kernels():
@@ -262,10 +309,25 @@ def test_from_action_equals_the_fold_of_its_edges():
         assert got.is_complete()
         intransitive += got.n_vertices < degree
     assert intransitive > 10
-    for rank, perms in [(1, [(0, 0)]), (1, [(1, 2)]), (2, [(0, 1), (0,)]), (2, [(0, 1)]),
-                        (1, [(1, 0), (1, 0)])]:
-        with pytest.raises(ValueError):
-            Automaton.from_action(rank, perms)
+
+
+@pytest.mark.parametrize("rank, perms, message", [
+    (1, [(0, 0)], "transition target 0 is met twice"),
+    (1, [(0, 0, 2)], "transition target 0 is met twice"),
+    (1, [(1, 2)], "transition target 2 is out of range for 2 vertices"),
+    (1, [(1, 3, 0)], "transition target 3 is out of range for 3 vertices"),
+    (1, [(1, -1, 0)], "transition target -1 is out of range for 3 vertices"),
+    (2, [(0, 1, 2), (1, 0)], "transitions must all have the same length"),
+    (2, [(1, 0), (1, 0, 2)], "transitions must all have the same length"),
+    (2, [(0, 1), (0,)], "transitions must all have the same length"),
+    (2, [(), ()], "transitions need at least the point 0"),
+    (2, [(0, 1)], "need one permutation per generator"),
+    (1, [(1, 0), (1, 0)], "need one permutation per generator"),
+])
+def test_from_action_refuses_what_is_not_a_permutation(rank, perms, message):
+    with pytest.raises(ValueError) as refused:
+        Automaton.from_action(rank, perms)
+    assert str(refused.value) == message
 
 
 def test_intermediate_subgroups_examples():

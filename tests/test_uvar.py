@@ -7,7 +7,7 @@ import pytest
 from provar import apd, uvar
 from provar import permgroup as pg
 from provar.apd import GpdGroup
-from provar.errors import CapExceededError
+from provar.errors import CapExceededError, NotFiniteIndexError
 from provar.numtheory import factorize, lattice_index
 from provar.permgroup import PermGroup, perm_identity
 from provar.stallings import Automaton
@@ -65,8 +65,25 @@ def test_is_u_closed_fixtures():
     cayley_q8 = schreier_preimage(Q8_IMAGES, [perm_identity(8)])
     assert not uvar.is_u_closed(cayley_q8)
 
-    # infinite index: never closed
+    # infinite index in rank 2: a closed subgroup contains F'', so never
     assert not uvar.is_u_closed(aut(2, "a"))
+
+
+def test_infinite_index_is_closed_only_for_the_trivial_subgroup_of_z():
+    # Z is residually U: the meet of the per-prime closures of 1 up to 7
+    # is the kernel onto Z_420 (420 = lcm(2, 3 * 2, 5 * 4, 7 * 6)), and a
+    # nonzero power a^m is cut off by any prime not dividing m
+    trivial = Automaton.trivial(1)
+    assert uvar.is_u_closed(trivial)
+    assert uvar.cl_u_finite_index(trivial) == trivial
+    assert uvar.cl_u_approx(trivial, [2, 3, 5, 7]).automaton == aut(1, "a^420")
+    for m in range(1, 40):
+        p = next(q for q in (2, 3, 5, 7, 11, 13) if m % q)
+        assert not apd.closure(trivial, p, 1).membership(parse(f"a^{m}", 1))
+    for subgroup in (Automaton.trivial(2), aut(2, "a"), aut(2, "ab", "aB"), aut(3, "a", "b")):
+        assert not uvar.is_u_closed(subgroup)
+        with pytest.raises(NotFiniteIndexError):
+            uvar.cl_u_finite_index(subgroup)
 
 
 def test_cl_u_finite_index_idempotent_on_closed():
@@ -98,6 +115,7 @@ def test_is_u_closed_iff_closure_is_identity_map():
         aut(1, "a^6"),
         Automaton.full_group(2),
         aut(2, "a", "b"),
+        Automaton.trivial(1),
     ]
     for f in fixtures:
         assert uvar.is_u_closed(f) == (uvar.cl_u_finite_index(f) == f)
