@@ -2,9 +2,12 @@
 
 Permutations are tuples of 0-based images; ``compose(f, g)`` is the
 function composition f o g (g applied first), so the left-regular
-representation of a group is a homomorphism.  Everything here runs by
-explicit element enumeration guarded by a cap, which is the intended
-scale for the decision procedures built on top.
+representation of a group is a homomorphism.  Most structure here runs
+by explicit element enumeration guarded by a cap, which is the intended
+scale for the decision procedures built on top: normal closures, the
+derived subgroup, Sylow subgroups, quotients and supersolvability.
+``StabilizerChain`` gives a group's order and membership without
+enumerating it, by the deterministic Schreier-Sims algorithm.
 
 Enumeration costs |G| compositions of degree-length tuples, |G|^2 on a
 regular representation.  ``smaller_faithful_action`` cuts that degree
@@ -12,8 +15,8 @@ for questions that only depend on G up to isomorphism.  A regular G is
 recognized by its right multiplications, read along a Schreier tree in
 integer lookups: they commute with G exactly when G is regular, and
 they also give the centre.  Without a centre, G acts faithfully by
-conjugation on the conjugacy classes of its generators, and the
-enumeration of that action checks that its elements are distinct.
+conjugation on the conjugacy classes of its generators, and a
+stabilizer chain of that action checks that it has |G| elements.
 """
 
 from __future__ import annotations
@@ -137,6 +140,153 @@ def bfs_closure(identity, generators, product, cap: int) -> list:
     return order_list
 
 
+class StabilizerChain:
+    """A base and strong generating set of the group that ``generators``
+    generate, by the deterministic Schreier-Sims algorithm (Sims 1970;
+    Seress, *Permutation Group Algorithms*, ch. 4), with no element of
+    the group enumerated.
+
+    Level i holds a base point b_i, the strong generators S_i, which fix
+    b_0, ..., b_(i-1), and the orbit of b_i under H_i = <S_i>, with the
+    inverse of one element u_x of H_i per orbit point x, u_x(b_i) = x.
+    Sifting g from level i replaces it by u_x^-1 g, x = g(b_i), level by
+    level, until a point falls outside an orbit or the levels run out.
+    A group element g is added to the levels i, ..., j at which it is
+    in H_i and its residue stops, so the H_i descend; at the end of the
+    levels a new one is opened, at the first point that the residue moves.
+
+    The levels are completed from the deepest up.  At level i, once the
+    levels below it are complete, each Schreier generator
+    u_(s(x))^-1 s u_x (s in S_i, x in the orbit) is sifted from level
+    i + 1; a nontrivial residue is added to the levels down to the one
+    at which it stopped, which grows an orbit or opens a level, and the
+    levels from there up are completed again.  A pair (x, s) is sifted
+    once: transversal elements, once chosen, never change, so a pair
+    that sifted once still does, and the Schreier generator of a pair
+    that failed is the product of transversal elements and a residue
+    that now lie in H_(i+1).  By Schreier's lemma the stabilizer of
+    b_i in H_i is generated by the Schreier generators, so when every
+    level is complete it is H_(i+1), and |G| is the product of the orbit
+    lengths.  Memory is one transversal element per orbit point, and the
+    orbit lengths, each at least 2, sum to at most that product.
+    """
+
+    __slots__ = ("degree", "base", "strong", "transversals", "_inverses", "_orbits", "_checked")
+
+    def __init__(self, degree: int, generators):
+        self.degree = degree
+        self.base: list[int] = []
+        self.strong: list[list[Perm]] = []
+        self.transversals: list[dict[int, Perm]] = []  # x -> u_x^-1
+        self._inverses: list[list[Perm]] = []  # of the strong generators
+        self._orbits: list[list[int]] = []
+        self._checked: list[list[int]] = []  # per orbit point, the generators sifted
+        for g in generators:
+            residue, stop = self.sift(tuple(g))
+            if stop < len(self.base) or residue != perm_identity(degree):
+                self._add(residue, 0, stop)
+                self._complete(stop)
+
+    @property
+    def order(self) -> int:
+        return math.prod(len(t) for t in self.transversals)
+
+    def sift(self, g: Perm) -> tuple[Perm, int]:
+        """(residue, level at which it stopped): len(base) when it passed
+        every level, and then g lies in the group exactly when the
+        residue is the identity."""
+        for i, (b, back) in enumerate(zip(self.base, self.transversals)):
+            step = back.get(g[b])
+            if step is None:
+                return g, i
+            g = compose(step, g)
+        return g, len(self.base)
+
+    def _add(self, g: Perm, first: int, last: int) -> None:
+        """g joins S_first, ..., S_last and grows their orbits; a level is
+        opened at the first point g moves when ``last`` is new."""
+        if last == len(self.base):
+            b = next(x for x in range(self.degree) if g[x] != x)
+            self.base.append(b)
+            self.strong.append([])
+            self._inverses.append([])
+            self.transversals.append({b: perm_identity(self.degree)})
+            self._orbits.append([b])
+            self._checked.append([0])
+        g_inv = inverse(g)
+        for i in range(first, last + 1):
+            gens, inverses = self.strong[i], self._inverses[i]
+            gens.append(g)
+            inverses.append(g_inv)
+            back, orbit, checked = self.transversals[i], self._orbits[i], self._checked[i]
+            old = len(orbit)
+            for k, x in enumerate(orbit):  # grows while it is walked
+                pairs = ((g, g_inv),) if k < old else zip(gens, inverses)
+                for s, s_inv in pairs:
+                    y = s[x]
+                    if y not in back:
+                        back[y] = compose(back[x], s_inv)  # u_y = s u_x
+                        orbit.append(y)
+                        checked.append(0)
+
+    def _complete(self, level: int) -> None:
+        """Sift every unsifted Schreier generator of the levels up from
+        ``level``, each after the levels below it are complete."""
+        i = level
+        while i >= 0:
+            failure = self._schreier_failure(i)
+            if failure is None:
+                i -= 1
+            else:
+                self._add(failure[0], i + 1, failure[1])
+                i = failure[1]
+
+    def _schreier_failure(self, i: int):
+        """The first unsifted Schreier generator h = l u_x of level i,
+        l = u_(s(x))^-1 s, that does not sift to the identity from level
+        i + 1, as (residue, level).  The sift multiplies l on the left and
+        reads h(b) as l(u_x(b)), so h is formed only when it fails: it
+        sifts to the identity exactly when l ends as u_x^-1."""
+        gens, back, checked = self.strong[i], self.transversals[i], self._checked[i]
+        below = list(zip(self.base[i + 1 :], self.transversals[i + 1 :]))
+        for k, x in enumerate(self._orbits[i]):
+            x_back = back[x]
+            while checked[k] < len(gens):
+                s = gens[checked[k]]
+                checked[k] += 1
+                left = compose(back[s[x]], s)
+                stop = len(self.base)
+                for j, (b, level_back) in enumerate(below, start=i + 1):
+                    step = level_back.get(left[x_back.index(b)])
+                    if step is None:
+                        stop = j
+                        break
+                    left = compose(step, left)
+                if stop < len(self.base) or left != x_back:
+                    return compose(left, inverse(x_back)), stop
+        return None
+
+
+def _conjugation_on_classes(gens, rhos) -> tuple[int, list[Perm]]:
+    """(|X|, psi(s) for each generator s) of a regular G, with the right
+    multiplications rho_s: the conjugation action on the union X of the
+    generators' conjugacy classes, each x in X held as the point x(0),
+    numbered as a breadth-first walk from the generators reaches them.
+    s x s^-1 sends 0 to s(rho_s^-1(x(0)))."""
+    points = list(dict.fromkeys(s[0] for s in gens))
+    index = {x: i for i, x in enumerate(points)}
+    images = [[] for _ in gens]
+    rho_inverses = [inverse(rho) for rho in rhos]
+    for x in points:  # X grows while it is walked
+        for s, rho_inverse, image in zip(gens, rho_inverses, images):
+            c = s[rho_inverse[x]]
+            if c not in index:
+                index[c] = len(points)
+                points.append(c)
+            image.append(index[c])
+    return len(points), [tuple(image) for image in images]
+
+
 @dataclass(frozen=True)
 class StructureReport:
     abelian: bool
@@ -216,7 +366,7 @@ class PermGroup:
         )
 
     def smaller_faithful_action(self) -> "PermGroup":
-        """G acting faithfully on fewer points, with its elements
+        """G acting faithfully on fewer points, with its elements not
         enumerated, or G itself.
 
         Only a regular G of degree REDUCTION_MIN_DEGREE or more with a
@@ -241,11 +391,12 @@ class PermGroup:
         faithful.  X is walked before the commutation check, which
         costs as many lookups per point as there are pairs of
         generators, and G is returned when X has `degree` points, as it
-        has for a group given by its Cayley table.  psi(G) is
-        enumerated with one composition per tree edge, since
-        t_(s(w)) = s o t_w, and AssertionError unless its `degree`
-        elements are distinct.  CapExceededError, as from
-        ``elements()``, when G exceeds the cap.
+        has for a group given by its Cayley table.  The order of psi(G)
+        is read off a ``StabilizerChain`` of it, with no element
+        enumerated, and AssertionError unless it is `degree` = |G|, which
+        holds exactly when psi is faithful.  CapExceededError, as from
+        ``elements()``, when G exceeds the cap: the chain keeps one
+        element of psi(G) per orbit point, at most |G| of them.
         """
         degree = self.degree
         if degree < REDUCTION_MIN_DEGREE:
@@ -271,19 +422,9 @@ class PermGroup:
             for v, w, i in edges:
                 rho[v] = gens[i][rho[w]]
             rhos.append(rho)
-        points = list(dict.fromkeys(s[0] for s in gens))
-        index = {x: i for i, x in enumerate(points)}
-        images = [[] for _ in gens]
-        rho_inverses = [inverse(rho) for rho in rhos]
-        for x in points:  # X grows while it is walked
-            for s, rho_inverse, image in zip(gens, rho_inverses, images):
-                c = s[rho_inverse[x]]
-                if c not in index:
-                    index[c] = len(points)
-                    points.append(c)
-                image.append(index[c])
+        size, psi = _conjugation_on_classes(gens, rhos)
         # on fewer than two points psi is trivial, and X = G saves nothing
-        if not 1 < len(points) < degree:
+        if not 1 < size < degree:
             return self
         if any([rho[x] for x in t] != [t[x] for x in rho] for rho in rhos for t in gens):
             return self
@@ -294,19 +435,11 @@ class PermGroup:
             return self
         if degree > self.cap:
             raise _over_cap(self.cap)
-        psi = [tuple(image) for image in images]
-        element_at = [None] * degree
-        element_at[0] = perm_identity(len(points))
-        for v, w, i in edges:
-            element_at[v] = compose(psi[i], element_at[w])
-        order_list = [element_at[w] for w in tree]
-        element_set = frozenset(order_list)
-        if len(element_set) != degree:
-            raise AssertionError("psi has a nontrivial kernel on a group with a trivial centre")
-        reduced = PermGroup(len(points), psi, cap=self.cap)
-        reduced._elements = order_list
-        reduced._element_set = element_set
-        return reduced
+        order = StabilizerChain(size, psi).order
+        if order != degree:
+            raise AssertionError(f"psi(G) has order {order}, not {degree}: psi has a nontrivial "
+                                 f"kernel on a group with a trivial centre")
+        return PermGroup(size, psi, cap=self.cap)
 
     # -- structure ------------------------------------------------------
 

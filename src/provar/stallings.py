@@ -79,7 +79,7 @@ class Automaton:
     Immutable after construction; compare and hash by canonical form.
     """
 
-    __slots__ = ("rank", "n_vertices", "base", "succ", "pred", "_key")
+    __slots__ = ("rank", "n_vertices", "base", "succ", "pred", "_key", "_spanning")
 
     def __init__(self, rank, n_vertices, succ, pred):
         self.rank = rank
@@ -88,6 +88,7 @@ class Automaton:
         self.succ = succ
         self.pred = pred
         self._key = None
+        self._spanning = None
 
     # -- construction -------------------------------------------------
 
@@ -300,7 +301,13 @@ class Automaton:
         signed-label order of ``_renumber`` (a < a^-1 < b < ...): per
         vertex its parent and the signed letter from it (-1 and 0 at the
         basepoint) and its depth, with the vertices in the order the
-        search reaches them, so every parent comes before its children."""
+        search reaches them, so every parent comes before its children.
+        Built on first use and kept, like ``key``; callers only read it."""
+        if self._spanning is None:
+            self._spanning = self._build_tree()
+        return self._spanning
+
+    def _build_tree(self):
         n = self.n_vertices
         parent, letter, depth = [-1] * n, [0] * n, [0] * n
         maps = [(s, m) for g, (out, into) in enumerate(zip(self.succ, self.pred), start=1)

@@ -2,9 +2,12 @@
 
 Membership of a finite group in U is the conjunction of three decidable
 conditions: supersolvability, a derived subgroup that is abelian of
-squarefree exponent, and abelian Sylow subgroups.  A finite-index
-subgroup H of a free group is U-closed iff its coset-action group G
-lies in U.  Its exact U-closure is H·R, where R is the preimage of the
+squarefree exponent, and abelian Sylow subgroups.  When the derived
+subgroup is abelian of squarefree exponent, the other two are read off
+it and the group's generators by commutators, with no element of the
+group enumerated; otherwise they are searched over its elements.  A
+finite-index subgroup H of a free group is U-closed iff its
+coset-action group G lies in U.  Its exact U-closure is H·R, where R is the preimage of the
 U-residual of G, the smallest normal subgroup N with G/N in U; it
 exists because U is closed under subdirect products, and it is the
 normal closure of elements that each of the three conditions puts in
@@ -26,6 +29,7 @@ from .permgroup import (
     DEFAULT_ELEMENT_CAP,
     PermGroup,
     commutator,
+    compose,
     perm_order,
     perm_power,
 )
@@ -62,26 +66,98 @@ class UMembershipReport:
 
 def is_in_u(group: PermGroup) -> UMembershipReport:
     """Decide membership in U via the structural characterization:
-    supersolvable, derived subgroup abelian of squarefree exponent (a
+    supersolvable, derived subgroup G' abelian of squarefree exponent (a
     product of elementary abelian groups for distinct primes), and
     abelian Sylow subgroups.  Every condition is an isomorphism
-    invariant, so they are checked on ``group.smaller_faithful_action()``."""
+    invariant, so they are checked on ``group.smaller_faithful_action()``.
+
+    G' is enumerated, as a normal closure, but G is not when G' is
+    abelian of squarefree exponent r: then the other two conditions are
+    read off G' and the generators s of G.  For p | r, G' is V_p x W_p,
+    with V_p the image of x -> x^(r/p), its Sylow p-subgroup, generated
+    by the g^(r/p) for the generators g of G', and W_p the kernel, both
+    characteristic in G', so normal in G.  Let s_p be a generator of the
+    Sylow p-subgroup of <s> (a power of s).  Let P be a Sylow p-subgroup.
+
+    - p not dividing r: P meets G' trivially, so it embeds in the
+      abelian G/G'.
+    - p | r: P meets the p'-group W_p trivially, so it is isomorphic to
+      its image in G/W_p.  There the Sylow p-subgroup is normal, the
+      preimage of that of the abelian G/G', and it is generated by V_p
+      and the s_p.  It is abelian iff every [s_p, g^(r/p)] and every
+      [s_p, t_p] lie in W_p.  The first lies in the normal V_p, which
+      meets W_p trivially, so it must be 1.  The second lies in G', so it
+      lies in W_p iff [s_p, t_p]^(r/p) = 1.
+    - With every Sylow subgroup abelian, G is supersolvable iff every
+      s^(p-1) commutes with every g^(r/p), for p | r.  This is
+      ``u_residual``'s Maschke argument with N0 = 1: G acts on the
+      F_p-space V_p through an abelian p'-group, as G' and the abelian
+      P containing the normal V_p act trivially, so V_p is semisimple.
+      If G is supersolvable, its chief factors in V_p have order p, so
+      V_p is a sum of 1-dimensional modules, on which each s^(p-1) acts
+      trivially.  Conversely, commuting actions of order dividing p - 1
+      are diagonal over F_p together, so G' has a normal series with
+      factors of prime order, which refines through the abelian G/G'.
+
+    The primes of |G| are those of r and of the generators' orders, as
+    G/G' is abelian and generated by the images of the s; they are the
+    keys of ``sylow_abelian``.
+
+    When G' is not abelian of squarefree exponent, G is enumerated: a
+    normalizer tower per prime of |G| gives the Sylow subgroups, and the
+    chief-series search of ``PermGroup.is_supersolvable`` the field
+    ``supersolvable``, which that search also gives when some Sylow
+    subgroup is not abelian."""
     group = group.smaller_faithful_action()
-    supersolvable = group.is_supersolvable()
-    derived_structure = group.derived_subgroup().structure()
-    derived_ok = derived_structure.abelian and all(
-        e == 1 for e in factorize(derived_structure.exponent).values()
-    )
-    sylow_abelian = {
-        p: group.sylow(p).structure().abelian for p in sorted(factorize(group.order))
-    }
+    derived = group.derived_subgroup()
+    structure = derived.structure()
+    r = structure.exponent
+    r_primes = factorize(r)
+    if not structure.abelian or any(e > 1 for e in r_primes.values()):
+        return UMembershipReport(
+            verdict=False,
+            supersolvable=group.is_supersolvable(),
+            derived_elementary_abelian=False,
+            derived_witness_prime=structure.elementary_prime,
+            sylow_abelian={p: group.sylow(p).structure().abelian
+                           for p in sorted(factorize(group.order))},
+        )
+    ident = group.identity()
+    v_gens = {p: [perm_power(g, r // p) for g in derived.generators] for p in r_primes}
+    orders = [perm_order(s) for s in group.generators]
+    sylow_abelian = {}
+    for p in sorted(set(r_primes).union(*map(factorize, orders))):
+        if p not in r_primes:
+            sylow_abelian[p] = True
+            continue
+        parts = [q for s, o in zip(group.generators, orders) if (q := _p_part(s, o, p)) != ident]
+        sylow_abelian[p] = _centralizes(parts, v_gens[p]) and all(
+            perm_power(commutator(a, b), r // p) == ident
+            for i, a in enumerate(parts) for b in parts[i + 1 :])
+    if all(sylow_abelian.values()):
+        supersolvable = all(_centralizes([perm_power(s, p - 1) for s in group.generators], v_gens[p])
+                            for p in r_primes)
+    else:
+        supersolvable = group.is_supersolvable()
     return UMembershipReport(
-        verdict=supersolvable and derived_ok and all(sylow_abelian.values()),
+        verdict=supersolvable and all(sylow_abelian.values()),
         supersolvable=supersolvable,
-        derived_elementary_abelian=derived_ok,
-        derived_witness_prime=derived_structure.elementary_prime,
+        derived_elementary_abelian=True,
+        derived_witness_prime=structure.elementary_prime,
         sylow_abelian=sylow_abelian,
     )
+
+
+def _p_part(s, order: int, p: int):
+    """A generator of the Sylow p-subgroup of <s>, s of the given order."""
+    while order % p == 0:
+        order //= p
+    return perm_power(s, order)
+
+
+def _centralizes(ys, xs) -> bool:
+    """Every y commutes with every x."""
+    return all(compose(y, x) == compose(x, y) for y in ys for x in xs)
 
 
 def is_u_closed(aut: Automaton, cap: int = DEFAULT_ELEMENT_CAP) -> bool:

@@ -10,10 +10,10 @@ from typing import NamedTuple
 from provar.apd import FreeObject, GpdElement, GpdGroup
 from provar.fplinalg import ApdPresentation, kernel_basis, mat_inv, mat_mul, mat_vec, rref
 from provar.metabelian import Flow
-from provar.numtheory import mult_order, require_prime
+from provar.numtheory import factorize, mult_order, require_prime
 from provar.permgroup import DEFAULT_ELEMENT_CAP, PermGroup, bfs_closure, compose, inverse
 from provar.stallings import Automaton
-from provar.uvar import is_in_u
+from provar.uvar import UMembershipReport, is_in_u
 from provar.words import Word, identity, word
 
 
@@ -213,6 +213,28 @@ def normal_subgroups_containing(group: PermGroup, base: PermGroup) -> Iterator[P
             if product.element_set() not in found:
                 found.add(product.element_set())
                 heapq.heappush(heap, (product.order, next(tiebreak), product))
+
+
+def is_in_u_by_enumeration(group: PermGroup) -> UMembershipReport:
+    """``uvar.is_in_u`` with every condition read off G's elements: the
+    chief-series search of ``PermGroup.is_supersolvable``, G' and its
+    structure, and a normalizer tower for each prime of |G|."""
+    group = group.smaller_faithful_action()
+    supersolvable = group.is_supersolvable()
+    derived_structure = group.derived_subgroup().structure()
+    derived_ok = derived_structure.abelian and all(
+        e == 1 for e in factorize(derived_structure.exponent).values()
+    )
+    sylow_abelian = {
+        p: group.sylow(p).structure().abelian for p in sorted(factorize(group.order))
+    }
+    return UMembershipReport(
+        verdict=supersolvable and derived_ok and all(sylow_abelian.values()),
+        supersolvable=supersolvable,
+        derived_elementary_abelian=derived_ok,
+        derived_witness_prime=derived_structure.elementary_prime,
+        sylow_abelian=sylow_abelian,
+    )
 
 
 def u_residual_by_lattice(group: PermGroup) -> PermGroup:

@@ -44,6 +44,21 @@ def test_is_in_u_cayley_table(capsys):
     assert payload["verdict"] is True
 
 
+def test_is_in_u_answers_a_group_over_the_cap_whose_derived_subgroup_fits(capsys):
+    # C2^18 on 36 points has 262 144 elements, over the default cap; its
+    # derived subgroup is trivial, so no element of the group is counted
+    swaps = [[v + 1 for v in range(36)] for _ in range(18)]
+    for i, g in enumerate(swaps):
+        g[2 * i], g[2 * i + 1] = 2 * i + 2, 2 * i + 1
+    group = json.dumps({"degree": 36, "generators": swaps})
+    payload = run_json(capsys, "is-in-u", "--group", group)
+    assert payload == {"verdict": True, "supersolvable": True, "derived_elementary_abelian": True,
+                       "derived_witness_prime": None, "sylow_abelian": {"2": True}}
+    # so does a cap of 1 000; supersolvable still searches G's elements
+    assert run_json(capsys, "--cap", "1000", "is-in-u", "--group", group) == payload
+    assert run(capsys, "--cap", "1000", "supersolvable", "--group", group)[0] == 3
+
+
 def test_closure_command(capsys):
     payload = run_json(
         capsys, "closure", "--p", "3", "--d", "2", "--rank", "1", "--gens", "aaaa"

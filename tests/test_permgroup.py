@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from provar import permgroup as pg
@@ -292,6 +294,55 @@ def test_perm_order_and_power_match_repeated_composition():
                 power = pg.compose(power, x)
 
 
+def random_groups(seed, count, max_degree=8):
+    """Groups of up to three random permutations, random cycles or
+    random transpositions, of degree 1 to max_degree."""
+    rng = random.Random(seed)
+    groups = []
+    for _ in range(count):
+        degree = rng.randrange(1, max_degree + 1)
+        gens = []
+        for _ in range(rng.randrange(0, 4)):
+            points = list(range(degree))
+            kind = rng.randrange(3)
+            if kind == 0:
+                rng.shuffle(points)
+            else:
+                moved = rng.sample(range(degree), rng.randrange(1, degree + 1) if kind == 1
+                                   else min(2, degree))
+                for a, b in zip(moved, moved[1:] + moved[:1]):
+                    points[a] = b
+            gens.append(tuple(points))
+        groups.append(PermGroup(degree, gens))
+    return groups
+
+
+def test_stabilizer_chain_order_and_membership_match_enumeration():
+    rng = random.Random(3)
+    fixtures = [s3(), s4(), a4(), d4(), q8(), c12(), c2xc4(), regular(q8()), regular(s4())]
+    orders = set()
+    for G in fixtures + random_groups(5, 450):
+        chain = pg.StabilizerChain(G.degree, G.generators)
+        elements = G.element_set()
+        assert chain.order == len(elements), G.generators
+        orders.add(chain.order)
+        for i, (b, back) in enumerate(zip(chain.base, chain.transversals)):
+            assert all(g[c] == c for g in chain.strong[i] for c in chain.base[:i])
+            assert all(u[x] == b and u in elements for x, u in back.items())
+        assert sum(map(len, chain.transversals)) <= max(1, chain.order)
+
+        def member(g):
+            residue, level = chain.sift(g)
+            return level == len(chain.base) and residue == G.identity()
+
+        assert all(map(member, rng.sample(sorted(elements), min(5, len(elements)))))
+        for _ in range(5):
+            points = list(range(G.degree))
+            rng.shuffle(points)
+            assert member(tuple(points)) == (tuple(points) in elements)
+    assert {1, 2, 6, 24, 120, 720, 5040, 40320} <= orders
+
+
 def test_compose_degree_one():
     assert pg.compose((0,), (0,)) == (0,)
     assert PermGroup(1, [(0,)]).order == 1
@@ -461,8 +512,10 @@ def test_smaller_faithful_action_reduces_past_a_quarter_of_the_degree():
 
 
 def test_smaller_faithful_action_composes_no_tuple_of_full_degree(monkeypatch):
-    # the regularity check, the centre and X are integer lookups, and
-    # psi(G) costs one composition of |X|-point tuples per tree edge
+    # the regularity check, the centre and X are integer lookups, and the
+    # order of psi(G) comes from a stabilizer chain of |X|-point tuples,
+    # with fewer compositions than the |G| - 1 that enumerating psi(G)
+    # along the Schreier tree would cost
     group = direct_product(GpdGroup(11, 10).as_perm_group(), GpdGroup(7, 6).as_perm_group())
     regular = left_regular(group)
     lengths = []
@@ -470,15 +523,27 @@ def test_smaller_faithful_action_composes_no_tuple_of_full_degree(monkeypatch):
     monkeypatch.setattr(pg, "compose", lambda f, g: lengths.append(len(f)) or real(f, g))
     reduced = regular.smaller_faithful_action()
     monkeypatch.setattr(pg, "compose", real)
+    assert reduced._elements is None
     assert regular.degree == reduced.order == 4620
-    assert len(lengths) == regular.degree - 1
+    assert 0 < len(lengths) < regular.degree - 1
     assert set(lengths) == {reduced.degree} and reduced.degree < regular.degree
+    # the chain keeps fewer elements than the enumeration, |G| of them
+    chain = pg.StabilizerChain(reduced.degree, reduced.generators)
+    strong = {g for level in chain.strong for g in level}
+    assert sum(map(len, chain.transversals)) + 2 * len(strong) < reduced.order
 
 
 def test_smaller_faithful_action_checks_that_its_elements_are_distinct(monkeypatch):
-    # psi(G) built wrongly, here every element the identity, is refused
+    # psi(G) built wrongly, here every generator's image the identity, so
+    # that psi(G) is trivial, is refused by the chain's order
     group = direct_product(GpdGroup(5, 4).as_perm_group(), GpdGroup(3, 2).as_perm_group())
     regular = left_regular(group)
-    monkeypatch.setattr(pg, "compose", lambda f, g: g)
+    real = pg._conjugation_on_classes
+
+    def trivial_psi(gens, rhos):
+        size, psi = real(gens, rhos)
+        return size, [tuple(range(size)) for _ in psi]
+
+    monkeypatch.setattr(pg, "_conjugation_on_classes", trivial_psi)
     with pytest.raises(AssertionError, match="nontrivial kernel"):
         regular.smaller_faithful_action()

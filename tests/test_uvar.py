@@ -12,7 +12,7 @@ from provar.numtheory import factorize, lattice_index
 from provar.permgroup import PermGroup, perm_identity
 from provar.stallings import Automaton
 from provar.words import commutator, parse, word
-from tests.oracles import normal_subgroups_containing, u_residual_by_lattice
+from tests.oracles import is_in_u_by_enumeration, normal_subgroups_containing, u_residual_by_lattice
 from tests.test_permgroup import a4, c2xc4, d4, direct_product, left_regular, q8, s3, s4
 from tests.test_stallings import S3_IMAGES, schreier_preimage
 
@@ -673,3 +673,112 @@ def test_is_in_u_reports_the_same_on_a_smaller_faithful_action(monkeypatch):
         assert uvar.is_in_u(regular) == unreduced, group
         reduced_count += regular.smaller_faithful_action() is not regular
     assert reduced_count >= 5
+
+
+# -- the commutator route against enumeration -------------------------------------
+
+
+def random_small_groups(seed, count, max_degree=7):
+    """Groups of one to three random permutations, or random cycles, of
+    degree 1 to max_degree."""
+    rng = random.Random(seed)
+    groups = []
+    for _ in range(count):
+        degree = rng.randrange(1, max_degree + 1)
+        gens = []
+        for _ in range(rng.randrange(1, 4)):
+            if rng.random() < 0.5:
+                points = list(range(degree))
+                rng.shuffle(points)
+                gens.append(tuple(points))
+            else:
+                gens.append(cycles(degree, rng.sample(range(degree), rng.randrange(1, degree + 1))))
+        groups.append(PermGroup(degree, gens))
+    return groups
+
+
+def coset_groups(seed):
+    """Regular representations like the benchmark's coset groups: the
+    G(11,10) x G(7,6) diagonal and seeded subdirect products of fixtures
+    and of the residual parts."""
+    rng = random.Random(seed)
+    images = fixture_images()
+    gpd = {(p, d): GpdGroup(p, d).as_perm_group() for p, d in [(11, 10), (7, 6)]}
+    groups = [left_regular(PermGroup(152, pair_images(list(gpd[11, 10].generators),
+                                                     list(gpd[7, 6].generators))))]
+    for names in [("G(7,6)", "G(5,4)"), ("S4", "G(5,2)"), ("G(5,4)", "G(3,2)"), ("G(7,3)",),
+                  ("A4", "G(5,4)"), ("Q8", "G(7,3)"), ("D4", "G(5,2)"), ("S3", "G(7,6)")]:
+        gens = None
+        for name in names:
+            pair = random_generating_pair(rng, PermGroup(len(images[name][0]), images[name]))
+            gens = pair if gens is None else pair_images(gens, pair)
+        groups.append(left_regular(PermGroup(len(gens[0]), gens)))
+    groups += [left_regular(g) for _, g in random_subdirect_products(seed, 12, max_order=480)]
+    return groups
+
+
+def test_is_in_u_matches_the_enumeration_route():
+    # is_in_u reads the Sylow and supersolvability conditions off G' and
+    # the generators when G' is abelian of squarefree exponent; dropping
+    # any of its three commutator conditions changes a report here
+    groups = coset_groups(41)
+    groups += [g for _, g in random_subdirect_products(43, 240)]
+    images = {name: PermGroup(len(im[0]), im) for name, im in fixture_images().items()}
+    names = sorted(images)
+    groups += [direct_product(images[a], images[b]) for i, a in enumerate(names) for b in names[i:]]
+    groups += [subdirect(a, b) for a in names for b in names if a != b]
+    groups += random_small_groups(47, 420)
+    # F3^2:C6, of order 54, with a unipotent 3-part: a generating pair of
+    # an involution and an element of order 3 or 6 has one generator with
+    # a nontrivial 3-part, and only its commutators with G'_3 show that
+    # the Sylow 3-subgroup is not abelian
+    rng = random.Random(53)
+    unipotent = affine(3, ((2, 2), (0, 2)))
+    groups += [PermGroup(9, random_generating_pair(rng, unipotent)) for _ in range(20)]
+    outside = 0
+    for group in groups:
+        report = uvar.is_in_u(PermGroup(group.degree, group.generators))
+        assert report == is_in_u_by_enumeration(group), group.generators
+        outside += report.derived_elementary_abelian and not report.verdict
+    assert len(groups) >= 800 and outside >= 200, (len(groups), outside)
+
+
+def test_the_spanning_tree_is_built_once_per_automaton(monkeypatch):
+    # check_image_walk, _ImageSubgroup and u_density_check's basis sums
+    # all read the tree; it is built on first use and kept
+    built, read = [], []
+    build, tree = Automaton._build_tree, Automaton._tree
+    monkeypatch.setattr(Automaton, "_build_tree", lambda self: built.append(self) or build(self))
+    monkeypatch.setattr(Automaton, "_tree", lambda self: read.append(self) or tree(self))
+    for run in (lambda h: apd.closure(h, 5, 4), lambda h: apd.status(h, 7, 3),
+                lambda h: uvar.u_density_check(h, bound=7)):
+        h = aut(2, "aab", "bAbb", "ba")
+        built.clear()
+        read.clear()
+        run(h)
+        assert built == [h] and len(read) >= 2
+
+
+def test_is_in_u_answers_past_the_element_cap_when_g_prime_fits():
+    # S3, A4 and D4 times C2^k on 2k more points, with a cap below their
+    # orders.  S3 x C2^k is in U and A4 x C2^k is not supersolvable, both
+    # read off G' and the generators.  D4 x C2^k has a non-abelian Sylow
+    # 2-subgroup, so its supersolvability is searched over its elements,
+    # which the cap refuses
+    def times_swaps(group, k, cap):
+        product = direct_product(group, PermGroup(2 * k, [cycles(2 * k, (2 * i, 2 * i + 1))
+                                                          for i in range(k)]))
+        return PermGroup(product.degree, product.generators, cap=cap)
+
+    expected = {"S3": uvar.UMembershipReport(True, True, True, 3, {2: True, 3: True}),
+                "A4": uvar.UMembershipReport(False, False, True, 2, {2: True, 3: True})}
+    for name, group in (("S3", s3()), ("A4", a4())):
+        product = times_swaps(group, 8, 1000)
+        assert uvar.is_in_u(product) == expected[name]
+        with pytest.raises(CapExceededError):
+            product.elements()
+        assert is_in_u_by_enumeration(times_swaps(group, 8, 2**12)) == expected[name]
+    with pytest.raises(CapExceededError):
+        uvar.is_in_u(times_swaps(d4(), 6, 100))
+    answered = uvar.is_in_u(times_swaps(d4(), 6, 2**9))
+    assert answered == uvar.UMembershipReport(False, True, True, 2, {2: False})
