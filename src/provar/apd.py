@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import add, itemgetter, mul
 from typing import Callable, NamedTuple
@@ -126,6 +127,30 @@ class GpdGroup:
         counts, height = height_counts(w)
         p, q, d = self.p, self.q, self.d
         return GpdElement(sum(c * pow(q, j % d, p) for j, c in counts.items()) % p, height % d)
+
+    def evaluate_syllables(self, syllables: Iterable[tuple[int, int]]) -> GpdElement:
+        """Image under a -> x, b -> y of the word spelled by the
+        (generator, exponent) syllables, generator 1 for a and 2 for b,
+        in any form, reduced or not.  Each syllable is multiplied on by
+        the group law, x^u y^t x^e = x^(u + e q^t) y^t, with q^t mod p
+        kept as t moves."""
+        p, q, d = self.p, self.q, self.d
+        q_inv = pow(q, -1, p)
+        u = t = 0
+        qt = 1
+        for g, e in syllables:
+            if g == 1:
+                u += e * qt
+            elif e == 1:
+                t += 1
+                qt = qt * q % p
+            elif e == -1:
+                t -= 1
+                qt = qt * q_inv % p
+            else:
+                t += e
+                qt = qt * pow(q, e % d, p) % p
+        return GpdElement(u % p, t % d)
 
     def as_perm_group(self) -> PermGroup:
         """Left-regular permutation representation on the pd elements."""

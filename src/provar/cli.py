@@ -282,8 +282,7 @@ def _run(args) -> dict:
         }
 
     if cmd == "supersolvable":
-        group = _group_arg(args, cap).smaller_faithful_action()
-        return {"supersolvable": group.is_supersolvable()}
+        return {"supersolvable": uvar.is_supersolvable(_group_arg(args, cap))}
 
     if cmd == "gpd":
         group = apd.GpdGroup(args.p, _capped_d(args, cap), args.q)

@@ -9,26 +9,37 @@ the second derived subgroup.  The a-edge and b-edge counts are the Fox
 derivatives of the word over Z[Z^2] (the Magnus embedding), read in one
 pass by ``words.fox``.
 
+Two words are compared by the flows of their middles alone, what is
+left once their longest common prefix and suffix are cut off.
+
 For a word with nonzero flow, a homomorphism onto some group
 C_p x| C_{p-1} (with a primitive root q acting) that keeps the image
 nontrivial is found by evaluating P(x) = sum_n h_n x^n at q: the image
 of the word is x^(P(q) mod p) y^(n0 mod p-1).  The h_n are the input's
 edge counts summed along parallel grid lines, its Fox derivatives
-collapsed to one variable.  Small primes are tried directly; a
-bound-driven fallback with a guaranteed witness covers the remaining
-cases.  Every witness is checked again by ``GpdGroup.evaluate`` on the
-transformed word, through its height counts (``words.height_counts``),
-a route apart from the line sums that found it.
+collapsed to one variable: its height counts (``words.height_counts``)
+when they do not all vanish, else the same counts with the generators'
+roles exchanged, and only when both vanish the a-edges of its traced
+flow.  Small primes are tried directly; a bound-driven fallback with a
+guaranteed witness covers the remaining cases.  Every witness is
+checked again by ``GpdGroup.evaluate_syllables``, which walks the
+transformed word's syllables (``PreMap.syllables``) through the group
+law, a route apart from the counts and line sums that found it; the
+transformed word, which in the theta case has about |u|^2 / 4 letters,
+is built only by the fallback.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import chain, compress, count
+from operator import ne
 
 from .apd import GpdElement, GpdGroup
 from .errors import BudgetExhaustedError, NoWitnessError
 from .numtheory import find_pr_prime, primes_from, smallest_of_order
-from .words import Word, fox, word
+from .words import Word, fox, height_counts, word
 
 # the direct search tries the primes up to DIRECT_PRIME_BOUND; the
 # fallback tries FALLBACK_Q_CANDIDATES bases q, each with at most
@@ -82,8 +93,19 @@ def flow_of(u: Word) -> Flow:
 
 
 def metab_equal(u: Word, v: Word) -> bool:
-    """Equality in the rank-2 free metabelian group."""
-    return flow_of(u) == flow_of(v)
+    """Equality in the rank-2 free metabelian group.
+
+    u = p x s and v = p y s are equal iff x and y are, so only the flows
+    of the middles x and y, between the longest common prefix p and the
+    longest common suffix s, are compared.  Both are subwords of reduced
+    words, so reduced."""
+    if u.rank != 2 or v.rank != 2:
+        raise ValueError("flows are defined for rank-2 words")
+    a, b = u.letters, v.letters
+    start = next(compress(count(), map(ne, a, b)), min(len(a), len(b)))
+    a, b = a[start:], b[start:]
+    stop = next(compress(count(), map(ne, reversed(a), reversed(b))), min(len(a), len(b)))
+    return flow_of(Word(a[: len(a) - stop], 2)) == flow_of(Word(b[: len(b) - stop], 2))
 
 
 def swap_generators(u: Word) -> Word:
@@ -159,6 +181,27 @@ class PreMap:
                 raise ValueError(f"unknown step {step!r}")
         return out
 
+    def syllables(self, u: Word) -> Iterator[tuple[int, int]]:
+        """The transformed word as unreduced (generator, exponent)
+        syllables, generator 1 for a and 2 for b, in time and memory
+        linear in |u| and the shift: swap exchanges the generators, shift
+        m adds (a, m)(b, m) before and (b, -m)(a, -m) after, and theta k
+        takes (a, 1) to (a, 1)(b, 1), (a, -1) to (b, -1)(a, -1) and
+        (b, e) to (b, e k)."""
+        if u.rank != 2:
+            raise ValueError("rank-2 word required")
+        out: Iterator[tuple[int, int]] = map(_SYLLABLE.__getitem__, u.letters)
+        for step in self.steps:
+            if step[0] == "swap":
+                out = ((3 - g, e) for g, e in out)
+            elif step[0] == "shift":
+                out = chain(((1, step[1]), (2, step[1])), out, ((2, -step[1]), (1, -step[1])))
+            elif step[0] == "theta":
+                out = _theta_syllables(out, step[1])
+            else:  # pragma: no cover
+                raise ValueError(f"unknown step {step!r}")
+        return out
+
     def describe(self) -> str:
         if not self.steps:
             return "direct"
@@ -169,6 +212,19 @@ class PreMap:
             else:
                 parts.append(f"{step[0]}({step[1]})")
         return ";".join(parts)
+
+
+_SYLLABLE = {1: (1, 1), -1: (1, -1), 2: (2, 1), -2: (2, -1)}
+
+
+def _theta_syllables(syllables: Iterable[tuple[int, int]], k: int) -> Iterator[tuple[int, int]]:
+    """Syllables under a -> ab, b -> b^k."""
+    for g, e in syllables:
+        if g == 2:
+            yield 2, e * k
+        else:
+            for _ in range(abs(e)):
+                yield from (((1, 1), (2, 1)) if e > 0 else ((2, -1), (1, -1)))
 
 
 @dataclass(frozen=True)
@@ -252,20 +308,23 @@ def separating_witness(u: Word) -> SeparationWitness:
     they stand; nonzero column sums after swapping the generators; and
     in the remaining case the substitution a -> ab, b -> b^k (applied to
     a first-quadrant conjugate, k its length) transports some edge count
-    to a nonzero row sum.  Every case reads the transformed word's row
-    sums h and end height n0 off u's flow, the only flow traced; that
-    word is built only to re-check the witness (and for its length in
-    the fallback).  Primes are tried in increasing order, so the
-    returned witness is minimal for this search order.
+    to a nonzero row sum.  The row sums h and end height n0 of the
+    transformed word are read off u alone: in the direct case they are
+    u's height counts, in the swap case the same counts with the
+    generators' roles exchanged, and only in the theta case is a flow
+    traced, u's.  The transformed word is built only by the fallback,
+    for its length: the witness is checked again by walking that word's
+    syllables through the group law.  Primes are tried in increasing
+    order, so the returned witness is minimal for this search order.
     """
-    flow = flow_of(u)
-    if flow.is_zero():
-        raise NoWitnessError("the word is trivial in the free metabelian group")
     steps: tuple = ()
-    h, n0 = flow.h_sums(), flow.endpoint[1]
+    h, n0 = height_counts(u)
     if not h:
-        steps, h, n0 = (("swap",),), flow.v_sums(), flow.endpoint[0]
+        steps, (h, n0) = (("swap",),), _column_counts(u)
     if not h:
+        flow = flow_of(u)
+        if flow.is_zero():
+            raise NoWitnessError("the word is trivial in the free metabelian group")
         # u lies in F' and ends at (0, 0), so n0 = 0; conjugating by
         # a^m b^m translates its flow by (m, m), and theta(k) carries an
         # a-edge at (i, j) to height i + k j
@@ -288,8 +347,26 @@ def separating_witness(u: Word) -> SeparationWitness:
     return witness
 
 
+def _column_counts(u: Word) -> tuple[dict[int, int], int]:
+    """``height_counts`` with the generators' roles exchanged: the net
+    b-count of u at each a-height, and its final a-height, which are the
+    column sums of its b-edges and its endpoint's first coordinate."""
+    counts: dict[int, int] = {}
+    i = 0
+    for letter in u.letters:
+        if letter == 1 or letter == -1:
+            i += letter
+        else:
+            counts[i] = counts.get(i, 0) + letter // 2
+    return {m: c for m, c in counts.items() if c}, i
+
+
 def _verify_witness(witness: SeparationWitness, u: Word) -> None:
+    """Walk the transformed word's syllables through the group law, a
+    route apart from the height counts and the line sums that found the
+    witness; AssertionError unless the image is the witness's and not
+    the identity."""
     group = GpdGroup(witness.p, witness.p - 1, witness.q)
-    evaluated = group.evaluate(witness.pre_map.apply(u))
+    evaluated = group.evaluate_syllables(witness.pre_map.syllables(u))
     if evaluated != witness.image or evaluated == group.identity:
-        raise AssertionError("witness failed re-verification")  # pragma: no cover
+        raise AssertionError("witness failed re-verification")

@@ -28,6 +28,7 @@ from .numtheory import factorize, is_prime, lattice_index
 from .permgroup import (
     DEFAULT_ELEMENT_CAP,
     PermGroup,
+    StructureReport,
     commutator,
     compose,
     perm_order,
@@ -111,9 +112,8 @@ def is_in_u(group: PermGroup) -> UMembershipReport:
     group = group.smaller_faithful_action()
     derived = group.derived_subgroup()
     structure = derived.structure()
-    r = structure.exponent
-    r_primes = factorize(r)
-    if not structure.abelian or any(e > 1 for e in r_primes.values()):
+    read = _read_off_derived(group, derived, structure)
+    if read is None:
         return UMembershipReport(
             verdict=False,
             supersolvable=group.is_supersolvable(),
@@ -122,6 +122,42 @@ def is_in_u(group: PermGroup) -> UMembershipReport:
             sylow_abelian={p: group.sylow(p).structure().abelian
                            for p in sorted(factorize(group.order))},
         )
+    sylow_abelian, supersolvable = read
+    if supersolvable is None:
+        supersolvable = group.is_supersolvable()
+    return UMembershipReport(
+        verdict=supersolvable and all(sylow_abelian.values()),
+        supersolvable=supersolvable,
+        derived_elementary_abelian=True,
+        derived_witness_prime=structure.elementary_prime,
+        sylow_abelian=sylow_abelian,
+    )
+
+
+def is_supersolvable(group: PermGroup) -> bool:
+    """Supersolvability of G, read off G' and the generators' commutators
+    as in ``is_in_u`` when G' is abelian of squarefree exponent and every
+    Sylow subgroup of G is abelian, with no element of G enumerated;
+    otherwise by the chief-series search of ``PermGroup.is_supersolvable``."""
+    group = group.smaller_faithful_action()
+    derived = group.derived_subgroup()
+    read = _read_off_derived(group, derived, derived.structure())
+    if read is not None and read[1] is not None:
+        return read[1]
+    return group.is_supersolvable()
+
+
+def _read_off_derived(
+    group: PermGroup, derived: PermGroup, structure: StructureReport
+) -> tuple[dict[int, bool], bool | None] | None:
+    """For G' abelian of squarefree exponent r: the ``sylow_abelian`` of
+    ``is_in_u``, and whether G is supersolvable, or None when some Sylow
+    subgroup is not abelian; both read off G' and the generators of G as
+    ``is_in_u`` proves.  None for any other G'."""
+    r = structure.exponent
+    r_primes = factorize(r)
+    if not structure.abelian or any(e > 1 for e in r_primes.values()):
+        return None
     ident = group.identity()
     v_gens = {p: [perm_power(g, r // p) for g in derived.generators] for p in r_primes}
     orders = [perm_order(s) for s in group.generators]
@@ -134,18 +170,10 @@ def is_in_u(group: PermGroup) -> UMembershipReport:
         sylow_abelian[p] = _centralizes(parts, v_gens[p]) and all(
             perm_power(commutator(a, b), r // p) == ident
             for i, a in enumerate(parts) for b in parts[i + 1 :])
-    if all(sylow_abelian.values()):
-        supersolvable = all(_centralizes([perm_power(s, p - 1) for s in group.generators], v_gens[p])
-                            for p in r_primes)
-    else:
-        supersolvable = group.is_supersolvable()
-    return UMembershipReport(
-        verdict=supersolvable and all(sylow_abelian.values()),
-        supersolvable=supersolvable,
-        derived_elementary_abelian=True,
-        derived_witness_prime=structure.elementary_prime,
-        sylow_abelian=sylow_abelian,
-    )
+    if not all(sylow_abelian.values()):
+        return sylow_abelian, None
+    return sylow_abelian, all(_centralizes([perm_power(s, p - 1) for s in group.generators], v_gens[p])
+                              for p in r_primes)
 
 
 def _p_part(s, order: int, p: int):

@@ -9,13 +9,15 @@ Every metabelian image of a word is read off one walk over its letters:
 ``fox`` gives its Fox derivatives over Z[Z^n] (the flows of
 ``metabelian`` and the free objects of ``apd`` reduce them), and
 ``height_counts`` gives the a-counts per b-height of a rank-2 word
-(read by ``GpdGroup.evaluate`` and ``bs.bs_eval``).
+(read by ``GpdGroup.evaluate``, ``bs.bs_eval`` and the witness search
+of ``metabelian``).
 """
 
 from __future__ import annotations
 
 import re
 import string
+from array import array
 from dataclasses import dataclass
 from operator import add
 
@@ -25,10 +27,23 @@ from .permgroup import DEFAULT_ELEMENT_CAP
 # the whole text: letters, each with an optional power
 _WORD = re.compile(r"(?:[a-zA-Z](?:\s*\^\s*-?\d+)?)*")
 _POWERED = re.compile(r"([a-zA-Z])\s*\^\s*(-?\d+)")
-_LETTER = {c: i + 1 for i, c in enumerate(string.ascii_lowercase)}
-_LETTER.update({c.upper(): -i for c, i in _LETTER.items()})
-# _ALLOWED[rank]: the letters of a rank-``rank`` word text, rank < 26
-_ALLOWED = [frozenset(c for c, i in _LETTER.items() if abs(i) <= rank) for rank in range(26)]
+
+
+def _code_table(rank: int) -> bytes:
+    """The bytes.translate table of a rank-``rank`` word text, rank <= 26:
+    each of its letters to the letter as a signed byte (array("b") reads
+    them back), every other byte to 0."""
+    table = bytearray(256)
+    for i, c in enumerate(string.ascii_lowercase[:rank]):
+        table[ord(c)], table[ord(c.upper())] = i + 1, 255 - i
+    return bytes(table)
+
+
+_CODES = [_code_table(rank) for rank in range(27)]
+# _CANCELLING[rank]: the cancelling pairs x x^-1 of a rank-``rank`` text, as
+# signed bytes
+_CANCELLING = [tuple(bytes([x % 256, -x % 256]) for i in range(1, rank + 1) for x in (i, -i))
+               for rank in range(27)]
 
 
 def reduce_letters(letters) -> tuple[int, ...]:
@@ -133,39 +148,47 @@ def parse(text: str, rank: int) -> Word:
     (ValueError) and, before it is expanded, against the default cap on
     the number of letters before free reduction (CapExceededError).
     Text that does not go on with a letter raises ValueError where it
-    stops.
+    stops.  Text of ASCII letters alone is one run and needs no regular
+    expression.  Each run is checked and turned into letters by one byte
+    table, and the letters are freely reduced only when some adjacent
+    pair cancels.
     """
     stripped = text.replace("·", "").replace(" ", "")
     if stripped in ("", "1"):
         return identity(rank)
-    end = _WORD.match(stripped).end()
-    # with its two groups, _POWERED splits the text into bare runs
-    # alternating with (letter, power) pairs
-    parts = _POWERED.split(stripped[:end]) if "^" in stripped else [stripped[:end]]
-    letters: list[int] = []
+    if "^" not in stripped and stripped.isascii() and stripped.isalpha():
+        end, parts = len(stripped), [stripped]
+    else:
+        end = _WORD.match(stripped).end()
+        # with its two groups, _POWERED splits the text into bare runs
+        # alternating with (letter, power) pairs
+        parts = _POWERED.split(stripped[:end]) if "^" in stripped else [stripped[:end]]
+    data = bytearray()
     for i in range(0, len(parts), 3):
-        run = parts[i]
-        _check_letters(run, rank)
-        _check_count(len(letters) + len(run))
-        letters.extend(map(_LETTER.__getitem__, run))
+        codes = _letter_codes(parts[i], rank)
+        _check_count(len(data) + len(codes))
+        data += codes
         if i + 1 < len(parts):
             char = parts[i + 1]
-            _check_letters(char, rank)
+            code = _letter_codes(char, rank)
             power = int(parts[i + 2])
-            _check_count(len(letters) + abs(power))
-            letters.extend([_LETTER[char] if power > 0 else -_LETTER[char]] * abs(power))
+            _check_count(len(data) + abs(power))
+            data += (code if power > 0 else _letter_codes(char.swapcase(), rank)) * abs(power)
     if end < len(stripped):
         raise ValueError(f"cannot parse word at ...{stripped[end:]!r}")
-    return Word(reduce_letters(letters), rank)
+    letters = array("b", data)
+    if any(pair in data for pair in _CANCELLING[min(max(rank, 0), 26)]):
+        return Word(reduce_letters(letters), rank)
+    return Word(tuple(letters), rank)
 
 
-def _check_letters(run: str, rank: int) -> None:
-    if rank >= 26:
-        return
-    allowed = _ALLOWED[max(rank, 0)]
-    if not allowed.issuperset(run):
-        char = next(c for c in run if c not in allowed)
-        raise ValueError(f"letter {char!r} exceeds rank {rank}")
+def _letter_codes(run: str, rank: int) -> bytes:
+    """A run of ASCII letters as signed bytes, one per letter; ValueError
+    names the first letter beyond ``rank``."""
+    codes = run.encode().translate(_CODES[min(max(rank, 0), 26)])
+    if 0 in codes:
+        raise ValueError(f"letter {run[codes.index(0)]!r} exceeds rank {rank}")
+    return codes
 
 
 def _check_count(count: int) -> None:

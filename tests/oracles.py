@@ -2,19 +2,22 @@
 
 import heapq
 import itertools
+import re
+import string
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from provar.apd import FreeObject, GpdElement, GpdGroup
+from provar.errors import CapExceededError
 from provar.fplinalg import ApdPresentation, kernel_basis, mat_inv, mat_mul, mat_vec, rref
 from provar.metabelian import Flow
 from provar.numtheory import factorize, mult_order, require_prime
 from provar.permgroup import DEFAULT_ELEMENT_CAP, PermGroup, bfs_closure, compose, inverse
 from provar.stallings import Automaton
 from provar.uvar import UMembershipReport, is_in_u
-from provar.words import Word, identity, word
+from provar.words import Word, identity, reduce_letters, word
 
 
 def check_homomorphism(f, source: GpdGroup, target: GpdGroup, name: str) -> None:
@@ -402,3 +405,53 @@ def kernel_membership(w: Word, spec: KernelSpec) -> bool:
 def sums(f: Flow) -> tuple[dict[int, int], dict[int, int]]:
     """The row sums of a flow's a-edges and the column sums of its b-edges."""
     return f.h_sums(), f.v_sums()
+
+
+# the whole text: letters, each with an optional power
+_WORD = re.compile(r"(?:[a-zA-Z](?:\s*\^\s*-?\d+)?)*")
+_POWERED = re.compile(r"([a-zA-Z])\s*\^\s*(-?\d+)")
+_LETTER = {c: i + 1 for i, c in enumerate(string.ascii_lowercase)}
+_LETTER.update({c.upper(): -i for c, i in _LETTER.items()})
+# _ALLOWED[rank]: the letters of a rank-``rank`` word text, rank < 26
+_ALLOWED = [frozenset(c for c, i in _LETTER.items() if abs(i) <= rank) for rank in range(26)]
+
+
+def parse_by_regex(text: str, rank: int) -> Word:
+    """``words.parse`` by regular expressions alone: every text is split
+    into bare runs and (letter, power) pairs, each checked by a set of
+    allowed letters and against the cap, then looked up letter by letter
+    and freely reduced by the stack."""
+    stripped = text.replace("·", "").replace(" ", "")
+    if stripped in ("", "1"):
+        return identity(rank)
+    end = _WORD.match(stripped).end()
+    parts = _POWERED.split(stripped[:end]) if "^" in stripped else [stripped[:end]]
+    letters: list[int] = []
+    for i in range(0, len(parts), 3):
+        run = parts[i]
+        _check_letters(run, rank)
+        _check_count(len(letters) + len(run))
+        letters.extend(map(_LETTER.__getitem__, run))
+        if i + 1 < len(parts):
+            char = parts[i + 1]
+            _check_letters(char, rank)
+            power = int(parts[i + 2])
+            _check_count(len(letters) + abs(power))
+            letters.extend([_LETTER[char] if power > 0 else -_LETTER[char]] * abs(power))
+    if end < len(stripped):
+        raise ValueError(f"cannot parse word at ...{stripped[end:]!r}")
+    return Word(reduce_letters(letters), rank)
+
+
+def _check_letters(run: str, rank: int) -> None:
+    if rank >= 26:
+        return
+    allowed = _ALLOWED[max(rank, 0)]
+    if not allowed.issuperset(run):
+        char = next(c for c in run if c not in allowed)
+        raise ValueError(f"letter {char!r} exceeds rank {rank}")
+
+
+def _check_count(count: int) -> None:
+    if count > DEFAULT_ELEMENT_CAP:
+        raise CapExceededError(f"word text expands to more than {DEFAULT_ELEMENT_CAP} letters")

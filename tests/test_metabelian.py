@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -253,6 +258,8 @@ def test_separating_witness_theta_route():
 
 
 def test_separating_witness_traces_each_word_once(monkeypatch):
+    # at most once: no flow in the direct and swap cases, the input's in
+    # the theta case
     traced = []
     flow_of = mb.flow_of
 
@@ -268,8 +275,7 @@ def test_separating_witness_traces_each_word_once(monkeypatch):
     for u, kind in cases:
         traced.clear()
         witness = mb.separating_witness(u)
-        # only the input's flow is traced, whatever the pre-map
-        assert traced == [u]
+        assert traced == ([u] if kind in ("theta", "shift") else [])
         assert witness.pre_map.describe().startswith(kind)
         assert witness.image != GpdElement(0, 0)
 
@@ -319,6 +325,108 @@ def test_row_sums_read_off_the_input_match_the_transformed_word(monkeypatch):
             transformed = witness.pre_map.apply(u)
             f = mb.flow_of(transformed)
             assert used == [(f.h_sums(), f.endpoint[1])], (kind, u)
+
+
+def small_groups():
+    """G(p, d, q) for a few primes, every divisor d > 1 of p - 1 and the
+    smallest q of order d."""
+    return [GpdGroup(p, d) for p in (3, 5, 7, 11, 13) for d in range(2, p) if (p - 1) % d == 0]
+
+
+def test_syllable_walk_matches_evaluate_on_each_case():
+    groups = small_groups()
+    for kind, words in _words_of_each_case(random.Random(15), 60).items():
+        for u in words:
+            witness = mb.separating_witness(u)
+            transformed = witness.pre_map.apply(u)
+            own = GpdGroup(witness.p, witness.p - 1, witness.q)
+            for group in [own] + groups:
+                walked = group.evaluate_syllables(witness.pre_map.syllables(u))
+                assert walked == group.evaluate(transformed), (kind, u, group)
+
+
+def test_syllable_walk_matches_evaluate_on_any_pre_map():
+    # steps in any order and number, also a zero shift
+    rng = random.Random(16)
+    groups = small_groups()
+    for _ in range(300):
+        u = random_word(rng, 10)
+        steps = tuple(rng.choice([("swap",), ("shift", rng.randrange(4)), ("theta", rng.randrange(1, 5))])
+                      for _ in range(rng.randrange(4)))
+        pre_map = mb.PreMap(steps)
+        transformed = pre_map.apply(u)
+        for group in rng.sample(groups, 4):
+            assert group.evaluate_syllables(pre_map.syllables(u)) == group.evaluate(transformed)
+    with pytest.raises(ValueError):
+        mb.PreMap().syllables(parse("a", 1))
+
+
+def test_verify_witness_refuses_a_spoiled_image_under_python_O():
+    # a direct, a swap, a theta and a shift-and-theta word
+    script = """
+import sys
+from provar import metabelian as mb
+from provar.apd import GpdElement, GpdGroup
+from provar.words import parse
+refused = 0
+for text in ("abAB", "abABabaBAA", "abABabaBAAbbaBABababABBA", "ABabABabaBAAbaabABAbaB"):
+    u = parse(text, 2)
+    w = mb.separating_witness(u)
+    spoiled = next(e for e in GpdGroup(w.p, w.p - 1, w.q).elements()
+                   if e not in (w.image, GpdElement(0, 0)))
+    try:
+        mb._verify_witness(mb.SeparationWitness(w.p, w.q, w.pre_map, spoiled), u)
+    except AssertionError:
+        refused += 1
+print(sys.flags.optimize, refused)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert proc.stdout.split() == ["1", "4"]
+
+
+def test_a_long_theta_word_gets_its_witness_in_little_memory():
+    # the theta-case witness of a word of about 4 000 letters: the
+    # transformed word would have about |u|^2 / 4 = 4 * 10^6 letters
+    rng = random.Random(17)
+    u = identity(2)
+    while len(u) < 4_000:
+        g = random_word(rng, 6)
+        u = u * (exotic_word() if rng.random() < 0.5 else exotic_word().inverse()).conjugate(g)
+    tracemalloc.start()
+    try:
+        witness = mb.separating_witness(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "theta" in witness.pre_map.describe()
+    assert peak < 4 * 2**20, peak
+
+
+def test_metab_equal_matches_the_flow_oracle():
+    rng = random.Random(18)
+    a, b = parse("a", 2), parse("b", 2)
+    c = commutator(a, b)
+    z = commutator(c, c.conjugate(b))  # in the second derived subgroup
+    pairs = [(identity(2), identity(2)), (parse("ab", 2), identity(2)), (identity(2), parse("ab", 2)),
+             (parse("abAB", 2), parse("abABa", 2)), (parse("babAB", 2), parse("abAB", 2))]
+    for _ in range(400):
+        p, s = random_word(rng, 30), random_word(rng, 30)
+        x = random_word(rng, 8) if rng.random() < 0.8 else identity(2)
+        y = rng.choice([x, x * z, z * x, x * c, random_word(rng, 8), identity(2)])
+        pairs += [(p * x * s, p * y * s), (p * s, p * x * s), (p, p * x), (x * s, s)]
+    equal = 0
+    for u, v in pairs:
+        expected = mb.flow_of(u) == mb.flow_of(v)
+        assert mb.metab_equal(u, v) is expected, (u, v)
+        assert mb.metab_equal(v, u) is expected, (u, v)
+        equal += expected
+    assert 100 < equal < len(pairs) - 100
+    for u, v in ((parse("a", 3), parse("a", 2)), (parse("a", 2), parse("a", 3)), (parse("a", 1),) * 2):
+        with pytest.raises(ValueError):
+            mb.metab_equal(u, v)
 
 
 def test_separating_witness_random_words():

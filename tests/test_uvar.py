@@ -718,9 +718,10 @@ def coset_groups(seed):
 
 
 def test_is_in_u_matches_the_enumeration_route():
-    # is_in_u reads the Sylow and supersolvability conditions off G' and
-    # the generators when G' is abelian of squarefree exponent; dropping
-    # any of its three commutator conditions changes a report here
+    # is_in_u (and is_supersolvable) read the Sylow and supersolvability
+    # conditions off G' and the generators when G' is abelian of squarefree
+    # exponent; dropping any of its three commutator conditions changes a
+    # report here
     groups = coset_groups(41)
     groups += [g for _, g in random_subdirect_products(43, 240)]
     images = {name: PermGroup(len(im[0]), im) for name, im in fixture_images().items()}
@@ -738,7 +739,11 @@ def test_is_in_u_matches_the_enumeration_route():
     outside = 0
     for group in groups:
         report = uvar.is_in_u(PermGroup(group.degree, group.generators))
-        assert report == is_in_u_by_enumeration(group), group.generators
+        expected = is_in_u_by_enumeration(group)
+        assert report == expected, group.generators
+        # the supersolvable command takes the same route
+        assert uvar.is_supersolvable(PermGroup(group.degree, group.generators)) == \
+            expected.supersolvable, group.generators
         outside += report.derived_elementary_abelian and not report.verdict
     assert len(groups) >= 800 and outside >= 200, (len(groups), outside)
 

@@ -6,6 +6,7 @@ import pytest
 
 from provar import apd
 from provar.errors import CapExceededError
+from provar.permgroup import DEFAULT_ELEMENT_CAP
 from provar.words import (
     Word,
     commutator,
@@ -16,6 +17,7 @@ from provar.words import (
     reduce_letters,
     word,
 )
+from tests.oracles import parse_by_regex
 from tests.test_apd import random_word
 
 _TOKEN = re.compile(r"([a-zA-Z])(?:\s*\^\s*(-?\d+))?")
@@ -117,6 +119,39 @@ def test_parse_long_texts_match_token_loop():
         assert parse(text, 2) == token_loop_parse(text, 2)
         bad = text[: length // 2] + "%" + text[length // 2 :]
         assert outcome(parse, bad, 2) == outcome(token_loop_parse, bad, 2)
+
+
+def regex_outcome(fn, text, rank):
+    try:
+        return "ok", fn(text, rank)
+    except (ValueError, CapExceededError) as exc:
+        return type(exc), str(exc)
+
+
+# bare runs, powers, cancelling pairs (also across a power), separators,
+# non-ASCII letters and digits, and text that does not parse
+REGEX_PIECES = ["a", "b", "c", "z", "A", "B", "C", "Z", "ab", "aA", "Bb", "abBA", "cC", "a^3A",
+                "A^2a", "b^-2b", "B^-1B", "c^0", "a ^ 2", "b\t^\t-4", " ", "·", "1", "\t", "é",
+                "ß", "ａ", "Ω", "^", "-", "2", "$", "a^٣", "b^-1 2"]
+
+
+def test_parse_matches_the_regex_route_on_seeded_texts():
+    cap = DEFAULT_ELEMENT_CAP
+    rng = random.Random(406)
+    fixed = ["", "1", " 1 ", "·", "·1·", "aA", "Aa", "a^3A", "aaaA^3", "abBA", "é", "aé", "ａb",
+             f"a^{cap}", f"a^{cap}b", f"a^{cap}A", "b" + "a" * cap, "a" * cap + "é",
+             f"a^{cap // 2 + 1} A^{cap // 2}", "a" * cap, "aA" * (cap // 2) + "a"]
+    runs = ["".join(rng.choice("aAbB") for _ in range(rng.randrange(500, 3_000))) for _ in range(20)]
+    texts = fixed + runs + ["".join(rng.choice(REGEX_PIECES) for _ in range(rng.randrange(1, 14)))
+                            for _ in range(3_000)]
+    kinds = set()
+    for text in texts:
+        for rank in (0, 1, 2, 3, 26, 27):
+            expected = regex_outcome(parse_by_regex, text, rank)
+            assert regex_outcome(parse, text, rank) == expected, (text[:40], rank)
+            kinds.add("ok" if expected[0] == "ok" else (expected[0], expected[1].split()[0]))
+    assert kinds == {"ok", (ValueError, "cannot"), (ValueError, "letter"), (ValueError, "rank"),
+                     (CapExceededError, "word")}
 
 
 def test_parse_refuses_expansions_beyond_the_cap():
