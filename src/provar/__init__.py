@@ -14,7 +14,6 @@ from .apd import (
     closure,
     closure_by_folding,
     decompose,
-    free_object,
     gpd_iso,
     status,
 )
@@ -34,7 +33,6 @@ from .metabelian import (
     flow_of,
     metab_equal,
     separating_witness,
-    theta_substitute,
 )
 from .numtheory import PrSearchResult, find_pr_prime, is_prime, mult_order, q_sets
 from .permgroup import PermGroup

@@ -16,8 +16,8 @@ an F_p-module, and an element of it is stored as the d-abelianized word
 together with its Fox derivatives mod p, one F_p[Z_d^n] coefficient
 vector per letter: n * d^n coordinates, whatever p is.  A word is
 evaluated by reducing its Fox derivatives over Z[Z^n] (``words.fox``),
-and a rank-2 word's image in the pd-element group is read off its height
-counts (``words.height_counts``).
+and a word's image in the pd-element group, under any images of its
+generators, by one walk over its letters (``GpdGroup.evaluate``).
 
 This structured form keeps single elements small even when the free
 object itself is astronomically large.  A closure's index is read off
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import add, itemgetter, mul
 from typing import Callable, NamedTuple
@@ -45,7 +44,7 @@ from .fplinalg import ApdPresentation, rref
 from .numtheory import lattice_index, mult_order, require_prime, smallest_of_order
 from .permgroup import DEFAULT_ELEMENT_CAP, PermGroup, bfs_closure
 from .stallings import Automaton
-from .words import Word, fox, height_counts
+from .words import Word, fox
 
 DEFAULT_CAP = DEFAULT_ELEMENT_CAP
 
@@ -117,40 +116,31 @@ class GpdGroup:
     def elements(self) -> list[GpdElement]:
         return [GpdElement(u, t) for u in range(self.p) for t in range(self.d)]
 
-    def evaluate(self, w: Word) -> GpdElement:
-        """Image of a rank-2 word under a -> x, b -> y.
-
-        An a^(+-1) read at b-height j contributes x^(+-q^j), since
-        y^j x = x^(q^j) y^j; so the image is x^u y^t with
-        u = sum_j c_j q^(j mod d) mod p over the height counts c_j and
-        t the final height mod d."""
-        counts, height = height_counts(w)
-        p, q, d = self.p, self.q, self.d
-        return GpdElement(sum(c * pow(q, j % d, p) for j, c in counts.items()) % p, height % d)
-
-    def evaluate_syllables(self, syllables: Iterable[tuple[int, int]]) -> GpdElement:
-        """Image under a -> x, b -> y of the word spelled by the
-        (generator, exponent) syllables, generator 1 for a and 2 for b,
-        in any form, reduced or not.  Each syllable is multiplied on by
-        the group law, x^u y^t x^e = x^(u + e q^t) y^t, with q^t mod p
-        kept as t moves."""
-        p, q, d = self.p, self.q, self.d
-        q_inv = pow(q, -1, p)
-        u = t = 0
-        qt = 1
-        for g, e in syllables:
-            if g == 1:
-                u += e * qt
-            elif e == 1:
-                t += 1
-                qt = qt * q % p
-            elif e == -1:
-                t -= 1
-                qt = qt * q_inv % p
-            else:
-                t += e
-                qt = qt * pow(q, e % d, p) % p
-        return GpdElement(u % p, t % d)
+    def evaluate(self, w: Word, images=None) -> GpdElement:
+        """Image of a word of any rank under a_i -> images[i - 1], by
+        default a -> x, b -> y; ValueError unless there is one image per
+        generator.  The letters are walked through the group law with q^t
+        mod p kept as t moves: a letter whose image is x^c y^m takes
+        x^u y^t to x^(u + c q^t) y^(t + m).  The final t is read off the
+        exponent sums."""
+        if images is None:
+            images = (self.x, self.y)
+        if len(images) != w.rank:
+            raise ValueError(f"{len(images)} images for a word of rank {w.rank}")
+        p, q = self.p, self.q
+        # add[l], mult[l]: c and q^m for letter l, the negative letters at
+        # the end of the lists; (x^c y^m)^-1 = x^(-c q^-m) y^-m
+        add, mult = [0] * (2 * w.rank + 1), [1] * (2 * w.rank + 1)
+        for i, g in enumerate(images, 1):
+            add[i], mult[i] = g.u, pow(q, g.t, p)
+            mult[-i] = pow(q, -g.t, p)
+            add[-i] = -g.u * mult[-i]
+        u, qt = 0, 1
+        for letter in w.letters:
+            u += add[letter] * qt
+            qt = qt * mult[letter] % p
+        t = sum(g.t * (w.letters.count(i) - w.letters.count(-i)) for i, g in enumerate(images, 1))
+        return GpdElement(u % p, t % self.d)
 
     def as_perm_group(self) -> PermGroup:
         """Left-regular permutation representation on the pd elements."""
@@ -368,13 +358,6 @@ def _check_free_object(n: int, p: int, d: int) -> None:
             f"free object on {n} generators needs n generators of n * d^n Fox "
             f"coordinates each, beyond cap {DEFAULT_CAP}"
         )
-
-
-def free_object(n: int, p: int, d: int, cap: int = DEFAULT_CAP) -> FreeObject:
-    """Construct and fully enumerate the free object (order asserted)."""
-    obj = FreeObject(n, p, d)
-    obj.materialize(cap)
-    return obj
 
 
 # -- closures -------------------------------------------------------------

@@ -295,10 +295,10 @@ def _run(args) -> dict:
         return {"m": m, "k": k}
 
     if cmd == "free-object":
-        obj = apd.free_object(args.n, args.p, args.d, cap=cap)
+        obj = apd.FreeObject(args.n, args.p, args.d)
         if args.dot:
             _write_dot(args.dot, obj.cayley_automaton(cap))
-        return {"n": obj.n, "p": obj.p, "d": obj.d, "order": obj.order}
+        return {"n": obj.n, "p": obj.p, "d": obj.d, "order": obj.order_formula}
 
     if cmd == "diagonalize":
         matrix = _int_array(json.loads(args.matrix), 2, "matrix")

@@ -21,25 +21,27 @@ collapsed to one variable: its height counts (``words.height_counts``)
 when they do not all vanish, else the same counts with the generators'
 roles exchanged, and only when both vanish the a-edges of its traced
 flow.  Small primes are tried directly; a bound-driven fallback with a
-guaranteed witness covers the remaining cases.  Every witness is
-checked again by ``GpdGroup.evaluate_syllables``, which walks the
-transformed word's syllables (``PreMap.syllables``) through the group
-law, a route apart from the counts and line sums that found it; the
-transformed word, which in the theta case has about |u|^2 / 4 letters,
-is built only by the fallback.
+guaranteed witness covers the remaining cases.  Each pre-map step is
+given by the words that a and b go to; the images of a and b under the
+whole map (``PreMap.images``) follow from them, and every witness is
+checked again by walking the input's letters through the group law
+under those images (``GpdGroup.evaluate``), a route apart from the
+counts and line sums that found it.  The transformed word, which in the
+theta case has about |u|^2 / 4 letters, is built only by the fallback,
+and only below the default element cap.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import chain, compress, count
+from itertools import compress, count
 from operator import ne
 
 from .apd import GpdElement, GpdGroup
-from .errors import BudgetExhaustedError, NoWitnessError
+from .errors import BudgetExhaustedError, CapExceededError, NoWitnessError
 from .numtheory import find_pr_prime, primes_from, smallest_of_order
-from .words import Word, fox, height_counts, word
+from .permgroup import DEFAULT_ELEMENT_CAP
+from .words import Word, fox, height_counts, substitute
 
 # the direct search tries the primes up to DIRECT_PRIME_BOUND; the
 # fallback tries FALLBACK_Q_CANDIDATES bases q, each with at most
@@ -108,14 +110,6 @@ def metab_equal(u: Word, v: Word) -> bool:
     return flow_of(Word(a[: len(a) - stop], 2)) == flow_of(Word(b[: len(b) - stop], 2))
 
 
-def swap_generators(u: Word) -> Word:
-    """The automorphism exchanging the two generators."""
-    if u.rank != 2:
-        raise ValueError("rank-2 word required")
-    table = {1: 2, -1: -2, 2: 1, -2: -1}
-    return word([table[letter] for letter in u.letters], 2)
-
-
 def first_quadrant_shift(u: Word) -> tuple[int, Word]:
     """Conjugate u by a^m b^m with minimal m >= 0 putting the conjugated
     copy of its path inside the first quadrant.
@@ -136,23 +130,7 @@ def first_quadrant_shift(u: Word) -> tuple[int, Word]:
             y += letter // 2
         lowest = min(lowest, x, y)
     m = -lowest
-    return m, (_shift(u, m) if m else u)
-
-
-def _shift(u: Word, m: int) -> Word:
-    """u conjugated by a^m b^m."""
-    prefix = Word((1,), 2) ** m * Word((2,), 2) ** m
-    return prefix * u * prefix.inverse()
-
-
-def theta_substitute(u: Word, k: int) -> Word:
-    """Image of the word under a -> ab, b -> b^k, freely reduced."""
-    if u.rank != 2:
-        raise ValueError("rank-2 word required")
-    if k < 1:
-        raise ValueError("k must be positive")
-    images = {1: (1, 2), -1: (-2, -1), 2: (2,) * k, -2: (-2,) * k}
-    return word([x for letter in u.letters for x in images[letter]], 2)
+    return m, (PreMap((("shift", m),)).apply(u) if m else u)
 
 
 @dataclass(frozen=True)
@@ -161,45 +139,30 @@ class PreMap:
 
     Steps run left to right: ("swap",) exchanges the generators,
     ("shift", m) conjugates by a^m b^m, ("theta", k) substitutes
-    a -> ab, b -> b^k.  All steps descend to the free metabelian group,
-    so a nontrivial image of the transformed word certifies a nontrivial
-    original.
+    a -> ab, b -> b^k.  Each step is given by the words that a and b go
+    to (``_step_images``).  All steps descend to the free metabelian
+    group, so a nontrivial image of the transformed word certifies a
+    nontrivial original.
     """
 
     steps: tuple[tuple, ...] = ()
 
     def apply(self, u: Word) -> Word:
+        """The transformed word: each step's images substituted for a
+        and b in turn (``words.substitute``)."""
         out = u
         for step in self.steps:
-            if step[0] == "swap":
-                out = swap_generators(out)
-            elif step[0] == "shift":
-                out = _shift(out, step[1])
-            elif step[0] == "theta":
-                out = theta_substitute(out, step[1])
-            else:  # pragma: no cover
-                raise ValueError(f"unknown step {step!r}")
+            out = substitute(out, _step_images(step))
         return out
 
-    def syllables(self, u: Word) -> Iterator[tuple[int, int]]:
-        """The transformed word as unreduced (generator, exponent)
-        syllables, generator 1 for a and 2 for b, in time and memory
-        linear in |u| and the shift: swap exchanges the generators, shift
-        m adds (a, m)(b, m) before and (b, -m)(a, -m) after, and theta k
-        takes (a, 1) to (a, 1)(b, 1), (a, -1) to (b, -1)(a, -1) and
-        (b, e) to (b, e k)."""
-        if u.rank != 2:
-            raise ValueError("rank-2 word required")
-        out: Iterator[tuple[int, int]] = map(_SYLLABLE.__getitem__, u.letters)
-        for step in self.steps:
-            if step[0] == "swap":
-                out = ((3 - g, e) for g, e in out)
-            elif step[0] == "shift":
-                out = chain(((1, step[1]), (2, step[1])), out, ((2, -step[1]), (1, -step[1])))
-            elif step[0] == "theta":
-                out = _theta_syllables(out, step[1])
-            else:  # pragma: no cover
-                raise ValueError(f"unknown step {step!r}")
+    def images(self, group: GpdGroup) -> tuple[GpdElement, GpdElement]:
+        """The images of a and b in ``group`` under the evaluation map
+        a -> x, b -> y precomposed with the steps: each step's image words
+        evaluated under the images of the steps after it, from the last
+        step back to the first."""
+        out = (group.x, group.y)
+        for step in reversed(self.steps):
+            out = tuple(group.evaluate(w, out) for w in _step_images(step))
         return out
 
     def describe(self) -> str:
@@ -214,17 +177,23 @@ class PreMap:
         return ";".join(parts)
 
 
-_SYLLABLE = {1: (1, 1), -1: (1, -1), 2: (2, 1), -2: (2, -1)}
+_A, _B = Word((1,), 2), Word((2,), 2)
 
 
-def _theta_syllables(syllables: Iterable[tuple[int, int]], k: int) -> Iterator[tuple[int, int]]:
-    """Syllables under a -> ab, b -> b^k."""
-    for g, e in syllables:
-        if g == 2:
-            yield 2, e * k
-        else:
-            for _ in range(abs(e)):
-                yield from (((1, 1), (2, 1)) if e > 0 else ((2, -1), (1, -1)))
+def _step_images(step: tuple) -> tuple[Word, Word]:
+    """The words that a and b go to under one pre-map step: (b, a) for
+    swap, (c a c^-1, c b c^-1) with c = a^m b^m for shift m, and
+    (ab, b^k) for theta k, k >= 1."""
+    if step[0] == "swap":
+        return _B, _A
+    if step[0] == "shift":
+        c = _A ** step[1] * _B ** step[1]
+        return _A.conjugate(c), _B.conjugate(c)
+    if step[0] == "theta":
+        if step[1] < 1:
+            raise ValueError("k must be positive")
+        return _A * _B, _B ** step[1]
+    raise ValueError(f"unknown step {step!r}")
 
 
 @dataclass(frozen=True)
@@ -313,11 +282,14 @@ def separating_witness(u: Word) -> SeparationWitness:
     u's height counts, in the swap case the same counts with the
     generators' roles exchanged, and only in the theta case is a flow
     traced, u's.  The transformed word is built only by the fallback,
-    for its length: the witness is checked again by walking that word's
-    syllables through the group law.  Primes are tried in increasing
+    for its length, and refused (CapExceededError) when its bound on
+    that length exceeds the default element cap: the witness is checked
+    again by walking u's letters through the group law, under the images
+    of a and b that the pre-map gives.  Primes are tried in increasing
     order, so the returned witness is minimal for this search order.
     """
     steps: tuple = ()
+    length_bound = len(u)
     h, n0 = height_counts(u)
     if not h:
         steps, (h, n0) = (("swap",),), _column_counts(u)
@@ -331,6 +303,9 @@ def separating_witness(u: Word) -> SeparationWitness:
         m, shifted = first_quadrant_shift(u)
         k = len(shifted)
         steps = ((("shift", m),) if m else ()) + (("theta", k),)
+        # theta(k) spells an a^(+-1) with 2 letters and a b^(+-1) with k
+        a_letters = shifted.letters.count(1) + shifted.letters.count(-1)
+        length_bound = 2 * a_letters + k * (k - a_letters)
         h = {n + m * (1 + k): c for n, c in _line_sums(flow.a_edges, (1, k)).items()}
         if not h:
             raise AssertionError("the transformed word must have a nonzero row sum")
@@ -340,6 +315,11 @@ def separating_witness(u: Word) -> SeparationWitness:
     if found is not None:
         p, q, image = found
     else:  # pragma: no cover - exercised only with a tiny DIRECT_PRIME_BOUND
+        if length_bound > DEFAULT_ELEMENT_CAP:
+            raise CapExceededError(
+                f"the fallback's transformed word may have {length_bound} letters, "
+                f"beyond cap {DEFAULT_ELEMENT_CAP}"
+            )
         p, q, image = _guaranteed_search(h, n0, len(pre_map.apply(u)))
 
     witness = SeparationWitness(p=p, q=q, pre_map=pre_map, image=image)
@@ -362,11 +342,11 @@ def _column_counts(u: Word) -> tuple[dict[int, int], int]:
 
 
 def _verify_witness(witness: SeparationWitness, u: Word) -> None:
-    """Walk the transformed word's syllables through the group law, a
-    route apart from the height counts and the line sums that found the
-    witness; AssertionError unless the image is the witness's and not
-    the identity."""
+    """Walk u's letters through the group law under the pre-map's images
+    of a and b, a route apart from the height counts and the line sums
+    that found the witness; AssertionError unless the image is the
+    witness's and not the identity."""
     group = GpdGroup(witness.p, witness.p - 1, witness.q)
-    evaluated = group.evaluate_syllables(witness.pre_map.syllables(u))
+    evaluated = group.evaluate(u, witness.pre_map.images(group))
     if evaluated != witness.image or evaluated == group.identity:
         raise AssertionError("witness failed re-verification")

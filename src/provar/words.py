@@ -9,8 +9,7 @@ Every metabelian image of a word is read off one walk over its letters:
 ``fox`` gives its Fox derivatives over Z[Z^n] (the flows of
 ``metabelian`` and the free objects of ``apd`` reduce them), and
 ``height_counts`` gives the a-counts per b-height of a rank-2 word
-(read by ``GpdGroup.evaluate``, ``bs.bs_eval`` and the witness search
-of ``metabelian``).
+(read by ``bs.bs_eval`` and the witness search of ``metabelian``).
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ import re
 import string
 from array import array
 from dataclasses import dataclass
+from itertools import chain, groupby, repeat
 from operator import add
 
 from .errors import CapExceededError
@@ -194,6 +194,33 @@ def _letter_codes(run: str, rank: int) -> bytes:
 def _check_count(count: int) -> None:
     if count > DEFAULT_ELEMENT_CAP:
         raise CapExceededError(f"word text expands to more than {DEFAULT_ELEMENT_CAP} letters")
+
+
+def substitute(u: Word, images) -> Word:
+    """u's image under a_i -> images[i - 1], freely reduced.  Letters are
+    kept in runs x^n, so a run cancels in one step however long it is: the
+    work is linear in |u| times the runs per image, plus the result's length."""
+    if len(images) != u.rank:
+        raise ValueError(f"{len(images)} images for a word of rank {u.rank}")
+    runs = [None] * (2 * u.rank + 1)  # runs[-i]: the runs of images[i - 1]^-1
+    for i, w in enumerate(images, 1):
+        runs[i] = [(x, len(list(g))) for x, g in groupby(w.letters)]
+        runs[-i] = [(-x, n) for x, n in reversed(runs[i])]
+    stack = [[0, 0]]  # [letter, count] runs, over an empty run of the non-letter 0
+    for letter in u.letters:
+        for x, n in runs[letter]:
+            top = stack[-1]
+            if top[0] == x:
+                top[1] += n
+            elif top[0] != -x:
+                stack.append([x, n])
+            elif top[1] > n:
+                top[1] -= n
+            else:
+                stack.pop()
+                if top[1] < n:
+                    stack.append([x, n - top[1]])
+    return Word(tuple(chain.from_iterable(repeat(x, n) for x, n in stack)), images[0].rank)
 
 
 def commutator(u: Word, v: Word) -> Word:

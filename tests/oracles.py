@@ -17,7 +17,26 @@ from provar.numtheory import factorize, mult_order, require_prime
 from provar.permgroup import DEFAULT_ELEMENT_CAP, PermGroup, bfs_closure, compose, inverse
 from provar.stallings import Automaton
 from provar.uvar import UMembershipReport, is_in_u
-from provar.words import Word, identity, reduce_letters, word
+from provar.words import Word, height_counts, identity, reduce_letters, word
+
+
+def evaluate_by_height_counts(group: GpdGroup, w: Word) -> GpdElement:
+    """Image of a rank-2 word under a -> x, b -> y, read off its height
+    counts: an a^(+-1) read at b-height j contributes x^(+-q^j), since
+    y^j x = x^(q^j) y^j; so the image is x^u y^t with
+    u = sum_j c_j q^(j mod d) mod p over the height counts c_j and t the
+    final height mod d."""
+    counts, height = height_counts(w)
+    p, q, d = group.p, group.q, group.d
+    return GpdElement(sum(c * pow(q, j % d, p) for j, c in counts.items()) % p, height % d)
+
+
+def free_object(n: int, p: int, d: int, cap: int = DEFAULT_ELEMENT_CAP) -> FreeObject:
+    """Construct and fully enumerate the free object; ``materialize``
+    checks the element count against the order formula."""
+    obj = FreeObject(n, p, d)
+    obj.materialize(cap)
+    return obj
 
 
 def check_homomorphism(f, source: GpdGroup, target: GpdGroup, name: str) -> None:

@@ -16,7 +16,6 @@ from provar.apd import (
     closure,
     closure_by_folding,
     decompose,
-    free_object,
     gpd_iso,
 )
 from provar.bs import bs_eval, bs_separating_prime
@@ -25,7 +24,7 @@ from provar.numtheory import is_primitive_root, q_sets, smallest_of_order
 from provar.permgroup import perm_identity
 from provar.stallings import Automaton
 from provar.words import parse, word
-from tests.oracles import all_subgroups
+from tests.oracles import all_subgroups, free_object
 from tests.test_fplinalg import conjugated_diagonal, random_invertible
 from tests.test_permgroup import a4, c12, c2xc4, d4, q8, s3, s4, supersolvable_oracle
 from tests.test_stallings import S3_IMAGES, schreier_preimage

@@ -21,7 +21,6 @@ from provar.apd import (
     closure_by_folding,
     decompose,
     format_gpd_element,
-    free_object,
     gpd_iso,
     status,
 )
@@ -36,6 +35,8 @@ from tests.oracles import (
     KernelSpec,
     check_homomorphism,
     decompose_by_enumeration,
+    evaluate_by_height_counts,
+    free_object,
     image_order_by_enumeration,
     kernel_membership,
     relations_hold_by_products,
@@ -245,7 +246,7 @@ def test_free_object_eval_is_homomorphism():
 
 def test_free_object_cap():
     with pytest.raises(CapExceededError):
-        free_object(2, 7, 6, cap=1000)
+        FreeObject(2, 7, 6).materialize(cap=1000)
     # 6 * 10^6 Fox coordinates: refused before any table is built
     with pytest.raises(CapExceededError):
         FreeObject(6, 11, 10)
@@ -877,9 +878,9 @@ def test_free_object_evaluate_matches_the_letter_fold(n, p, d):
     assert obj.evaluate(identity(n)) == obj.identity
 
 
-def fold_gpd_evaluate(group, w):
+def fold_gpd_evaluate(group, w, images=None):
     # oracle: one GpdElement product per letter
-    gens = (group.x, group.y)
+    gens = (group.x, group.y) if images is None else images
     out = group.identity
     for letter in w.letters:
         g = gens[abs(letter) - 1]
@@ -896,7 +897,30 @@ def test_gpd_evaluate_matches_the_letter_fold(p, d):
         words += [drifting_word(rng, 10_000, up) for up in (0.2, 0.5, 0.8)]
         assert min(min(heights(w)) for w in words) < -100
         for w in words:
-            assert group.evaluate(w) == fold_gpd_evaluate(group, w), (p, d, q, str(w)[:40])
+            expected = fold_gpd_evaluate(group, w)
+            assert group.evaluate(w) == expected == evaluate_by_height_counts(group, w), \
+                (p, d, q, str(w)[:40])
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_gpd_evaluate_under_given_images_matches_the_letter_fold(rank):
+    rng = random.Random(rank)
+    for p, d in PAIRS:
+        group = GpdGroup(p, d)
+        for _ in range(40):
+            # images past the ranges too, and negative
+            images = tuple(GpdElement(rng.randrange(-p, 2 * p), rng.randrange(-d, 2 * d))
+                           for _ in range(rank))
+            for w in [random_word(rng, rank, 30) for _ in range(5)] + [identity(rank)]:
+                assert group.evaluate(w, images) == fold_gpd_evaluate(group, w, images), \
+                    (p, d, images, w)
+        for wrong in (rank - 1, rank + 1):
+            with pytest.raises(ValueError):
+                group.evaluate(identity(rank), (group.x,) * wrong)
+    # the default images are x and y, for rank-2 words only
+    if rank != 2:
+        with pytest.raises(ValueError):
+            GpdGroup(5, 4).evaluate(identity(rank))
 
 
 def test_relatively_free_kernel_with_d_one_is_the_mod_p_abelian_kernel():

@@ -174,6 +174,18 @@ def test_free_object_command(capsys, tmp_path):
     assert "digraph" in dot_file.read_text()
 
 
+def test_free_object_order_needs_no_enumeration(capsys, monkeypatch):
+    def refuse(self, cap):
+        raise AssertionError("free object enumerated without --dot")
+
+    monkeypatch.setattr(apd.FreeObject, "materialize", refuse)
+    payload = run_json(capsys, "free-object", "--n", "2", "--p", "7", "--d", "6", "--cap", "1000")
+    assert payload == {"n": 2, "p": 7, "d": 6, "order": 7 ** (36 + 1) * 36}
+    # the free object's own budget still refuses before any table is built
+    code, out, err = run(capsys, "free-object", "--n", "6", "--p", "11", "--d", "10")
+    assert code == 3 and out == ""
+
+
 def test_diagonalize_command(capsys):
     payload = run_json(capsys, "diagonalize", "--p", "3", "--matrix", "[[0,1],[1,0]]")
     assert sorted(payload["eigenvalues"]) == [1, 2]
@@ -261,10 +273,10 @@ def test_a_json_degree_is_checked_before_it_is_allocated(capsys, group, code):
     assert peak < 1_000_000
 
 
-def test_budget_errors_exit_three(capsys):
+def test_budget_errors_exit_three(capsys, tmp_path):
     code, out, err = run(capsys, "free-object", "--n", "2", "--p", "7", "--d", "6",
-                         "--cap", "1000")
-    assert code == 3
+                         "--cap", "1000", "--dot", str(tmp_path / "cayley.dot"))
+    assert code == 3 and not (tmp_path / "cayley.dot").exists()
 
     code, out, err = run(capsys, "--cap", "0", "find-pr-prime", "--q", "2",
                          "--lower", "3")

@@ -9,7 +9,8 @@ import pytest
 
 from provar import metabelian as mb
 from provar.apd import GpdElement, GpdGroup
-from provar.errors import NoWitnessError
+from provar.cli import dispatch
+from provar.errors import CapExceededError, NoWitnessError
 from provar.words import commutator, identity, parse, word
 from tests.oracles import sums
 
@@ -25,6 +26,15 @@ def exotic_word():
 def random_word(rng, max_len):
     letters = [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(1, max_len + 1))]
     return word(letters, 2)
+
+
+def swap(u):
+    return mb.PreMap((("swap",),)).apply(u)
+
+
+def theta(u, k):
+    # a -> ab, b -> b^k
+    return mb.PreMap((("theta", k),)).apply(u)
 
 
 def test_shift_step_matches_first_quadrant_shift():
@@ -128,7 +138,7 @@ def test_swap_generators_transposes_sums():
     for _ in range(200):
         u = random_word(rng, 10)
         h, v = sums(mb.flow_of(u))
-        h2, v2 = sums(mb.flow_of(mb.swap_generators(u)))
+        h2, v2 = sums(mb.flow_of(swap(u)))
         assert h2 == v and v2 == h
 
 
@@ -169,21 +179,23 @@ def test_first_quadrant_shift_core_in_quadrant():
 
 
 def test_theta_substitute_examples():
-    assert mb.theta_substitute(parse("b", 2), 3) == parse("b^3", 2)
+    assert theta(parse("b", 2), 3) == parse("b^3", 2)
 
     # (ab)(b^4)(b^-1 a^-1)(b^-4) reduces to a b^4 a^-1 b^-4
-    v = mb.theta_substitute(parse("abAB", 2), 4)
+    v = theta(parse("abAB", 2), 4)
     assert v == parse("ab^4AB^4", 2)
     assert mb.flow_of(v).h_sums() == {0: 1, 4: -1}
 
-    w = mb.theta_substitute(exotic_word(), 2)
     # homomorphic image of a flow-trivial word stays flow-trivial
     c = commutator(parse("a", 2), parse("b", 2))
     c2 = commutator(c, c.conjugate(parse("b", 2)))
-    assert mb.flow_of(mb.theta_substitute(c2, 3)).is_zero()
+    assert mb.flow_of(theta(c2, 3)).is_zero()
 
-    with pytest.raises(ValueError):
-        mb.theta_substitute(parse("a", 2), 0)
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            theta(parse("a", 2), k)
+        with pytest.raises(ValueError):
+            mb.PreMap((("theta", k),)).images(GpdGroup(5, 4))
 
 
 def test_theta_transport_rule():
@@ -203,7 +215,7 @@ def test_theta_transport_rule():
         count = f.a_edges[(m, n)]
         if count == 0:
             continue
-        image = mb.theta_substitute(shifted, k)
+        image = theta(shifted, k)
         assert mb.flow_of(image).h_sums().get(m + n * k) == count
         checked += 1
     assert checked > 100
@@ -333,7 +345,7 @@ def small_groups():
     return [GpdGroup(p, d) for p in (3, 5, 7, 11, 13) for d in range(2, p) if (p - 1) % d == 0]
 
 
-def test_syllable_walk_matches_evaluate_on_each_case():
+def test_images_walk_matches_evaluate_on_each_case():
     groups = small_groups()
     for kind, words in _words_of_each_case(random.Random(15), 60).items():
         for u in words:
@@ -341,11 +353,11 @@ def test_syllable_walk_matches_evaluate_on_each_case():
             transformed = witness.pre_map.apply(u)
             own = GpdGroup(witness.p, witness.p - 1, witness.q)
             for group in [own] + groups:
-                walked = group.evaluate_syllables(witness.pre_map.syllables(u))
+                walked = group.evaluate(u, witness.pre_map.images(group))
                 assert walked == group.evaluate(transformed), (kind, u, group)
 
 
-def test_syllable_walk_matches_evaluate_on_any_pre_map():
+def test_images_walk_matches_evaluate_on_any_pre_map():
     # steps in any order and number, also a zero shift
     rng = random.Random(16)
     groups = small_groups()
@@ -356,9 +368,12 @@ def test_syllable_walk_matches_evaluate_on_any_pre_map():
         pre_map = mb.PreMap(steps)
         transformed = pre_map.apply(u)
         for group in rng.sample(groups, 4):
-            assert group.evaluate_syllables(pre_map.syllables(u)) == group.evaluate(transformed)
+            assert group.evaluate(u, pre_map.images(group)) == group.evaluate(transformed)
+    # two images for a rank-1 word, and a rank-1 word under a step
     with pytest.raises(ValueError):
-        mb.PreMap().syllables(parse("a", 1))
+        GpdGroup(5, 4).evaluate(parse("a", 1), mb.PreMap().images(GpdGroup(5, 4)))
+    with pytest.raises(ValueError):
+        mb.PreMap((("swap",),)).apply(parse("a", 1))
 
 
 def test_verify_witness_refuses_a_spoiled_image_under_python_O():
@@ -507,9 +522,27 @@ def test_witness_via_tiny_direct_bound_falls_back(monkeypatch):
     with pytest.raises(Reached) as reached:
         mb.separating_witness(u)
     m, shifted = mb.first_quadrant_shift(u)
-    transformed = mb.theta_substitute(shifted, len(shifted))
+    transformed = theta(shifted, len(shifted))
     f = mb.flow_of(transformed)
     assert reached.value.args[0] == (f.h_sums(), 0, len(transformed))
+
+
+def test_fallback_refuses_a_transformed_word_past_the_cap(monkeypatch, capsys):
+    # a theta word of 704 letters with no shift: theta(704) spells its 352
+    # letters b^(+-1) with 704 letters each, 247 808 letters at most, past
+    # the cap of 200 000, so the fallback refuses before it builds the word
+    monkeypatch.setattr(mb, "DIRECT_PRIME_BOUND", 2)
+
+    def refuse(self, u):
+        raise AssertionError("the transformed word was built")
+
+    monkeypatch.setattr(mb.PreMap, "apply", refuse)
+    u = exotic_word() ** 35
+    assert len(u) == 704 and mb.first_quadrant_shift(u)[0] == 0
+    with pytest.raises(CapExceededError):
+        mb.separating_witness(u)
+    assert dispatch(["metab-witness", "--word", str(u)]) == 3
+    assert capsys.readouterr().err.startswith("error: the fallback's transformed word")
 
 
 def test_fallback_witness_of_a_large_prime_is_checked(monkeypatch):

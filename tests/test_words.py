@@ -15,6 +15,7 @@ from provar.words import (
     identity,
     parse,
     reduce_letters,
+    substitute,
     word,
 )
 from tests.oracles import parse_by_regex
@@ -318,3 +319,41 @@ def test_height_counts_are_row_sums_of_the_a_derivative():
     assert height_counts(parse("BaBAbb", 2)) == ({-1: 1, -2: -1}, 0)
     with pytest.raises(ValueError):
         height_counts(parse("a", 1))
+
+
+def naive_substitute(u, images):
+    # oracle: every letter spelled by its image, then freely reduced
+    spelled = [x for letter in u.letters for x in
+               (images[letter - 1] if letter > 0 else images[-letter - 1].inverse()).letters]
+    return word(spelled, images[0].rank)
+
+
+def test_substitute_matches_spelling_then_reducing():
+    rng = random.Random(32)
+    for _ in range(600):
+        rank, target = rng.randint(1, 3), rng.randint(1, 3)
+        c = random_word(rng, target, 5)
+        images = [random_word(rng, target, 6) for _ in range(rank)]
+        if rng.random() < 0.5:
+            # conjugates by one word cancel across every two letters
+            images = [w.conjugate(c) for w in images]
+        if rng.random() < 0.2:
+            images[rng.randrange(rank)] = identity(target)
+        u = random_word(rng, rank, 12)
+        assert substitute(u, images) == naive_substitute(u, images), (u, images)
+    assert substitute(identity(2), [parse("a", 1)] * 2) == identity(1)
+    for u, images in ((parse("ab", 2), [parse("a", 2)]), (parse("a", 1), [parse("a", 2)] * 2)):
+        with pytest.raises(ValueError):
+            substitute(u, images)
+
+
+def test_substitute_cancels_a_long_conjugator_in_linear_time():
+    # shift images under c = a^n b^n: spelled letter by letter, b^-n a b^n
+    # would need about 4 n^2 letter steps; as runs it needs a few per letter
+    n = 3000
+    a, b = parse("a", 2), parse("b", 2)
+    c = a ** n * b ** n
+    u = b ** -n * parse("abAB", 2) * b ** n
+    start = time.perf_counter()
+    assert substitute(u, [a.conjugate(c), b.conjugate(c)]) == u.conjugate(c)
+    assert time.perf_counter() - start < 2.0
