@@ -77,8 +77,13 @@ class Word:
         return len(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
+        """Both factors are reduced, so letters cancel only where they meet."""
         self._check_rank(other)
-        return Word(reduce_letters(self.letters + other.letters), self.rank)
+        left, right = self.letters, other.letters
+        n, most = 0, min(len(left), len(right))
+        while n < most and left[-1 - n] == -right[n]:
+            n += 1
+        return Word(left[: len(left) - n] + right[n:], self.rank)
 
     def inverse(self) -> "Word":
         return Word(tuple(-letter for letter in reversed(self.letters)), self.rank)

@@ -493,29 +493,43 @@ def test_u_residual_of_a_p_group_is_its_derived_subgroup():
         assert uvar.u_residual(g).element_set() == g.derived_subgroup().element_set()
 
 
-def test_u_residual_builds_the_derived_and_sylow_subgroups_once(monkeypatch):
-    # is_in_u(G) builds G' and the Sylow subgroups of G, and u_residual
-    # reuses them: no group computes a closure or a tower twice
-    calls = []  # holds each group, so that no id is reused
-    real_closure, real_tower = PermGroup.normal_closure, PermGroup._normalizer_tower
+def test_u_residual_and_is_u_closed_build_g_prime_once_and_search_nothing(monkeypatch):
+    # u_residual takes two normal closures in G, G' and R, and is_u_closed
+    # one, G' of the coset group; neither reaches a normalizer tower or
+    # the chief-series search, not even through the check of G/R
+    closures = []
+    real_closure = PermGroup.normal_closure
 
     def normal_closure(self, seeds):
-        seeds = list(seeds)
-        calls.append((self, tuple(seeds)))
+        closures.append(self)
         return real_closure(self, seeds)
 
-    def normalizer_tower(self, p):
-        calls.append((self, p))
-        return real_tower(self, p)
+    def refuse(self, *args):
+        raise AssertionError("a search over G's elements")
 
     monkeypatch.setattr(PermGroup, "normal_closure", normal_closure)
-    monkeypatch.setattr(PermGroup, "_normalizer_tower", normalizer_tower)
+    monkeypatch.setattr(PermGroup, "_normalizer_tower", refuse)
+    monkeypatch.setattr(PermGroup, "is_supersolvable", refuse)
     for g in (s4(), a4(), q8(), sylow_2_of_s8(), s3_wr_c2()):
-        calls.clear()
+        closures.clear()
         assert not uvar.u_residual(g).is_trivial()
-        keys = [(id(group), arg) for group, arg in calls]
-        assert len(set(keys)) == len(keys)
-        assert g.derived_subgroup() is g.derived_subgroup() and g.sylow(2) is g.sylow(2)
+        assert sum(h is g for h in closures) == 2
+        closures.clear()
+        assert not uvar.is_u_closed(Automaton.from_action(len(g.generators), list(g.generators)))
+        assert len(closures) == 1
+
+
+def test_is_u_closed_counts_only_g_prime_against_the_cap():
+    # the point stabilizer of the left-regular D4 x C2^6, of degree 512 and
+    # rank 8: G' is the centre of D4, of order 2, and the generators of D4
+    # do not commute, which an S seed shows
+    c2_6 = PermGroup(12, [cycles(12, (2 * i, 2 * i + 1)) for i in range(6)])
+    g = left_regular(direct_product(d4(), c2_6))
+    h = Automaton.from_action(len(g.generators), list(g.generators))
+    assert (g.degree, h.rank) == (512, 8)
+    assert not uvar.is_u_closed(h, cap=100)
+    with pytest.raises(CapExceededError):
+        h.coset_group(100).elements()
 
 
 def affine(p, *matrices):
@@ -600,6 +614,7 @@ def test_u_residual_agrees_with_the_lattice_search_on_subdirect_products():
         residual = uvar.u_residual(g)
         expected = u_residual_by_lattice(PermGroup(g.degree, g.generators))
         assert residual.element_set() == expected.element_set(), names
+        assert all(seed in expected for _, _, seed in uvar._residual_seeds(g)), names
         if not residual.is_trivial() and residual_floor(g).order < residual.order:
             raised += 1
     assert raised >= 50
@@ -741,6 +756,7 @@ def test_is_in_u_matches_the_enumeration_route():
         report = uvar.is_in_u(PermGroup(group.degree, group.generators))
         expected = is_in_u_by_enumeration(group)
         assert report == expected, group.generators
+        assert (next(uvar._residual_seeds(group), None) is None) == expected.verdict, group.generators
         # the supersolvable command takes the same route
         assert uvar.is_supersolvable(PermGroup(group.degree, group.generators)) == \
             expected.supersolvable, group.generators

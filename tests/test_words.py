@@ -181,6 +181,13 @@ def test_reduce_examples():
     for _ in range(200):
         letters = [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(12))]
         assert reduce_letters(letters) == step_by_step_reduce(letters)
+    # products x·y · y^-1·z cancel a long overlap where the factors meet,
+    # all of one factor when x or z is empty, and everything for u · u^-1
+    for _ in range(200):
+        x, y, z = (random_word(rng, 3, n) for n in (rng.choice([0, 5, 40]), 300, rng.choice([0, 5, 40])))
+        u, v = word(x.letters + y.letters, 3), word(y.inverse().letters + z.letters, 3)
+        for left, right in ((u, v), (v, u), (u, u.inverse()), (u, x.inverse())):
+            assert (left * right).letters == reduce_letters(left.letters + right.letters)
 
 
 def test_reduce_idempotent_and_shorter():
