@@ -12,23 +12,24 @@ a presented group into copies of the generator and cyclic factors, are
 checked by the defining relations of their source (von Dyck's theorem),
 and the embedding's image order is read off in closed form, so no group
 element is listed.  The free object on n generators is Z_d^n extended by
-an F_p-module, and an element of it is stored as the d-abelianized word
-together with its Fox derivatives mod p, one F_p[Z_d^n] coefficient
-vector per letter: n * d^n coordinates, whatever p is.  A word is
-evaluated by reducing its Fox derivatives over Z[Z^n] (``words.fox``),
-and a word's image in the pd-element group, under any images of its
-generators, by one walk over its letters (``GpdGroup.evaluate``).
+an F_p-module, and an element of it (``FreeObject``) is stored as the
+d-abelianized word together with its Fox derivatives mod p, one
+F_p[Z_d^n] coefficient vector per letter: n * d^n coordinates, whatever
+p is.  A word's image in the pd-element group, under any images of its
+generators, is read by one walk over its letters (``GpdGroup.evaluate``).
 
-This structured form keeps single elements small even when the free
-object itself is astronomically large.  A closure's index is read off
-H's image: its t-part T and its unit part K, which splits by the
-characters of T into one small elimination per character (the basis
-words' Fox vectors folded over the cosets of T, ``_ImageSubgroup``), so
-``status`` needs no cap and ``closure`` refuses an index over its cap
-before it builds a coset.  A coset is then a T-coset and a vector of
-F_p^c, c = log_p(index / [Z_d^n : T]), and each letter acts on each such
-fibre by a coordinate-wise affine map, so ``closure`` writes its
-permutations fibre by fibre with no coset keys to look up.
+A closure's index is read off H's image: its t-part T and its unit part
+K, which splits by the characters of T into one small elimination per
+character.  The basis words' sparse Fox derivatives over Z[Z^n]
+(``words.fox``) are folded straight onto the edges of the T-cosets, one
+list per character (``_ImageSubgroup``), so ``status`` builds no
+free-object element and needs no cap, and ``closure`` refuses an index
+over its cap before it builds a coset.  A coset is then a T-coset and a
+vector of F_p^c, c = log_p(index / [Z_d^n : T]), and each letter acts on
+each such fibre by a coordinate-wise affine map, read in the same folded
+coordinates, so ``closure`` writes its permutations fibre by fibre with
+no coset keys to look up; the transversal elements of T that carry a
+coset back are free-object products, folded the same way.
 """
 
 from __future__ import annotations
@@ -224,16 +225,17 @@ class FreeObject:
 
     Construction is refused when the n * d^n coordinates of an element
     exceed the default cap, or the n * n * d^n of the generators exceed
-    the cap times its bit length.  The translation table (``_shift``)
-    keeps one getter of n * d^n indices per distinct s that
-    multiplication meets as its left factor's t-part; ``closure``
-    multiplies only a basis word's image by a transversal element, so it
-    meets one per distinct t-part of a basis word and budgets them with
-    that transversal.  Only
-    ``materialize`` (and so ``cayley_automaton`` and
-    ``closure_by_folding``) enumerates elements: it refuses an order
-    formula over its own cap before the breadth-first closure
-    (``permgroup.bfs_closure``) starts.
+    the cap times its bit length; ``closure`` and ``status`` apply the
+    same bounds (``check_image_walk``) before they read the image.  The
+    translation table (``_shift``) keeps one getter of n * d^n indices
+    per distinct s that multiplication meets as its left factor's
+    t-part.  The elements serve the ``free-object`` command, the
+    transversal elements of ``closure`` (``_ImageSubgroup.transversal``,
+    built by ``element`` and ``mul``) and ``materialize``, and so
+    ``cayley_automaton`` and ``closure_by_folding``, the only route that
+    enumerates them: it
+    refuses an order formula over its own cap before the breadth-first
+    closure (``permgroup.bfs_closure``) starts.
     """
 
     def __init__(self, n: int, p: int, d: int):
@@ -296,13 +298,22 @@ class FreeObject:
         with every point reduced mod d and every coefficient mod p."""
         if w.rank != self.n:
             raise ValueError(f"word rank {w.rank} does not match n = {self.n}")
-        d, size, index = self.d, len(self.points), self._point_index
+        d = self.d
         endpoint, parts = fox(w)
+        return self.element(tuple(x % d for x in endpoint),
+                            [[(tuple(x % d for x in t), c) for t, c in part.items()]
+                             for part in parts])
+
+    def element(self, s, parts):
+        """The element over s whose Fox derivative by a_i is given by
+        parts[i], (point of Z_d^n, integer coefficient) pairs that add up
+        at a repeated point."""
+        size, index = len(self.points), self._point_index
         u = [0] * self.n_coords
         for i, part in enumerate(parts):
-            for t, c in part.items():
-                u[i * size + index[tuple(x % d for x in t)]] += c
-        return tuple(x % d for x in endpoint), tuple([c % self.p for c in u])
+            for t, c in part:
+                u[i * size + index[t]] += c
+        return s, tuple([c % self.p for c in u])
 
     # -- enumeration ----------------------------------------------------
 
@@ -366,11 +377,12 @@ def _check_free_object(n: int, p: int, d: int) -> None:
 def check_image_walk(aut: Automaton, p: int, d: int) -> int:
     """The order of H's t-part T, once FreeObject's checks and the two
     budgets of ``_ImageSubgroup`` have passed; no basis word is spelled
-    and none evaluated.  CapExceededError when the k * n * d^n Fox
-    coordinates of the k basis words, or the |T| * sum_j min(|w_j|, n * d^n)
-    terms that fold their Fox supports into the |T| characters, exceed
-    the cap times its bit length; a word's Fox support has at most one
-    point per letter, and at most n * d^n.  T is spanned by the basis
+    and none folded.  CapExceededError when the k basis words'
+    k * n * d^n Fox coordinates, folded into as many, or the
+    |T| * sum_j min(|w_j|, n * d^n) terms that fold their Fox supports
+    into the |T| characters, exceed the cap times its bit length; a
+    word's Fox support has at most one point per letter, and at most
+    n * d^n.  T is spanned by the basis
     words' exponent sums mod d, so |T| is read off a lattice index.
 
     The exponent sums and lengths come from ``Automaton.basis_sums``,
@@ -398,31 +410,26 @@ def check_image_walk(aut: Automaton, p: int, d: int) -> int:
     return t_order
 
 
-def _pairing(t, d: int) -> list[int]:
-    """<c, t> mod d for every point c of Z_d^n, in the product order of
-    ``FreeObject.points``, built digit by digit."""
-    row = [0]
-    for b in t:
-        row = [(x + a * b) % d for x in row for a in range(d)]
-    return row
-
-
 class _ImageSubgroup:
     """The image I of a subgroup in the free object, split by the
-    characters of its t-part T <= Z_d^n.
+    characters of its t-part T <= Z_d^n, read off the basis words' Fox
+    supports with no free-object element built.
 
     With zeta = ``smallest_of_order(p, d)`` (1 when d = 1), a point c of
     Z_d^n gives the character t -> zeta^<c, t>, and the points fall into
-    |T| classes chi by their values <c, s_j> mod d on the t-parts s_j of
-    H's basis words; each class holds [Z_d^n : T] points, and
-    AssertionError is raised otherwise.  A class's folded coordinates of a
-    Fox vector u are F_i(beta) = sum u_i(t) zeta^<c, t> over the points t
-    of the T-coset beta, for a fixed point c of the class: the Fourier
-    values of u at the class's points are the transform of F over
-    Z_d^n / T, so they have the same linear relations, and a translation
-    by t in T multiplies F by chi(t).  K, the unit part of I, is the
-    image of the relators of T, and its Fox-Jacobian reading splits it by
-    class:
+    |T| classes chi by their signatures sig(c) = (<c, s_j> mod d)_j on
+    the t-parts s_j of H's basis words.  The classes are found by a walk
+    on signatures from sig(0) = 0, as sig(c + e_i) = sig(c) + (s_j[i])_j,
+    which keeps the first point reached as the class's point;
+    AssertionError unless it finds |T| of them.  A class's folded
+    coordinates of a Fox vector u are F_i(beta) = sum u_i(t) zeta^<c, t>
+    over the points t of the T-coset beta: the Fourier values of u at the
+    class's points are the transform of F over Z_d^n / T, so they have
+    the same linear relations, and a translation by t in T multiplies F
+    by chi(t) = zeta^<c, t>.  Over all |T| classes the folded coordinates
+    of u number n * d^n, as its Fox coordinates do.  K, the unit part of
+    I, is the image of the relators of T, and its Fox-Jacobian reading
+    splits it by class:
 
         K_chi = { sum_j b_j F_j : sum_j b_j (1 - chi(s_j)) = 0 },
 
@@ -442,56 +449,91 @@ class _ImageSubgroup:
     |T| * p^dim K, so the closure's index is
     [Z_d^n : T] * p^((n-1) d^n + 1 - dim K).
 
-    The k basis words keep k * n * d^n Fox coordinates and their folded
-    coordinates as many, and folding costs one term per class and Fox
-    support point; ``check_image_walk`` budgets both from the basis's
-    exponent sums and lengths, and the basis words are spelled and
-    evaluated only after both pass.
+    Each basis word's Fox support (``words.fox``), its points reduced mod
+    d and its coefficients later mod p, is folded straight onto the
+    edges: a support point t of du/da_i adds its coefficient times
+    zeta^<c, t> on each class to edge (coset of t, i).  The k basis words
+    keep k * n * d^n folded coordinates, and folding costs one term per
+    class and support point; ``check_image_walk`` budgets both from the
+    basis's exponent sums and lengths, and the basis words are spelled
+    only after both pass.  The supports are kept (``words``), and
+    ``transversal`` builds from them, for ``closure``, the elements of I
+    that carry a coset back.
     """
 
     def __init__(self, aut: Automaton, p: int, d: int):
-        self.t_order = check_image_walk(aut, p, d)
-        self.fobj = fobj = FreeObject(aut.rank, p, d)
-        n, points, size, index_of = fobj.n, fobj.points, len(fobj.points), fobj._point_index
+        self.t_order = t_order = check_image_walk(aut, p, d)
+        n = self.n = aut.rank
+        self.p, self.d = p, d
         zeta = smallest_of_order(p, d)
-        self.zpow = zpow = [pow(zeta, e, p) for e in range(d)]
-        self.gens = [fobj.evaluate(w) for w in aut.basis()]
-        zero = points[0]
+        self.zpow = zpow = [1] * d
+        for e in range(1, d):
+            zpow[e] = zpow[e - 1] * zeta % p
+        zero = (0,) * n
+        # each basis word's t-part and Fox support, its points reduced mod d
+        self.words = words = []
+        for w in aut.basis():
+            endpoint, parts = fox(w)
+            words.append((tuple(x % d for x in endpoint),
+                          [[(tuple(x % d for x in t), c) for t, c in part.items()]
+                           for part in parts]))
+        sums = [s for s, _ in words]
 
-        # T by a breadth-first walk on the basis words' t-parts, with the
-        # point and the word each new point is reached from
-        t_points, self.t_walk = [zero], []
+        # T by a breadth-first walk on the basis words' distinct nonzero
+        # t-parts: the points in the order reached, and per point after 0
+        # the index of the point it is reached from and the first word of
+        # the t-part it is reached by
+        moves: dict[tuple, int] = {}
+        for j, s in enumerate(sums):
+            if s != zero:
+                moves.setdefault(s, j)
+        self.n_moves = len(moves)
+        self.t_points = t_points = [zero]
+        self.t_walk = []
         seen = {zero}
-        for t in t_points:  # the list grows while it is read
-            for j, (s, _) in enumerate(self.gens):
+        for k, t in enumerate(t_points):  # the list grows while it is read
+            for s, j in moves.items():
                 t2 = tuple((a + b) % d for a, b in zip(s, t))
                 if t2 not in seen:
                     seen.add(t2)
                     t_points.append(t2)
-                    self.t_walk.append((t2, t, j))
-        if len(t_points) != self.t_order:
-            raise AssertionError(f"the walk reached {len(t_points)} points of T, not {self.t_order}")
+                    self.t_walk.append((k, j))
+        if len(t_points) != t_order:
+            raise AssertionError(f"the walk reached {len(t_points)} points of T, not {t_order}")
+
+        # the character classes by a walk on signatures
+        columns = [tuple(s[i] for s in sums) for i in range(n)]
+        order = [((0,) * len(sums), zero)]
+        signatures = {order[0][0]}
+        for sig, c in order:  # the list grows while it is read
+            for i, column in enumerate(columns):
+                sig2 = tuple((a + b) % d for a, b in zip(sig, column))
+                if sig2 not in signatures:
+                    signatures.add(sig2)
+                    order.append((sig2, c[:i] + ((c[i] + 1) % d,) + c[i + 1:]))
+        if len(order) != t_order:
+            raise AssertionError(f"the signature walk found {len(order)} character classes, "
+                                 f"for |T| = {t_order}")
 
         # the T-cosets by a breadth-first walk on the letters: coset f is
-        # first reached at the point reached[f], coset[k] numbers the coset
-        # of point k, and edge f * n + i, the letter a_i from reached[f],
-        # leads to coset f2 across g = reached[f] + e_i - reached[f2] in T;
-        # g is 0 on the walk's tree, and every other edge closes a cycle
-        self.coset = coset = [None] * size
+        # first reached at the point reached[f], coset_of maps each point
+        # of Z_d^n to its coset, and edge f * n + i, the letter a_i from
+        # reached[f], leads to coset f2 across g = reached[f] + e_i -
+        # reached[f2] in T; g is 0 on the walk's tree, and every other edge
+        # closes a cycle
+        self.coset_of = coset_of = {}
         self.reached, self.steps, cotree = [], [], []
 
         def enter(t):
             for tau in t_points:
-                coset[index_of[tuple((a + b) % d for a, b in zip(t, tau))]] = len(self.reached)
+                coset_of[tuple((a + b) % d for a, b in zip(t, tau))] = len(self.reached)
             self.reached.append(t)
 
         enter(zero)
         for t in self.reached:  # the list grows while it is read
             for i in range(n):
-                t2 = list(t)
-                t2[i] = (t2[i] + 1) % d
-                t2 = tuple(t2)
-                f2 = coset[index_of[t2]]
+                t2 = t[:i] + ((t[i] + 1) % d,) + t[i + 1:]
+                f2 = coset_of.get(t2)
                 if f2 is None:
                     self.steps.append((len(self.reached), zero))
                     enter(t2)
@@ -499,100 +541,87 @@ class _ImageSubgroup:
                     cotree.append(len(self.steps))
                     self.steps.append((f2, tuple((a - b) % d for a, b in zip(t2, self.reached[f2]))))
 
-        pairings = [_pairing(s, d) for s, _ in self.gens]
-        classes: dict[tuple, list[int]] = {}
-        for k, sig in enumerate(zip(*pairings) if pairings else [()] * size):
-            classes.setdefault(sig, []).append(k)
-        if len(classes) != self.t_order or any(
-                len(c) * self.t_order != size for c in classes.values()):
-            raise AssertionError(
-                f"{len(classes)} character classes of sizes "
-                f"{sorted({len(c) for c in classes.values()})}, for |T| = {self.t_order}")
-        class_points = [points[c[0]] for c in classes.values()]
-
         # each word's folded coordinates, per edge a list over the classes
         # (None for an edge that no Fox support point reaches)
-        columns = list(zip(*class_points))
-        folded = []
-        for _, u in self.gens:
+        class_points = [c for _, c in order]
+        self.folded = []
+        for _, parts in words:
             edges: list = [None] * len(self.steps)
-            for i in range(n):
-                block = u[i * size:(i + 1) * size]
-                for k in [k for k, x in enumerate(block) if x]:
-                    pair = [0] * self.t_order
-                    for a, col in zip(points[k], columns):
-                        if a:
-                            pair = [x + a * y for x, y in zip(pair, col)]
-                    x, e = block[k], coset[k] * n + i
-                    terms = [x * zpow[q % d] for q in pair]
+            for i, part in enumerate(parts):
+                for t, x in part:
+                    e = coset_of[t] * n + i
+                    terms = [x * zpow[sum(map(mul, c, t)) % d] for c in class_points]
                     edges[e] = terms if edges[e] is None else list(map(add, edges[e], terms))
-            folded.append(edges)
+            self.folded.append(edges)
 
-        # each piece: its class's point, the edges that are coordinates of
-        # A_0's part, and K_chi's reduced rows and pivots in them
+        # each piece: its class's signature and point, the edges that are
+        # coordinates of A_0's part, and K_chi's reduced rows and pivots in
+        # them
         self.pieces = []
         self.dim_k = 0
-        for h, (sig, c) in enumerate(zip(classes, class_points)):
+        crossed = [self.steps[e][1] for e in cotree]
+        on_cotree = [[edges[e] for e in cotree] for edges in self.folded]
+        for h, (sig, c) in enumerate(order):
+            vecs = [[x[h] % p if x else 0 for x in row] for row in on_cotree]
             free = cotree
-            i0 = next((j for j, e in enumerate(sig) if e), None)
-            if i0 is not None:
-                fixed = next((e for e in cotree if sum(map(mul, c, self.steps[e][1])) % d), None)
+            if any(sig):
+                i0 = next(j for j, e in enumerate(sig) if e)
+                fixed = next((k for k, g in enumerate(crossed) if sum(map(mul, c, g)) % d), None)
                 if fixed is None:
                     raise AssertionError(f"no cycle of the cosets crosses a point of T off the kernel of {c}")
-                free = [e for e in cotree if e != fixed]
-            vecs = [[x[h] % p if x else 0 for x in map(edges.__getitem__, free)] for edges in folded]
-            if i0 is not None:
+                free = cotree[:fixed] + cotree[fixed + 1:]
+                for v in vecs:
+                    del v[fixed]
                 chi = [zpow[e] for e in sig]
                 a0, v0 = 1 - chi[i0], vecs[i0]
                 vecs = [[((1 - chi[j]) * x - a0 * y) % p for x, y in zip(v0, v)]
                         for j, v in enumerate(vecs) if j != i0]
             rows, pivots = rref(vecs, p)
             self.dim_k += len(pivots)
-            self.pieces.append((c, free, rows, pivots))
-        self.n_keys = (n - 1) * size + 1 - self.dim_k
+            self.pieces.append((sig, c, free, rows, pivots))
+        self.n_keys = (n - 1) * d**n + 1 - self.dim_k
         self.index = len(self.reached) * p**self.n_keys
 
-    def transversal(self) -> dict:
-        """reps[t], an element of I over each point t of T: one
-        ``FreeObject.mul`` per new point of T's walk, so |T| - 1 products,
-        each the basis word's image times the rep it extends, so that
-        every product translates by a basis word's t-part.
-        AssertionError unless each product lies over its point."""
-        fobj = self.fobj
-        reps = {fobj.identity[0]: fobj.identity}
-        for t, parent, j in self.t_walk:
-            rep = reps[t] = fobj.mul(self.gens[j], reps[parent])
-            if rep[0] != t:
-                raise AssertionError(f"the transversal element for {t} lies over {rep[0]}")
+    def key_rows(self, h: int) -> list[list[tuple[int, int]]]:
+        """Q's rows on class h in folded coordinates, each as its nonzero
+        (edge, coefficient) pairs.
+
+        Each non-pivot coordinate j of K_chi's reduced rows gives the
+        functional x_j - sum_r x_(pivot r) row_r[j] on the class's folded
+        coordinates, which vanishes on K_chi and is onto F_p together
+        with the others; on A_0 their joint kernel is K.  Read on Fox
+        coordinates, it is the row whose entry at (i, t) is its
+        coefficient at (coset of t, i) times zeta^<c, t>, so a
+        translation by t in T multiplies its value by chi(t)."""
+        _, _, free, rows, pivots = self.pieces[h]
+        pivot_set = set(pivots)
+        return [[(e, 1)] + [(free[pivot], -r[j]) for pivot, r in zip(pivots, rows) if r[j]]
+                for j, e in enumerate(free) if j not in pivot_set]
+
+    def transversal(self, places) -> dict[int, tuple]:
+        """rep_t, an element of I over t, for the points t of ``t_points``
+        at the given places, built in ``FreeObject`` along each point's
+        path from 0 in T's walk: one ``mul`` per point of the paths, the
+        image of a basis word times the rep it extends, so that every
+        product translates by a basis word's t-part.  AssertionError
+        unless each product lies over its point."""
+        fobj = FreeObject(self.n, self.p, self.d)
+        images: dict[int, tuple] = {}
+        reps = {0: fobj.identity}
+        for k in places:
+            path = []
+            while k not in reps:
+                path.append(k)
+                k = self.t_walk[k - 1][0]
+            for k in reversed(path):
+                parent, j = self.t_walk[k - 1]
+                if j not in images:
+                    images[j] = fobj.element(*self.words[j])
+                rep = reps[k] = fobj.mul(images[j], reps[parent])
+                if rep[0] != self.t_points[k]:
+                    raise AssertionError(f"the transversal element for {self.t_points[k]} "
+                                         f"lies over {rep[0]}")
         return reps
-
-    def key_rows(self):
-        """Q, the coset keys' functionals on Fox coordinates, one row at a
-        time, each with the point of its class.
-
-        On a class, each non-pivot coordinate j of K_chi's reduced rows
-        gives the functional x_j - sum_r x_(pivot r) row_r[j], which
-        vanishes on K_chi and is onto F_p together with the others; on
-        A_0 their joint kernel is K.  On Fox coordinates the functional is
-        the row whose entry at (i, t) is its coefficient at (coset of t, i)
-        times zeta^<c, t>.  A translation by t in T multiplies the row's
-        value by chi(t) = zeta^<c, t>."""
-        fobj, p = self.fobj, self.fobj.p
-        n, coset = fobj.n, self.coset
-        for c, free, rows, pivots in self.pieces:
-            weights = [self.zpow[e] for e in _pairing(c, fobj.d)]
-            pivot_set = set(pivots)
-            for j, e in enumerate(free):
-                if j in pivot_set:
-                    continue
-                coef = [0] * len(self.steps)
-                coef[e] = 1
-                for pivot, r in zip(pivots, rows):
-                    coef[free[pivot]] = -r[j]
-                row: list[int] = []
-                for i in range(n):
-                    row += [coef[f * n + i] * w % p for f, w in zip(coset, weights)]
-                yield c, row
 
 
 def _affine_fibre(base: int, shifts, scales, p: int) -> list[int]:
@@ -613,21 +642,26 @@ def closure(aut: Automaton, p: int, d: int, cap: int = DEFAULT_CAP) -> Automaton
     so its automaton is the Schreier graph of the free object acting on
     the cosets of I.  It is refused before any coset is built when I's
     index exceeds the cap.  It is refused too, before the transversal is
-    built, when its |T| - 1 new elements and the translation getters its
-    products leave in ``FreeObject``, one per distinct nonzero t-part of
-    a basis word, exceed the default cap times its bit length in units
-    of n * d^n coordinates.  The key table Q
-    (``_ImageSubgroup.key_rows``) is read one row at a time, and only
-    its values at the letter steps and at the carried transversal
-    elements are kept.
+    built, when its |T| - 1 elements at most and the translation getters
+    its products leave in ``FreeObject``, one per distinct nonzero t-part
+    of a basis word, exceed the default cap times its bit length in units
+    of n * d^n coordinates.  The image, its key rows and the letter steps
+    are read in folded coordinates (``_ImageSubgroup``), class by class;
+    the only free-object elements built are the transversal elements
+    that carry a coset back.
 
     A coset is (f, q): f a T-coset, reached by the image's walk at the
     point r_f, and q = Q u in F_p^c for the coset's elements (r_f, u);
     all p^c values occur.  The letter a_i sends (f, q) to the point
-    r_f + e_i = r_f2 + g with value q + Q e_(i,r_f).  When g != 0 the
+    r_f + e_i = r_f2 + g with value q + Q e_(i,r_f), and on class chi the
+    value of a key row (``_ImageSubgroup.key_rows``) at e_(i,r_f) is its
+    coefficient at edge (f, i) times zeta^<c, r_f>.  When g != 0 the
     transversal element (-g, u_-g) carries the coset back over r_f2, and
     the value becomes Q u_-g + chi(-g) (q + Q e_(i,r_f)) coordinate by
-    coordinate.  So each letter acts on each fibre by a coordinate-wise
+    coordinate, with Q u_-g the key rows applied to F_chi(rep_-g), the
+    Fox coordinates of rep_-g (``_ImageSubgroup.transversal``) folded onto
+    the edges on class chi; AssertionError unless -g lies on T's walk.
+    So each letter acts on each fibre by a coordinate-wise
     affine map of F_p^c, and the permutation lists are written fibre by
     fibre (``_affine_fibre``), with no coset keys; ``Automaton.from_action``
     numbers the orbit of the coset of I, and AssertionError is raised
@@ -636,38 +670,69 @@ def closure(aut: Automaton, p: int, d: int, cap: int = DEFAULT_CAP) -> Automaton
     image = _ImageSubgroup(aut, p, d)
     if image.index > cap:
         raise CapExceededError(f"closure needs more than {cap} cosets")
-    fobj = image.fobj
-    n, size, zero = fobj.n, len(fobj.points), fobj.identity[0]
-    getters = len({s for s, _ in image.gens if s != zero})
-    if (image.t_order - 1 + getters) * fobj.n_coords > DEFAULT_CAP * DEFAULT_CAP.bit_length():
+    n, zpow = aut.rank, image.zpow
+    coords = n * d**n
+    if (image.t_order - 1 + image.n_moves) * coords > DEFAULT_CAP * DEFAULT_CAP.bit_length():
         raise CapExceededError(
-            f"the closure needs {image.t_order - 1} transversal elements and {getters} "
-            f"translation getters of {fobj.n_coords} Fox coordinates, beyond cap "
+            f"the closure needs {image.t_order - 1} transversal elements and {image.n_moves} "
+            f"translation getters of {coords} Fox coordinates, beyond cap "
             f"{DEFAULT_CAP} times its bit length"
         )
-    reps = image.transversal()
+    # per carrying g, the place of -g on T's walk, and per key row chi(-g)
+    # and Q u_-g
+    zero = (0,) * n
+    position = {t: k for k, t in enumerate(image.t_points)}
+    carried = {}
+    for _, g in image.steps:
+        if g != zero and g not in carried:
+            back = tuple((-x) % d for x in g)
+            if back not in position:
+                raise AssertionError(f"{back}, which carries a coset across {g}, is not on T's walk")
+            carried[g] = (position[back], [], [])
+    reps = image.transversal({k for k, _, _ in carried.values()}) if carried else {}
+    # per carried rep, its nonzero Fox coordinates as (edge, t, value), the
+    # coordinate at (i, t) read on edge (coset of t, i); made on first use
+    supports: dict[int, list] = {}
 
-    # per letter step, its Fox coordinate e_(i,r_f) and the values of Q
-    # there; per carrying g, chi(-g) and Q u_-g
-    spots = [i * size + fobj._point_index[t] for t in image.reached for i in range(n)]
-    columns: list[list[int]] = [[] for _ in spots]
-    carried = {g: ([], []) for _, g in image.steps if g != zero}
-    for c, row in image.key_rows():
-        for column, spot in zip(columns, spots):
-            column.append(row[spot])
-        for g, (scales, moved) in carried.items():
-            scales.append(image.zpow[-sum(map(mul, c, g)) % d])
-            moved.append(sum(map(mul, row, reps[tuple((-x) % d for x in g)][1])))
-    if any(len(column) != image.n_keys for column in columns):
-        raise AssertionError(f"the key table has not {image.n_keys} rows")
+    def support(k):
+        if k not in supports:
+            u, size = reps[k][1], d**n
+            supports[k] = [(image.coset_of[t] * n + i, t, x) for i in range(n)
+                           for t, x in zip(itertools.product(range(d), repeat=n),
+                                           u[i * size:(i + 1) * size]) if x]
+        return supports[k]
+
+    # per key row, Q's values at the letter steps
+    table: list[list[int]] = []
+    for h, (_, c, _, _, _) in enumerate(image.pieces):
+        rows = image.key_rows(h)
+        if not rows:
+            continue
+        at = [zpow[sum(map(mul, c, r)) % d] for r in image.reached]
+        for row in rows:
+            values = [0] * len(image.steps)
+            for e, x in row:
+                values[e] = x * at[e // n] % p
+            table.append(values)
+        for g, (k, scales, moved) in carried.items():
+            folded = [0] * len(image.steps)
+            for e, t, x in support(k):
+                folded[e] += x * zpow[sum(map(mul, c, t)) % d]
+            scale = zpow[-sum(map(mul, c, g)) % d]
+            for row in rows:
+                scales.append(scale)
+                moved.append(sum(x * folded[e] for e, x in row) % p)
+    if len(table) != image.n_keys:
+        raise AssertionError(f"the key table has {len(table)} rows, not {image.n_keys}")
 
     ones = [1] * image.n_keys
+    columns = zip(*table) if table else [()] * len(image.steps)
     perms: list[list[int]] = [[] for _ in range(n)]
     for e, ((f2, g), column) in enumerate(zip(image.steps, columns)):
         if g == zero:
             perms[e % n].extend(_affine_fibre(f2, column, ones, p))
         else:
-            scales, moved = carried[g]
+            _, scales, moved = carried[g]
             shifts = [(v + m * x) % p for v, m, x in zip(moved, scales, column)]
             perms[e % n].extend(_affine_fibre(f2, shifts, scales, p))
     result = Automaton.from_action(n, perms)

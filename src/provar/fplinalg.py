@@ -55,6 +55,17 @@ def mat_pow(a: Matrix, k: int, p: int) -> Matrix:
 
 def rref(m: Matrix, p: int) -> tuple[Matrix, list[int]]:
     """Reduced row-echelon form over F_p and its pivot columns."""
+    if len(m) <= 1:
+        # nothing to eliminate: the one row, if any, scaled at its first
+        # nonzero entry
+        if not m:
+            return [], []
+        row = [x % p for x in m[0]]
+        c = next((c for c, x in enumerate(row) if x), None)
+        if c is None:
+            return [row], []
+        inv = pow(row[c], -1, p)
+        return [[x * inv % p for x in row]], [c]
     m = mat_reduce(m, p)
     rows = len(m)
     cols = len(m[0]) if rows else 0

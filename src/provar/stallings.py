@@ -5,6 +5,10 @@ the canonical representative of a finitely generated subgroup of F_n.
 Vertices are renumbered by breadth-first search from the basepoint with
 edge labels visited in the order a < a^-1 < b < b^-1 < ..., so two
 automata represent the same subgroup iff their edge lists are equal.
+
+Folding works on one neighbour dict per vertex, as merges need it; a
+finished automaton keeps its edges as flat lists instead, one of length
+V per signed letter, with -1 where a vertex has no edge of that label.
 """
 
 from __future__ import annotations
@@ -76,7 +80,11 @@ def _check_rank(rank: int) -> None:
 class Automaton:
     """Folded core automaton over the free group of rank ``rank``.
 
-    Immutable after construction; compare and hash by canonical form.
+    ``succ[g - 1][v]`` is the target of the edge labelled a_g from v and
+    ``pred[g - 1][v]`` its source into v, -1 when there is none; both are
+    tuples of ``rank`` lists of length ``n_vertices``, and every vertex
+    number in them is one int shared by all the lists.  Immutable after
+    construction; compare and hash by canonical form.
     """
 
     __slots__ = ("rank", "n_vertices", "base", "succ", "pred", "_key", "_spanning")
@@ -147,14 +155,15 @@ class Automaton:
                     queue.append(t)
         if len(order) != len(live):  # pragma: no cover - folding keeps connectivity
             raise AssertionError("automaton became disconnected")
-        succ = [dict() for _ in range(rank)]
-        pred = [dict() for _ in range(rank)]
+        size = len(order)
+        succ = [[-1] * size for _ in range(rank)]
+        pred = [[-1] * size for _ in range(rank)]
         for old, new in order.items():
             for key, t in nbr[old].items():
                 if key > 0:
                     succ[key - 1][new] = order[t]
                     pred[key - 1][order[t]] = new
-        return cls(rank, len(order), tuple(succ), tuple(pred))
+        return cls(rank, size, tuple(succ), tuple(pred))
 
     @classmethod
     def from_generators(cls, generators, rank: int) -> "Automaton":
@@ -201,9 +210,9 @@ class Automaton:
 
         Each permutation is checked first, in one pass that builds its
         inverse: ValueError for a length other than the first one's, a
-        target out of range, or a target met twice.  The cost is linear
-        in rank * degree, and every vertex number is one int object
-        shared by all the transition maps.
+        target out of range, or a target met twice.  The lists of the
+        result are the permutations and their inverses read in the new
+        numbering, so the cost is linear in rank * degree.
         """
         _check_rank(rank)
         if len(perms) != rank:
@@ -232,13 +241,9 @@ class Automaton:
                 if order[t] < 0:
                     order[t] = len(queue)
                     queue.append(t)
-        numbers = [order[old] for old in queue]
-        succ, pred = [], []
-        for p in perms:
-            targets = [order[p[old]] for old in queue]
-            succ.append(dict(zip(numbers, targets)))
-            pred.append(dict(zip(targets, numbers)))
-        return cls(rank, len(queue), tuple(succ), tuple(pred))
+        succ = tuple([order[p[old]] for old in queue] for p in perms)
+        pred = tuple([order[inv[old]] for old in queue] for inv in inverses)
+        return cls(rank, len(queue), succ, pred)
 
     # -- queries ------------------------------------------------------
 
@@ -253,9 +258,10 @@ class Automaton:
                 self.rank,
                 self.n_vertices,
                 tuple(
-                    (v, g, targets[v])
+                    (v, g, t)
                     for g, targets in enumerate(self.succ, start=1)
-                    for v in sorted(targets)
+                    for v, t in enumerate(targets)
+                    if t >= 0
                 ),
             )
         return self._key
@@ -272,25 +278,26 @@ class Automaton:
 
     def step(self, v: int, letter: int):
         """Follow one signed letter; None when the edge is missing."""
-        if letter > 0:
-            return self.succ[letter - 1].get(v)
-        return self.pred[-letter - 1].get(v)
+        t = self.succ[letter - 1][v] if letter > 0 else self.pred[-letter - 1][v]
+        return None if t < 0 else t
 
     def membership(self, w: Word) -> bool:
         """True iff the word labels a closed path at the basepoint."""
         if w.rank != self.rank:
             raise ValueError("rank mismatch")
+        # maps[letter] for a signed letter: the preds in reverse at the end
+        maps = (None,) + self.succ + self.pred[::-1]
         v = self.base
         for letter in w.letters:
-            v = self.step(v, letter)
-            if v is None:
+            v = maps[letter][v]
+            if v < 0:
                 return False
         return v == self.base
 
     __contains__ = membership
 
     def is_complete(self) -> bool:
-        return all(len(targets) == self.n_vertices for targets in self.succ)
+        return all(-1 not in targets for targets in self.succ)
 
     def index(self):
         """Index in the free group: vertex count when complete, else None."""
@@ -318,8 +325,8 @@ class Automaton:
         for u in order:  # the list grows while it is read
             below = depth[u] + 1
             for s, m in maps:
-                t = m.get(u)
-                if t is not None and not seen[t]:
+                t = m[u]
+                if t >= 0 and not seen[t]:
                     seen[t] = True
                     parent[t], letter[t], depth[t] = u, s, below
                     order.append(t)
@@ -330,9 +337,8 @@ class Automaton:
         a tree edge is the one along which the search first reached one
         of its ends."""
         for g, targets in enumerate(self.succ, start=1):
-            for u in sorted(targets):
-                v = targets[u]
-                if not ((parent[v] == u and letter[v] == g) or (parent[u] == v and letter[u] == -g)):
+            for u, v in enumerate(targets):
+                if v >= 0 and not ((parent[v] == u and letter[v] == g) or (parent[u] == v and letter[u] == -g)):
                     yield u, g, v
 
     def _climb(self, parent, letter, v):
@@ -353,14 +359,15 @@ class Automaton:
         length, and no word is kept per vertex.  No letters cancel at the
         joins, as the automaton is folded: path(u) does not end in g^-1,
         since then v would be u's parent and the edge a tree edge, nor
-        path(v) in g, for the same reason."""
+        path(v) in g, for the same reason.  So each word is built by
+        ``Word.trusted``, with no letter checked again."""
         parent, letter, _, _ = self._tree()
         basis = []
         for u, g, v in self._cotree(parent, letter):
             letters = self._climb(parent, letter, u)[::-1]
             letters.append(g)
             letters += [-s for s in self._climb(parent, letter, v)]
-            basis.append(Word(tuple(letters), self.rank))
+            basis.append(Word.trusted(tuple(letters), self.rank))
         return self.index(), basis
 
     def basis(self):
@@ -409,7 +416,8 @@ class Automaton:
         edges = [
             (v, g, t)
             for g, targets in enumerate(self.succ, start=1)
-            for v, t in targets.items()
+            for v, t in enumerate(targets)
+            if t >= 0
         ]
 
         def shift(v: int) -> int:
@@ -418,7 +426,8 @@ class Automaton:
         edges.extend(
             (shift(v), g, shift(t))
             for g, targets in enumerate(other.succ, start=1)
-            for v, t in targets.items()
+            for v, t in enumerate(targets)
+            if t >= 0
         )
         return Automaton.from_raw(self.rank, offset + other.n_vertices - 1, self.base, edges)
 
@@ -430,14 +439,15 @@ class Automaton:
         seen = {start: 0}
         queue = deque([start])
         edges = set()
-        signed = [s for g in range(1, self.rank + 1) for s in (g, -g)]
+        maps = [(letter, m1, m2) for g in range(self.rank)
+                for letter, m1, m2 in ((g + 1, self.succ[g], other.succ[g]),
+                                       (-g - 1, self.pred[g], other.pred[g]))]
         while queue:
             u1, u2 = queue.popleft()
             u = seen[(u1, u2)]
-            for letter in signed:
-                v1 = self.step(u1, letter)
-                v2 = other.step(u2, letter)
-                if v1 is None or v2 is None:
+            for letter, m1, m2 in maps:
+                v1, v2 = m1[u1], m2[u2]
+                if v1 < 0 or v2 < 0:
                     continue
                 pair = (v1, v2)
                 if pair not in seen:
@@ -452,8 +462,7 @@ class Automaton:
         automaton: the free group acting on the cosets of the subgroup."""
         if not self.is_complete():
             raise NotFiniteIndexError("coset action requires a finite-index subgroup")
-        perms = [[targets[v] for v in range(self.n_vertices)] for targets in self.succ]
-        return PermGroup(self.n_vertices, perms, cap=cap)
+        return PermGroup(self.n_vertices, self.succ, cap=cap)
 
     def intermediate_subgroups(self):
         """All subgroups between this one and the full free group.
@@ -493,7 +502,8 @@ class Automaton:
         edges = [
             [v, self._label(g), t]
             for g, targets in enumerate(self.succ, start=1)
-            for v, t in sorted(targets.items())
+            for v, t in enumerate(targets)
+            if t >= 0
         ]
         return {
             "rank": self.rank,
@@ -523,7 +533,8 @@ class Automaton:
             if v != self.base:
                 lines.append(f"  {v} [shape=circle];")
         for g, targets in enumerate(self.succ, start=1):
-            for v, t in sorted(targets.items()):
-                lines.append(f'  {v} -> {t} [label="{self._label(g)}"];')
+            for v, t in enumerate(targets):
+                if t >= 0:
+                    lines.append(f'  {v} -> {t} [label="{self._label(g)}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"

@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, product, starmap
 
 from . import apd
 from .numtheory import factorize, is_prime, lattice_index
 from .permgroup import (
     DEFAULT_ELEMENT_CAP,
     PermGroup,
+    commutator,
     compose,
     inverse,
     perm_order,
@@ -234,9 +235,22 @@ def u_residual(group: PermGroup) -> PermGroup:
     """The U-residual: the smallest normal subgroup R with G/R in U, the
     normal closure of ``_residual_seeds``, which proves it.
 
-    AssertionError unless ``is_in_u`` holds for G/R.
+    Every seed lies in G': the D seeds are elements of G' and commutators
+    of them, and the S and M seeds are commutators of elements of G or
+    powers of such commutators.  So R lies in G'.  When the seeds include
+    every nontrivial commutator [s, t] of two generators of G, R also
+    contains G', their normal closure, and so R = G': ``derived_subgroup()``,
+    which ``_residual_seeds`` has built, is returned as it is, and G/G'
+    is abelian, so in U, with nothing to check.  Otherwise R is closed
+    from the seeds, and AssertionError is raised unless ``is_in_u`` holds
+    for G/R.
     """
     seeds = [seed for _, _, seed in _residual_seeds(group)]
+    found = set(seeds)
+    ident = group.identity()
+    if all(c == ident or c in found
+           for c in starmap(commutator, combinations(group.generators, 2))):
+        return group.derived_subgroup()
     residual = group.normal_closure(seeds)
     if seeds and not is_in_u(group.quotient(residual)).verdict:
         raise AssertionError("G/R is not in U for the normal closure R of the residual seeds")

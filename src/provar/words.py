@@ -73,6 +73,17 @@ class Word:
         if 0 in map(add, letters, letters[1:]):
             raise ValueError("word is not freely reduced")
 
+    @classmethod
+    def trusted(cls, letters: tuple[int, ...], rank: int) -> "Word":
+        """A Word from letters its caller has already checked: rank >= 1,
+        every letter in range for it and the tuple freely reduced.
+        Neither check of ``__post_init__`` is made again, so it costs
+        nothing per letter; ``Word(...)`` makes both."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        object.__setattr__(w, "rank", rank)
+        return w
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -156,7 +167,9 @@ def parse(text: str, rank: int) -> Word:
     stops.  Text of ASCII letters alone is one run and needs no regular
     expression.  Each run is checked and turned into letters by one byte
     table, and the letters are freely reduced only when some adjacent
-    pair cancels.
+    pair cancels.  Both facts are then known, so the word is built by
+    ``Word.trusted``; a text with a letter needs a rank of at least 1,
+    as every letter is beyond rank 0.
     """
     stripped = text.replace("·", "").replace(" ", "")
     if stripped in ("", "1"):
@@ -183,8 +196,8 @@ def parse(text: str, rank: int) -> Word:
         raise ValueError(f"cannot parse word at ...{stripped[end:]!r}")
     letters = array("b", data)
     if any(pair in data for pair in _CANCELLING[min(max(rank, 0), 26)]):
-        return Word(reduce_letters(letters), rank)
-    return Word(tuple(letters), rank)
+        return Word.trusted(reduce_letters(letters), rank)
+    return Word.trusted(tuple(letters), rank)
 
 
 def _letter_codes(run: str, rank: int) -> bytes:

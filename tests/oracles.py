@@ -378,9 +378,8 @@ def index_and_basis_by_vertex_words(aut: Automaton):
     reps, tree = vertex_words(aut)
     basis = []
     for g, targets in enumerate(aut.succ, start=1):
-        for u in sorted(targets):
-            v = targets[u]
-            if (u, g, v) not in tree:
+        for u, v in enumerate(targets):
+            if v >= 0 and (u, g, v) not in tree:
                 basis.append(reps[u] * word((g,), aut.rank) * reps[v].inverse())
     return aut.index(), basis
 

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -473,6 +474,82 @@ def test_closure_and_schreier_rows_agree_with_the_product_routes(n, p, d):
     assert walked == 6
 
 
+def test_status_builds_no_free_object_element_and_closure_only_its_transversal(monkeypatch,
+                                                                              capsys):
+    # both read the image in folded coordinates; closure builds in
+    # FreeObject only the transversal elements that carry a coset back,
+    # one product per point of T's walk up to the last one it needs
+    def refuse(*args, **kwargs):
+        raise AssertionError("a free-object element was built")
+
+    calls = collections.Counter()
+
+    def counted(name):
+        method = getattr(FreeObject, name)
+        return lambda *args: calls.update([name]) or method(*args)
+
+    def refused(f, *args):
+        with monkeypatch.context() as m:
+            for name in ("__init__", "evaluate", "element", "mul"):
+                m.setattr(FreeObject, name, refuse)
+            return f(*args)
+
+    def closure_within_transversal(subgroup, p, d, cap):
+        image = _ImageSubgroup(subgroup, p, d)
+        calls.clear()
+        with monkeypatch.context() as m:
+            for name in ("__init__", "evaluate", "element", "mul"):
+                m.setattr(FreeObject, name, counted(name))
+            result = closure(subgroup, p, d, cap=cap)
+        assert calls["__init__"] <= 1 and calls["evaluate"] == 0
+        assert calls["element"] <= image.n_moves
+        assert calls["mul"] <= image.t_order - 1
+        return result
+
+    # the closure-grid classes of the benchmark, and (3, 5, 4)
+    for n, p, d in [(1, 7, 6), (2, 3, 2), (2, 5, 2), (2, 5, 4), (2, 7, 3), (3, 3, 2),
+                    (3, 5, 4)]:
+        rng = random.Random(f"no free object {n} {p} {d}")
+        outcomes = set()
+        for draw in range(12):
+            subgroup = random_subgroup(rng, n, draw, 6)
+            index = refused(status, subgroup, p, d).index_of_closure
+            if index > 1500:
+                with pytest.raises(CapExceededError):
+                    refused(closure, subgroup, p, d, 1500)
+            else:
+                assert closure_within_transversal(subgroup, p, d, 1500).n_vertices == index
+            outcomes.add(index > 1500)
+        assert False in outcomes
+    # two requests of the CLI transcript: a degree-65 536 rank-1 status
+    # and a closure over |T| = 1000 characters
+    capsys.readouterr()
+    assert refused(dispatch, ["status", "--p", "65537", "--d", "65536", "--rank", "1",
+                              "--gens", "a^65536"]) == 0
+    assert json.loads(capsys.readouterr().out)["index_of_closure"] == 65536
+    assert closure_within_transversal(aut(1, "aa"), 4001, 2000, apd.DEFAULT_CAP).n_vertices == 2
+    assert calls["mul"] == 999
+    assert dispatch(["closure", "--p", "4001", "--d", "2000", "--rank", "1", "--gens", "aa"]) == 0
+    assert json.loads(capsys.readouterr().out)["index"] == 2
+
+
+def test_closure_raises_assertion_error_when_a_carried_point_is_off_t_walk(monkeypatch):
+    # over (7, 6) the letter a from the one T-coset of <a> is carried
+    # back by -1 = 5, the last point of T's walk; with that point gone the
+    # closure refuses by AssertionError, which python -O keeps, not by a
+    # KeyError from a lookup
+    init = apd._ImageSubgroup.__init__
+
+    def truncated(self, *args):
+        init(self, *args)
+        assert self.t_points[-1] == (5,)
+        self.t_points.pop()
+
+    monkeypatch.setattr(apd._ImageSubgroup, "__init__", truncated)
+    with pytest.raises(AssertionError, match=r"\(5,\), which carries a coset across \(1,\)"):
+        closure(aut(1, "a"), 7, 6)
+
+
 def test_closure_idempotent_and_monotone():
     rng = random.Random(22)
     for _ in range(10):
@@ -658,6 +735,7 @@ def test_image_walk_is_refused_exactly_past_its_storage_budget(n, p, d, monkeypa
                 with pytest.raises(CapExceededError, match=binding):
                     status(subgroup, p, d)
             checked[binding] += 1
+        built = []
         shifts = {tuple(x % d for x in w.abelianization()) for w in subgroup.basis()}
         getters = len(shifts - {(0,) * n})
         cap = budget_edge((image.t_order - 1 + getters) * size)
@@ -666,9 +744,16 @@ def test_image_walk_is_refused_exactly_past_its_storage_budget(n, p, d, monkeypa
             with monkeypatch.context() as m:
                 m.setattr(apd, "DEFAULT_CAP", cap)
                 closure(subgroup, p, d, cap=2000)
+                transversal = apd._ImageSubgroup.transversal
+                m.setattr(apd._ImageSubgroup, "transversal",
+                          lambda self, places: built.append(places) or transversal(self, places))
                 m.setattr(apd, "DEFAULT_CAP", cap - 1)
-                with pytest.raises(CapExceededError, match="translation getters of"):
+                with pytest.raises(CapExceededError, match=(
+                        f"the closure needs {image.t_order - 1} transversal elements and "
+                        f"{getters} translation getters of {size} Fox coordinates, "
+                        f"beyond cap {cap - 1} times")):
                     closure(subgroup, p, d, cap=2000)
+            assert built == []
             checked["closure"] += 1
     assert checked["closure"] >= 4
     assert checked["Fox support points"] >= 3
@@ -684,11 +769,10 @@ def test_image_budget_is_checked_before_any_word_is_evaluated(monkeypatch):
     # the kernel of a -> 0, b -> 1 onto Z_39 has 40 basis words, of 838
     # letters in all; over (37, 36) its t-part has order 36 * 12, so
     # folding them needs 432 * 838 terms, more than their 40 * 2592 Fox
-    # coordinates
+    # coordinates; the image reads each basis word by its Fox support
     evaluated = []
-    evaluate = FreeObject.evaluate
-    monkeypatch.setattr(FreeObject, "evaluate",
-                        lambda self, w: evaluated.append(w) or evaluate(self, w))
+    fox = apd.fox
+    monkeypatch.setattr(apd, "fox", lambda w: evaluated.append(w) or fox(w))
     kernel = Automaton.from_action(2, [list(range(39)), [(i + 1) % 39 for i in range(39)]])
     assert len(kernel.basis()) == 40
     assert image_needs(kernel, 36) == (40 * 2592, 432 * 838)

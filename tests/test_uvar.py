@@ -494,9 +494,11 @@ def test_u_residual_of_a_p_group_is_its_derived_subgroup():
 
 
 def test_u_residual_and_is_u_closed_build_g_prime_once_and_search_nothing(monkeypatch):
-    # u_residual takes two normal closures in G, G' and R, and is_u_closed
-    # one, G' of the coset group; neither reaches a normalizer tower or
-    # the chief-series search, not even through the check of G/R
+    # u_residual takes two normal closures in G, G' and R, except where the
+    # seeds hold every generator commutator, so that R = G' (A4, Q8, the
+    # Sylow 2-subgroup of S8), and is_u_closed one, G' of the coset group;
+    # neither reaches a normalizer tower or the chief-series search, not
+    # even through the check of G/R
     closures = []
     real_closure = PermGroup.normal_closure
 
@@ -510,13 +512,41 @@ def test_u_residual_and_is_u_closed_build_g_prime_once_and_search_nothing(monkey
     monkeypatch.setattr(PermGroup, "normal_closure", normal_closure)
     monkeypatch.setattr(PermGroup, "_normalizer_tower", refuse)
     monkeypatch.setattr(PermGroup, "is_supersolvable", refuse)
-    for g in (s4(), a4(), q8(), sylow_2_of_s8(), s3_wr_c2()):
+    for g, expected in ((s4(), 2), (a4(), 1), (q8(), 1), (sylow_2_of_s8(), 1), (s3_wr_c2(), 2)):
         closures.clear()
         assert not uvar.u_residual(g).is_trivial()
-        assert sum(h is g for h in closures) == 2
+        assert sum(h is g for h in closures) == expected
         closures.clear()
         assert not uvar.is_u_closed(Automaton.from_action(len(g.generators), list(g.generators)))
         assert len(closures) == 1
+
+
+def test_u_residual_of_q8_is_g_prime_closed_once(monkeypatch):
+    # Q8's seeds hold [i, j] = -1, so R = G' = {1, -1}: the one normal
+    # closure is G' itself, and R is that very group
+    closures = []
+    real_closure = PermGroup.normal_closure
+    monkeypatch.setattr(PermGroup, "normal_closure",
+                        lambda self, seeds: closures.append(self) or real_closure(self, seeds))
+    g = q8()
+    residual = uvar.u_residual(g)
+    assert closures == [g] and residual is g.derived_subgroup() and residual.order == 2
+
+
+def test_u_residual_agrees_with_the_lattice_search_on_the_fixtures():
+    # both routes of u_residual: R = G' read off the generator commutators,
+    # and the normal closure of the seeds
+    shortcut = 0
+    for name, images in fixture_images().items():
+        g = PermGroup(len(images[0]), images)
+        seeds = {seed for _, _, seed in uvar._residual_seeds(g)}
+        shortcut += all(c in seeds or c == g.identity()
+                        for c in itertools.starmap(pg.commutator,
+                                                   itertools.combinations(g.generators, 2)))
+        residual = uvar.u_residual(g)
+        expected = u_residual_by_lattice(PermGroup(g.degree, g.generators))
+        assert residual.element_set() == expected.element_set(), name
+    assert 0 < shortcut < len(fixture_images())
 
 
 def test_is_u_closed_counts_only_g_prime_against_the_cap():

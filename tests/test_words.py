@@ -216,6 +216,34 @@ def test_word_names_the_first_letter_out_of_range():
         Word((1, 2, -2), 2)
 
 
+def test_trusted_words_equal_checked_ones_and_bad_letters_still_raise():
+    # parse and the basis spelling build their words by Word.trusted; each
+    # must equal the Word built with both checks, hash alike and hold a
+    # tuple of ints
+    from provar.stallings import Automaton
+
+    rng = random.Random(406)
+    words = []
+    for rank in (1, 2, 3, 27):
+        for _ in range(200):
+            text = "".join(rng.choice("aAbBcC"[: 2 * min(rank, 3)]) for _ in range(rng.randrange(0, 30)))
+            words.append(parse(text, rank))
+        for _ in range(20):
+            gens = [random_word(rng, min(rank, 3), 6) for _ in range(rng.randrange(1, 4))]
+            words += Automaton.from_generators(gens, min(rank, 3)).basis()
+    for w in words:
+        checked = Word(tuple(w.letters), w.rank)
+        assert w == checked and hash(w) == hash(checked), w
+        assert type(w.letters) is tuple and all(type(x) is int for x in w.letters)
+    assert any(len(w) > 10 for w in words)
+    for bad in ((1, -1), (3,), (0,), (1, 2, -2)):
+        with pytest.raises(ValueError):
+            Word(bad, 2)
+    for text in ("abc", "a$", "aA^-1c"):
+        with pytest.raises(ValueError):
+            parse(text, 2)
+
+
 def test_word_checks_letters_before_free_reduction():
     # reduction would cancel both pairs to the identity
     for letters, bad in (([3, -3], 3), ([0, 0], 0)):
