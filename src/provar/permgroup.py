@@ -12,11 +12,12 @@ enumerating it, by the deterministic Schreier-Sims algorithm.
 Enumeration costs |G| compositions of degree-length tuples, |G|^2 on a
 regular representation.  ``smaller_faithful_action`` cuts that degree
 for questions that only depend on G up to isomorphism.  A regular G is
-recognized by its right multiplications, read along a Schreier tree in
-integer lookups: they commute with G exactly when G is regular, and
-they also give the centre.  Without a centre, G acts faithfully by
-conjugation on the conjugacy classes of its generators, and a
-stabilizer chain of that action checks that it has |G| elements.
+recognized by its right multiplications, carried along one breadth-first
+walk in integer lookups and checked on every edge: they commute with G
+exactly when G is regular, and they also give the centre.  Without a
+centre, G acts faithfully by conjugation on the conjugacy classes of
+its generators, and a stabilizer chain of that action checks that it
+has |G| elements.
 """
 
 from __future__ import annotations
@@ -164,14 +165,18 @@ class StabilizerChain:
     once: transversal elements, once chosen, never change, so a pair
     that sifted once still does, and the Schreier generator of a pair
     that failed is the product of transversal elements and a residue
-    that now lie in H_(i+1).  By Schreier's lemma the stabilizer of
-    b_i in H_i is generated by the Schreier generators, so when every
-    level is complete it is H_(i+1), and |G| is the product of the orbit
-    lengths.  Memory is one transversal element per orbit point, and the
-    orbit lengths, each at least 2, sum to at most that product.
+    that now lie in H_(i+1).  A pair (x, s) through which the orbit
+    reached y = s(x) is not sifted at all: u_y was chosen as s u_x, so
+    its Schreier generator is the identity.  By Schreier's lemma the
+    stabilizer of b_i in H_i is generated by the Schreier generators, so
+    when every level is complete it is H_(i+1), and |G| is the product
+    of the orbit lengths.  Memory is one transversal element per orbit
+    point, and the orbit lengths, each at least 2, sum to at most that
+    product.
     """
 
-    __slots__ = ("degree", "base", "strong", "transversals", "_inverses", "_orbits", "_checked")
+    __slots__ = ("degree", "base", "strong", "transversals", "_inverses", "_orbits", "_checked",
+                 "_tree")
 
     def __init__(self, degree: int, generators):
         self.degree = degree
@@ -181,6 +186,8 @@ class StabilizerChain:
         self._inverses: list[list[Perm]] = []  # of the strong generators
         self._orbits: list[list[int]] = []
         self._checked: list[list[int]] = []  # per orbit point, the generators sifted
+        # per level, the pairs (orbit index of x, index of s) with u_s(x) = s u_x
+        self._tree: list[set[tuple[int, int]]] = []
         for g in generators:
             residue, stop = self.sift(tuple(g))
             if stop < len(self.base) or residue != perm_identity(degree):
@@ -213,21 +220,24 @@ class StabilizerChain:
             self.transversals.append({b: perm_identity(self.degree)})
             self._orbits.append([b])
             self._checked.append([0])
+            self._tree.append(set())
         g_inv = inverse(g)
         for i in range(first, last + 1):
             gens, inverses = self.strong[i], self._inverses[i]
             gens.append(g)
             inverses.append(g_inv)
-            back, orbit, checked = self.transversals[i], self._orbits[i], self._checked[i]
-            old = len(orbit)
+            back, orbit, checked, tree = (self.transversals[i], self._orbits[i],
+                                          self._checked[i], self._tree[i])
+            old, last_gen = len(orbit), len(gens) - 1
             for k, x in enumerate(orbit):  # grows while it is walked
-                pairs = ((g, g_inv),) if k < old else zip(gens, inverses)
-                for s, s_inv in pairs:
+                pairs = ((last_gen, (g, g_inv)),) if k < old else enumerate(zip(gens, inverses))
+                for si, (s, s_inv) in pairs:
                     y = s[x]
                     if y not in back:
                         back[y] = compose(back[x], s_inv)  # u_y = s u_x
                         orbit.append(y)
                         checked.append(0)
+                        tree.add((k, si))
 
     def _complete(self, level: int) -> None:
         """Sift every unsifted Schreier generator of the levels up from
@@ -247,13 +257,17 @@ class StabilizerChain:
         i + 1, as (residue, level).  The sift multiplies l on the left and
         reads h(b) as l(u_x(b)), so h is formed only when it fails: it
         sifts to the identity exactly when l ends as u_x^-1."""
-        gens, back, checked = self.strong[i], self.transversals[i], self._checked[i]
+        gens, back, checked, tree = (self.strong[i], self.transversals[i], self._checked[i],
+                                     self._tree[i])
         below = list(zip(self.base[i + 1 :], self.transversals[i + 1 :]))
         for k, x in enumerate(self._orbits[i]):
             x_back = back[x]
             while checked[k] < len(gens):
-                s = gens[checked[k]]
+                si = checked[k]
                 checked[k] += 1
+                if (k, si) in tree:  # u_s(x) = s u_x: the identity
+                    continue
+                s = gens[si]
                 left = compose(back[s[x]], s)
                 stop = len(self.base)
                 for j, (b, level_back) in enumerate(below, start=i + 1):
@@ -267,19 +281,21 @@ class StabilizerChain:
         return None
 
 
-def _conjugation_on_classes(gens, rhos) -> tuple[int, list[Perm]]:
-    """(|X|, psi(s) for each generator s) of a regular G, with the right
-    multiplications rho_s: the conjugation action on the union X of the
-    generators' conjugacy classes, each x in X held as the point x(0),
-    numbered as a breadth-first walk from the generators reaches them.
-    s x s^-1 sends 0 to s(rho_s^-1(x(0)))."""
+def _conjugation_on_classes(gens, right) -> tuple[int, list[Perm]]:
+    """(|X|, psi(s) for each generator s) of a regular G: the conjugation
+    action on the union X of the generators' conjugacy classes, each x in
+    X held as the point x(0), numbered as a breadth-first walk from the
+    generators reaches them.  right[w] holds rho_s(w) for each generator
+    s, then rho_s^-1(w), the right multiplications of
+    ``PermGroup.smaller_faithful_action``; s x s^-1 sends 0 to
+    s(rho_s^-1(x(0)))."""
+    k = len(gens)
     points = list(dict.fromkeys(s[0] for s in gens))
     index = {x: i for i, x in enumerate(points)}
     images = [[] for _ in gens]
-    rho_inverses = [inverse(rho) for rho in rhos]
     for x in points:  # X grows while it is walked
-        for s, rho_inverse, image in zip(gens, rho_inverses, images):
-            c = s[rho_inverse[x]]
+        for s, back, image in zip(gens, right[x][k:], images):
+            c = s[back]
             if c not in index:
                 index[c] = len(points)
                 points.append(c)
@@ -306,9 +322,12 @@ class PermGroup:
         if degree < 1:
             raise ValueError("degree must be positive")
         gens = []
+        points = None  # built once a generator has the right length
         for g in generators:
             g = tuple(g)
-            if len(g) != degree or sorted(g) != list(range(degree)):
+            if points is None and len(g) == degree:
+                points = set(range(degree))
+            if len(g) != degree or set(g) != points:
                 raise ValueError(f"{g} is not a permutation of 0..{degree - 1}")
             gens.append(g)
         self.degree = degree
@@ -370,17 +389,24 @@ class PermGroup:
         enumerated, or G itself.
 
         Only a regular G of degree REDUCTION_MIN_DEGREE or more with a
-        trivial centre is reduced.  A Schreier tree of point 0 names
-        each point w by the element t_w on its tree path, t_w(0) = w; G
-        is returned when the tree misses a point.  rho_s(w) = t_w(s(0))
-        is right multiplication by the generator s, built along the tree
-        by rho_s(0) = s(0) and rho_s(t(w)) = t(rho_s(w)).  In a regular
-        G every rho_s commutes with every generator.  Conversely, if
-        they all do, the rho_s generate a group R that centralizes G and
-        whose orbit of 0 is G's, all points.  The centralizer of a
-        transitive group is semiregular, so R is regular, and G, which
-        centralizes R, has at most `degree` elements: G is regular.
-        Otherwise G is returned.  Then t_w commutes with the generator s
+        trivial centre is reduced; with fewer than two generators G is
+        cyclic, so abelian, and is returned.  One breadth-first walk
+        from point 0 names each point w by the element t_w on its tree
+        path, t_w(0) = w, and carries the right multiplications by the
+        generators and their inverses, rho_s(w) = t_w(s(0)) and
+        rho_s^-1(w) = t_w(s^-1(0)), as one tuple per point.  It starts
+        from rho_s(0) = s(0) and works edge by edge: a point v first
+        reached from w by the generator s gets rho(v) = s(rho(w)) for
+        every rho, and every later edge (w, s) checks rho(s(w)) =
+        s(rho(w)); G is returned at the first that fails, and when the
+        walk misses a point.  Tree edges hold by construction, so once
+        the walk ends every rho commutes with every generator at every
+        point: along each edge of the Cayley graph.  In a regular G that
+        holds.  Conversely, if it does, the rho_s generate a group R
+        that centralizes G and whose orbit of 0 is G's, all points.  The
+        centralizer of a transitive group is semiregular, so R is
+        regular, and G, which centralizes R, has at most `degree`
+        elements: G is regular.  Then t_w commutes with the generator s
         exactly when s(w) = rho_s(w), so the centre is read off the
         points, and G is returned when it is nontrivial.
 
@@ -388,50 +414,47 @@ class PermGroup:
         it held as x(0): g x g^-1 sends 0 to g(rho_g^-1(x(0))).  psi(g)
         is g's conjugation action on X.  ker psi is the centralizer of
         X, which is the centre because X holds the generators, so psi is
-        faithful.  X is walked before the commutation check, which
-        costs as many lookups per point as there are pairs of
-        generators, and G is returned when X has `degree` points, as it
-        has for a group given by its Cayley table.  The order of psi(G)
-        is read off a ``StabilizerChain`` of it, with no element
+        faithful.  G is returned when X has `degree` points, as it has
+        for a group given by its Cayley table.  The order of psi(G) is
+        read off a ``StabilizerChain`` of it, with no element
         enumerated, and AssertionError unless it is `degree` = |G|, which
         holds exactly when psi is faithful.  CapExceededError, as from
         ``elements()``, when G exceeds the cap: the chain keeps one
         element of psi(G) per orbit point, at most |G| of them.
+
+        For k generators the walk makes 2k lookups along each of the
+        k * `degree` edges, where enumerating G composes `degree` points
+        along each of its k * |G| edges.
         """
         degree = self.degree
-        if degree < REDUCTION_MIN_DEGREE:
-            return self
         gens = self.generators
+        k = len(gens)
+        if degree < REDUCTION_MIN_DEGREE or k < 2:
+            return self
+        right = [None] * degree  # rho_s(w) for each s, then rho_s^-1(w)
+        right[0] = tuple(s[0] for s in gens) + tuple(s.index(0) for s in gens)
         tree = [0]
-        edges = []  # (point, parent, generator index), in the order reached
-        reached = bytearray(degree)
-        reached[0] = 1
         for w in tree:  # grows while it is walked
-            for i, s in enumerate(gens):
+            image = itemgetter(*right[w])
+            for s in gens:
                 v = s[w]
-                if not reached[v]:
-                    reached[v] = 1
+                moved = image(s)
+                there = right[v]
+                if there is None:
+                    right[v] = moved
                     tree.append(v)
-                    edges.append((v, w, i))
+                elif there != moved:
+                    return self
         if len(tree) < degree:
             return self
-        rhos = []
-        for s in gens:
-            rho = [0] * degree
-            rho[0] = s[0]
-            for v, w, i in edges:
-                rho[v] = gens[i][rho[w]]
-            rhos.append(rho)
-        size, psi = _conjugation_on_classes(gens, rhos)
+        central = range(1, degree)
+        for j, s in enumerate(gens):
+            central = [w for w in central if s[w] == right[w][j]]
+        if central:
+            return self
+        size, psi = _conjugation_on_classes(gens, right)
         # on fewer than two points psi is trivial, and X = G saves nothing
         if not 1 < size < degree:
-            return self
-        if any([rho[x] for x in t] != [t[x] for x in rho] for rho in rhos for t in gens):
-            return self
-        central = range(1, degree)
-        for s, rho in zip(gens, rhos):
-            central = [w for w in central if s[w] == rho[w]]
-        if central:
             return self
         if degree > self.cap:
             raise _over_cap(self.cap)

@@ -7,9 +7,12 @@ commutator and power identities on the generators of G and of G': the
 U-residual R of G, the smallest normal subgroup N with G/N in U, is the
 normal closure of the seeds that fail, and G lies in U iff none fails.
 R exists because U is closed under subdirect products.  So deciding U
-and building R enumerate G' but not G; only ``is_in_u``'s report
+and building R enumerate G' but not G.  Only ``is_in_u``'s report
 fields of a G whose G' is not abelian of squarefree exponent, or whose
-Sylow subgroups are not all abelian, are searched over its elements.
+Sylow subgroups are not all abelian, may be searched over its elements,
+and only where G' and |G| leave them open: a G whose G' is not
+nilpotent is not supersolvable, and a Sylow q-subgroup of order at most
+q^2, or with q not dividing |G'|, is abelian.
 A finite-index subgroup H of a free group is U-closed iff its
 coset-action group G lies in U, and its exact U-closure is H·R with R
 the preimage of the U-residual of G.  For arbitrary
@@ -163,21 +166,28 @@ def is_in_u(group: PermGroup) -> UMembershipReport:
     abelian and generated by the generators' images; they are the keys
     of ``sylow_abelian``.  The Sylow p-subgroups are abelian iff no S
     seed names p, and when all are, G is supersolvable iff no M seed is
-    left, as ``_residual_seeds`` proves.  Only the chief-series search of
-    ``PermGroup.is_supersolvable`` gives ``supersolvable`` when a Sylow
-    subgroup is not abelian.  With a D seed, G is enumerated: that search
-    and a normalizer tower per prime of |G| fill the report."""
+    left, as ``_residual_seeds`` proves.  Only ``_supersolvable`` gives
+    ``supersolvable`` when a Sylow subgroup is not abelian; G' is then
+    abelian, so nilpotent, and its chief-series search decides.
+
+    With a D seed, G is enumerated for its order, and the report is read
+    off G' and |G| where they decide it: ``supersolvable`` is False when G' is not nilpotent
+    (``_supersolvable``), and ``sylow_abelian[q]`` is True when |G|_q is
+    at most q^2 or q does not divide |G'| (``_sylow_abelian``).  Only the
+    rest is searched over G's elements: the chief-series search, and a
+    normalizer tower for each prime left."""
     group = group.smaller_faithful_action()
     non_abelian, supersolvable = set(), True
     for condition, p, _ in _residual_seeds(group):
         if condition == "D":
+            derived_order = group.derived_subgroup().order
             return UMembershipReport(
                 verdict=False,
-                supersolvable=group.is_supersolvable(),
+                supersolvable=_supersolvable(group),
                 derived_elementary_abelian=False,
                 derived_witness_prime=None,
-                sylow_abelian={q: group.sylow(q).structure().abelian
-                               for q in sorted(factorize(group.order))},
+                sylow_abelian={q: _sylow_abelian(group, q, k, derived_order)
+                               for q, k in sorted(factorize(group.order).items())},
             )
         if condition == "S":
             non_abelian.add(p)
@@ -185,7 +195,7 @@ def is_in_u(group: PermGroup) -> UMembershipReport:
             supersolvable = False
             break
     if non_abelian:
-        supersolvable = group.is_supersolvable()
+        supersolvable = _supersolvable(group)
     r = math.lcm(1, *map(perm_order, group.derived_subgroup().generators))
     primes = set(factorize(r)).union(*(factorize(perm_order(s)) for s in group.generators))
     return UMembershipReport(
@@ -197,17 +207,59 @@ def is_in_u(group: PermGroup) -> UMembershipReport:
     )
 
 
+def _supersolvable(group: PermGroup) -> bool:
+    """Supersolvability of G when its seeds leave it open.  A
+    supersolvable group has a nilpotent derived subgroup (Huppert;
+    Robinson, *A Course in the Theory of Groups*, section 5.4): G acts
+    on each factor of a normal series with factors of prime order
+    through the abelian automorphism group of that factor, so G' acts
+    trivially on each, and the series cuts G' in a central series.  So
+    G is not supersolvable when G' is not nilpotent, which
+    ``_is_nilpotent`` reads off G', enumerated by ``_residual_seeds``.
+    Otherwise the chief-series search of ``PermGroup.is_supersolvable``
+    decides."""
+    return _is_nilpotent(group.derived_subgroup()) and group.is_supersolvable()
+
+
+def _is_nilpotent(group: PermGroup) -> bool:
+    """A finite group is nilpotent iff each of its Sylow subgroups is
+    normal, that is, iff for each prime q it has exactly |G|_q elements
+    of q-power order: a normal Sylow q-subgroup holds every q-element,
+    and one that is not normal has a conjugate holding a q-element
+    outside it.  An element's order divides |G|, so it is a power of q
+    exactly when it divides |G|_q."""
+    orders = group.element_orders()
+    n = len(orders)
+    for q, k in factorize(n).items():
+        part = q**k
+        if sum(part % o == 0 for o in orders) != part:
+            return False
+    return True
+
+
+def _sylow_abelian(group: PermGroup, q: int, k: int, derived_order: int) -> bool:
+    """Whether a Sylow q-subgroup P of G, of order q^k, is abelian.  A
+    group of order q or q^2 is abelian.  When q does not divide |G'|, P
+    meets G' trivially and embeds in the abelian G/G'.  Only otherwise
+    is P grown by the normalizer tower of ``PermGroup.sylow``."""
+    if k <= 2 or derived_order % q:
+        return True
+    return group.sylow(q).structure().abelian
+
+
 def is_supersolvable(group: PermGroup) -> bool:
     """Supersolvability of G, read off ``_residual_seeds`` with no element
     of G enumerated when no seed is left (G is in U) or the first is an M
     seed (G' is abelian of squarefree exponent and the Sylow subgroups
-    are abelian, but G is not supersolvable); otherwise by the
-    chief-series search of ``PermGroup.is_supersolvable``."""
+    are abelian, but G is not supersolvable); otherwise by
+    ``_supersolvable``: False when G' is not nilpotent, and by the
+    chief-series search of ``PermGroup.is_supersolvable`` when it is.
+    After an S seed G' is abelian, so only the search can decide."""
     group = group.smaller_faithful_action()
     first = next(_residual_seeds(group), None)
     if first is None or first[0] == "M":
         return first is None
-    return group.is_supersolvable()
+    return _supersolvable(group)
 
 
 def is_u_closed(aut: Automaton, cap: int = DEFAULT_ELEMENT_CAP) -> bool:

@@ -413,6 +413,25 @@ def test_cli_transcript_replays_under_python_O():
     assert replayed["results"] == [[e["code"], e["stdout"]] for e in entries]
 
 
+@pytest.mark.parametrize("module", ["provar", "provar.cli"])
+def test_python_dash_m_runs_the_command_line(module):
+    # both module entry points answer as dispatch does: an answer, a
+    # refusal over the cap (exit 3) and a malformed argument (exit 2)
+    a4 = '{"degree":4,"generators":[[2,1,4,3],[2,3,1,4]]}'
+    requests = [["is-in-u", "--group", a4], ["supersolvable", "--group", a4],
+                ["--cap", "2", "is-in-u", "--group", a4], ["is-in-u", "--group", "[]"]]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for argv in requests:
+        proc = subprocess.run([sys.executable, "-m", module, *argv], capture_output=True,
+                              text=True, env=env, timeout=60)
+        expected = replay(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (expected["code"], expected["stdout"], expected["stderr"]), argv
+    assert [replay(argv)["code"] for argv in requests] == [0, 0, 3, 2]
+    assert json.loads(replay(requests[0])["stdout"])["verdict"] is False
+
+
 if __name__ == "__main__":
     entries = [replay(entry["argv"]) for entry in json.loads(TRANSCRIPT.read_text())]
     TRANSCRIPT.write_text(json.dumps(entries, indent=1) + "\n")

@@ -697,6 +697,99 @@ def test_is_in_u_closed_under_direct_products():
             assert uvar.is_in_u(product).verdict == (verdicts[a] and verdicts[b]), (a, b)
 
 
+def test_is_in_u_is_closed_under_subgroups_and_quotients():
+    # U is a pseudovariety: the subgroups generated by seeded elements of a
+    # group in U, and its quotients by the normal closures of seeded
+    # elements, are in U
+    rng = random.Random(59)
+    images = fixture_images()
+    groups = [PermGroup(len(im[0]), im) for im in images.values()]
+    names = sorted(name for name, g in zip(images, groups) if uvar.is_in_u(g).verdict)
+    groups += [subdirect(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    groups += [g for _, g in random_subdirect_products(61, 80, max_order=300)]
+    in_u = [g for g in groups if uvar.is_in_u(g).verdict]
+    proper_subgroups = proper_quotients = 0
+    for g in in_u:
+        elements = g.elements()
+        for size in (1, 2, 2):
+            sub = PermGroup(g.degree, rng.sample(elements, size))
+            assert uvar.is_in_u(sub).verdict, (g.generators, sub.generators)
+            proper_subgroups += 1 < sub.order < g.order
+            normal = g.normal_closure(rng.sample(elements, size))
+            quotient = g.quotient(normal)
+            assert quotient.order * normal.order == g.order
+            assert uvar.is_in_u(quotient).verdict, (g.generators, normal.generators)
+            proper_quotients += 1 < normal.order < g.order
+    assert len(in_u) >= 35 and proper_subgroups >= 60 and proper_quotients >= 40, \
+        (len(in_u), proper_subgroups, proper_quotients)
+
+
+def sl23():
+    """SL(2,3) on the 8 nonzero vectors of F_3^2."""
+    points = [(x, y) for x in range(3) for y in range(3) if (x, y) != (0, 0)]
+    index = {v: i for i, v in enumerate(points)}
+
+    def matrix(a, b, c, e):
+        return tuple(index[((a * x + b * y) % 3, (c * x + e * y) % 3)] for x, y in points)
+
+    return PermGroup(8, [matrix(1, 1, 0, 1), matrix(1, 0, 1, 1)])
+
+
+def test_the_report_is_read_off_g_prime_and_the_order_where_they_decide(monkeypatch):
+    # supersolvable is False when G' is not nilpotent, and a Sylow
+    # q-subgroup is abelian when |G|_q <= q^2 or q does not divide |G'|:
+    # neither the chief-series search nor a normalizer tower runs there
+    a5 = PermGroup(5, [cycles(5, (0, 1, 2)), cycles(5, (0, 1, 2, 3, 4))])
+    c5 = PermGroup(5, [cycles(5, (0, 1, 2, 3, 4))])
+    s4_x_g52 = direct_product(s4(), GpdGroup(5, 2).as_perm_group())
+    cases = {  # group: the primes whose Sylow subgroups no rule decides
+        "S4, G' = A4": (s4(), [2]),
+        "S4 x G(5,2), G' = A4 x C5": (s4_x_g52, [2]),
+        "regular S4 x G(5,2), reduced": (left_regular(s4_x_g52), [2]),
+        "A5": (a5, []),
+        "A5 x G(7,3), G' = A5 x C7": (direct_product(a5, GpdGroup(7, 3).as_perm_group()), []),
+        "S4 x C5^3, 5 not dividing |G'|": (direct_product(s4(), direct_product(
+            c5, direct_product(c5, c5))), [2]),
+    }
+    expected = {name: is_in_u_by_enumeration(g) for name, (g, _) in cases.items()}
+    towers = []
+    real_tower = PermGroup._normalizer_tower
+
+    def search(self):
+        raise AssertionError("the chief-series search ran where G' decides")
+
+    def tower(self, p):
+        towers.append(p)
+        return real_tower(self, p)
+
+    monkeypatch.setattr(PermGroup, "is_supersolvable", search)
+    monkeypatch.setattr(PermGroup, "_normalizer_tower", tower)
+    for name, (group, undecided) in cases.items():
+        towers.clear()
+        report = uvar.is_in_u(PermGroup(group.degree, group.generators))
+        assert report == expected[name], name
+        assert not report.supersolvable and not report.derived_elementary_abelian, name
+        assert towers == undecided, name
+        assert uvar.is_supersolvable(PermGroup(group.degree, group.generators)) is False, name
+
+
+def test_sl23_reaches_the_chief_series_search(monkeypatch):
+    # G' = Q8 is nilpotent, so no rule decides supersolvable; the search
+    # does, and answers False
+    group = sl23()
+    assert group.order == 24 and group.derived_subgroup().order == 8
+    searched = []
+    real = PermGroup.is_supersolvable
+    monkeypatch.setattr(PermGroup, "is_supersolvable",
+                        lambda self: searched.append(self.order) or real(self))
+    report = uvar.is_in_u(group)
+    assert report == uvar.UMembershipReport(
+        verdict=False, supersolvable=False, derived_elementary_abelian=False,
+        derived_witness_prime=None, sylow_abelian={2: False, 3: True})
+    assert searched == [24]
+    assert uvar.is_supersolvable(sl23()) is False and searched == [24, 24]
+
+
 def test_is_in_u_reports_the_same_on_a_smaller_faithful_action(monkeypatch):
     # regular representations of fixtures and of products of two, with the
     # degree floor lifted so that even the small ones try the reduction;
