@@ -6,8 +6,13 @@ representation of a group is a homomorphism.  Most structure here runs
 by explicit element enumeration guarded by a cap, which is the intended
 scale for the decision procedures built on top: normal closures, the
 derived subgroup, Sylow subgroups, quotients and supersolvability.
-``StabilizerChain`` gives a group's order and membership without
-enumerating it, by the deterministic Schreier-Sims algorithm.
+``StabilizerChain`` gives a group's order, a base and membership without
+enumerating it, by the deterministic Schreier-Sims algorithm, and stops
+early when it is told an order the group cannot exceed.  A group that
+holds a chain reads its ``order`` and ``base`` off it: the group
+``smaller_faithful_action`` returns, and one whose
+``stabilizer_chain()`` was asked for.  The Sylow normalizer tower walks
+G lazily (``bfs_walk``), so it enumerates only the elements it reads.
 
 Enumeration costs |G| compositions of degree-length tuples, |G|^2 on a
 regular representation.  ``smaller_faithful_action`` cuts that degree
@@ -16,8 +21,8 @@ recognized by its right multiplications, carried along one breadth-first
 walk in integer lookups and checked on every edge: they commute with G
 exactly when G is regular, and they also give the centre.  Without a
 centre, G acts faithfully by conjugation on the conjugacy classes of
-its generators, and a stabilizer chain of that action checks that it
-has |G| elements.
+its generators, and a stabilizer chain of that action, stopped once it
+reaches |G| elements, checks that it has them.
 """
 
 from __future__ import annotations
@@ -56,9 +61,14 @@ def inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
-def conjugate(p: Perm, by: Perm) -> Perm:
-    """by o p o by^-1."""
-    return compose(compose(by, p), inverse(by))
+def conjugate(p: Perm, by: Perm, by_inv: Perm) -> Perm:
+    """by o p o by^-1, given by^-1, so that conjugating many times by the
+    same element inverts it once."""
+    return compose(compose(by, p), by_inv)
+
+
+def with_inverses(perms) -> list[tuple[Perm, Perm]]:
+    return [(g, inverse(g)) for g in perms]
 
 
 def commutator(a: Perm, b: Perm) -> Perm:
@@ -122,23 +132,31 @@ def _over_cap(cap: int) -> CapExceededError:
     return CapExceededError(f"group closure exceeds the element cap {cap}")
 
 
-def bfs_closure(identity, generators, product, cap: int) -> list:
+def bfs_walk(identity, generators, product, cap: int):
     """The subgroup of a finite group that ``generators`` generate under
-    ``product``, identity first, in breadth-first order: in a finite
-    group the products of generators already form that subgroup.  It is
-    refused (CapExceededError) before an element past the cap is stored."""
+    ``product``, yielded identity first, in breadth-first order, as each
+    element is found: in a finite group the products of generators
+    already form that subgroup.  It is refused (CapExceededError) before
+    an element past the cap is stored, and it stores only the elements
+    it has yielded."""
     seen = {identity}
-    order_list = [identity]
+    found = [identity]
+    yield identity
     gens = [g for g in generators if g != identity]
-    for e in order_list:  # the list grows while it is read
+    for e in found:  # the list grows while it is read
         for g in gens:
             h = product(e, g)
             if h not in seen:
                 if len(seen) >= cap:
                     raise _over_cap(cap)
                 seen.add(h)
-                order_list.append(h)
-    return order_list
+                found.append(h)
+                yield h
+
+
+def bfs_closure(identity, generators, product, cap: int) -> list:
+    """The whole of ``bfs_walk``, as a list."""
+    return list(bfs_walk(identity, generators, product, cap))
 
 
 class StabilizerChain:
@@ -172,14 +190,32 @@ class StabilizerChain:
     when every level is complete it is H_(i+1), and |G| is the product
     of the orbit lengths.  Memory is one transversal element per orbit
     point, and the orbit lengths, each at least 2, sum to at most that
-    product.
+    product.  Those elements count against ``cap``, as an enumeration's
+    do: the chain is refused (CapExceededError) before it keeps one more.
+
+    ``bound``, when given, is an order that the group G cannot exceed,
+    and no Schreier generator is sifted once the product of the orbit
+    lengths reaches it.  That is exact.  At every moment each H_i lies in
+    G and fixes b_0, ..., b_(i-1), so the orbit Delta_i of b_i under H_i
+    lies in its orbit under the pointwise stabilizer G_i of those points,
+    and the product of the |Delta_i| is at most |G|, which is at most
+    ``bound``.  Reaching ``bound`` therefore makes each Delta_i the whole
+    orbit of b_i under G_i and the stabilizer of the whole base trivial,
+    so |G_i| is the product of the |Delta_j|, j >= i.  H_(i+1) lies in
+    the stabilizer of b_i in H_i (its generators do), so |H_i| is at least
+    that product too, and H_i = G_i: the chain is a complete base and
+    strong generating set of G.  When the product stays below ``bound``
+    the chain runs to completion, as with no bound.
     """
 
-    __slots__ = ("degree", "base", "strong", "transversals", "_inverses", "_orbits", "_checked",
-                 "_tree")
+    __slots__ = ("degree", "cap", "base", "strong", "transversals", "_inverses", "_orbits",
+                 "_checked", "_tree", "_kept")
 
-    def __init__(self, degree: int, generators):
+    def __init__(self, degree: int, generators, bound: int | None = None,
+                 cap: int = DEFAULT_ELEMENT_CAP):
         self.degree = degree
+        self.cap = cap
+        self._kept = 0  # transversal elements, over all levels
         self.base: list[int] = []
         self.strong: list[list[Perm]] = []
         self.transversals: list[dict[int, Perm]] = []  # x -> u_x^-1
@@ -188,11 +224,14 @@ class StabilizerChain:
         self._checked: list[list[int]] = []  # per orbit point, the generators sifted
         # per level, the pairs (orbit index of x, index of s) with u_s(x) = s u_x
         self._tree: list[set[tuple[int, int]]] = []
+        bound = math.inf if bound is None else bound
         for g in generators:
+            if self.order >= bound:
+                break
             residue, stop = self.sift(tuple(g))
             if stop < len(self.base) or residue != perm_identity(degree):
                 self._add(residue, 0, stop)
-                self._complete(stop)
+                self._complete(stop, bound)
 
     @property
     def order(self) -> int:
@@ -213,6 +252,7 @@ class StabilizerChain:
         """g joins S_first, ..., S_last and grows their orbits; a level is
         opened at the first point g moves when ``last`` is new."""
         if last == len(self.base):
+            self._keep()
             b = next(x for x in range(self.degree) if g[x] != x)
             self.base.append(b)
             self.strong.append([])
@@ -234,16 +274,23 @@ class StabilizerChain:
                 for si, (s, s_inv) in pairs:
                     y = s[x]
                     if y not in back:
+                        self._keep()
                         back[y] = compose(back[x], s_inv)  # u_y = s u_x
                         orbit.append(y)
                         checked.append(0)
                         tree.add((k, si))
 
-    def _complete(self, level: int) -> None:
+    def _keep(self) -> None:
+        if self._kept >= self.cap:
+            raise _over_cap(self.cap)
+        self._kept += 1
+
+    def _complete(self, level: int, bound) -> None:
         """Sift every unsifted Schreier generator of the levels up from
-        ``level``, each after the levels below it are complete."""
+        ``level``, each after the levels below it are complete, until the
+        order reaches ``bound``."""
         i = level
-        while i >= 0:
+        while i >= 0 and self.order < bound:
             failure = self._schreier_failure(i)
             if failure is None:
                 i -= 1
@@ -315,7 +362,8 @@ class PermGroup:
     """Finite group given by permutation generators on [0, degree)."""
 
     __slots__ = (
-        "degree", "generators", "cap", "_elements", "_element_set", "_base", "_derived", "_sylows"
+        "degree", "generators", "cap", "_elements", "_element_set", "_base", "_derived", "_sylows",
+        "_chain"
     )
 
     def __init__(self, degree: int, generators, cap: int = DEFAULT_ELEMENT_CAP):
@@ -338,6 +386,7 @@ class PermGroup:
         self._base: list[int] | None = None
         self._derived: PermGroup | None = None
         self._sylows: dict[int, PermGroup] = {}
+        self._chain: StabilizerChain | None = None
 
     # -- enumeration ----------------------------------------------------
 
@@ -354,7 +403,21 @@ class PermGroup:
 
     @property
     def order(self) -> int:
+        """|G|: the number of elements once G is enumerated, otherwise the
+        order of the chain G holds, if it holds one, otherwise by
+        enumerating G."""
+        if self._elements is None and self._chain is not None:
+            return self._chain.order
         return len(self.elements())
+
+    def stabilizer_chain(self) -> StabilizerChain:
+        """G's ``StabilizerChain``, built on first use and kept, so that
+        ``order`` and ``base()`` read it from then on.  Only the elements
+        it keeps count against the cap, one per point of each level's
+        orbit, however large G is."""
+        if self._chain is None:
+            self._chain = StabilizerChain(self.degree, self.generators, cap=self.cap)
+        return self._chain
 
     def __contains__(self, p: Perm) -> bool:
         return tuple(p) in self.element_set()
@@ -380,9 +443,9 @@ class PermGroup:
         if not self.is_subgroup_of(other):
             return False
         mine = self.element_set()
-        return all(
-            conjugate(s, g) in mine for s in self.generators for g in other.generators
-        )
+        conjugators = with_inverses(other.generators)
+        return all(conjugate(s, g, g_inv) in mine
+                   for s in self.generators for g, g_inv in conjugators)
 
     def smaller_faithful_action(self) -> "PermGroup":
         """G acting faithfully on fewer points, with its elements not
@@ -418,9 +481,12 @@ class PermGroup:
         for a group given by its Cayley table.  The order of psi(G) is
         read off a ``StabilizerChain`` of it, with no element
         enumerated, and AssertionError unless it is `degree` = |G|, which
-        holds exactly when psi is faithful.  CapExceededError, as from
-        ``elements()``, when G exceeds the cap: the chain keeps one
-        element of psi(G) per orbit point, at most |G| of them.
+        holds exactly when psi is faithful.  The chain is told that
+        psi(G) has at most |G| = `degree` elements, so it stops once it
+        has found them all, and the group returned keeps it, for its
+        order and its base.  CapExceededError, as from ``elements()``,
+        when G exceeds the cap: the chain keeps one element of psi(G) per
+        orbit point, at most |G| of them.
 
         For k generators the walk makes 2k lookups along each of the
         k * `degree` edges, where enumerating G composes `degree` points
@@ -458,11 +524,13 @@ class PermGroup:
             return self
         if degree > self.cap:
             raise _over_cap(self.cap)
-        order = StabilizerChain(size, psi).order
-        if order != degree:
-            raise AssertionError(f"psi(G) has order {order}, not {degree}: psi has a nontrivial "
-                                 f"kernel on a group with a trivial centre")
-        return PermGroup(size, psi, cap=self.cap)
+        chain = StabilizerChain(size, psi, bound=degree, cap=self.cap)
+        if chain.order != degree:
+            raise AssertionError(f"psi(G) has order {chain.order}, not {degree}: psi has a "
+                                 f"nontrivial kernel on a group with a trivial centre")
+        reduced = PermGroup(size, psi, cap=self.cap)
+        reduced._chain = chain
+        return reduced
 
     # -- structure ------------------------------------------------------
 
@@ -475,14 +543,15 @@ class PermGroup:
         """
         ident = self.identity()
         gens = [tuple(s) for s in seeds if tuple(s) != ident]
+        conjugators = with_inverses(self.generators)
         while True:
             sub = PermGroup(self.degree, gens, cap=self.cap)
             inside = sub.element_set()
             new = {
                 c
                 for s in sub.generators
-                for g in self.generators
-                if (c := conjugate(s, g)) not in inside
+                for g, g_inv in conjugators
+                if (c := conjugate(s, g, g_inv)) not in inside
             }
             if not new:
                 return sub
@@ -506,6 +575,12 @@ class PermGroup:
         return self._sylows[p]
 
     def _normalizer_tower(self, p: int) -> "PermGroup":
+        """A p-group grown from the first p-element of G by a p-element
+        of its normalizer outside it, the first in G's breadth-first
+        order, until it has the p-part of |G|.  G is walked lazily and
+        under the cap (``bfs_walk``), or read from its elements once they
+        are enumerated, and each element's p-part is formed once: every
+        step reads the p-parts found so far, then walks on."""
         n = self.order
         p_part = 1
         while n % p == 0:
@@ -524,21 +599,29 @@ class PermGroup:
                 k *= p
             return None if k == 1 else perm_power(perm, o)  # of order k, a p-power
 
-        seed = next(q for e in self.elements() if (q := p_element(e)) is not None)
-        current = PermGroup(self.degree, [seed], cap=self.cap)
+        walk = iter(self._elements) if self._elements is not None else \
+            bfs_walk(self.identity(), self.generators, compose, self.cap)
+        found: list[tuple[Perm, Perm]] = []  # distinct p-parts, with their inverses
+        known: set[Perm] = set()
+
+        def p_parts():
+            yield from found
+            for e in walk:
+                q = p_element(e)
+                if q is not None and q not in known:
+                    known.add(q)
+                    found.append((q, inverse(q)))
+                    yield found[-1]
+
+        current = PermGroup(self.degree, [next(p_parts())[0]], cap=self.cap)
         while current.order < p_part:
             # a p-group below the p-part has a p-element of its normalizer
             # outside it, and adding one gives a larger p-group
             inside = current.element_set()
-            for g in self.elements():
-                q = p_element(g)
-                if q is None or q in inside:
-                    continue
-                q_inv = inverse(q)
-                if all(compose(compose(q, s), q_inv) in inside for s in current.generators):
-                    current = PermGroup(
-                        self.degree, list(current.generators) + [q], cap=self.cap
-                    )
+            for q, q_inv in p_parts():
+                if q not in inside and all(conjugate(s, q, q_inv) in inside
+                                           for s in current.generators):
+                    current = PermGroup(self.degree, [*current.generators, q], cap=self.cap)
                     break
             else:  # pragma: no cover - Sylow theory forbids this
                 raise AssertionError("normalizer tower stalled below the p-part")
@@ -592,7 +675,11 @@ class PermGroup:
     def base(self) -> list[int]:
         """Points that only the identity fixes one by one; a regular
         group needs one.  The cycles of an element through a base give
-        its order (``perm_order(x, G.base())``)."""
+        its order (``perm_order(x, G.base())``).  It is the base of the
+        chain G holds, if it holds one, and is otherwise read off G's
+        elements."""
+        if self._base is None and self._chain is not None:
+            self._base = self._chain.base
         if self._base is None:
             base = []
             ident = self.identity()
@@ -639,6 +726,7 @@ class PermGroup:
             return True
         p = max(primes)
         base = self.base()
+        conjugators = with_inverses(self.generators)
         tried: set[Perm] = set()
         for x in sorted(self.elements()):
             o = perm_order(x, base)
@@ -653,7 +741,7 @@ class PermGroup:
             while q not in powers:
                 powers.add(q)
                 q = compose(q, y)
-            if all(conjugate(y, g) in powers for g in self.generators):
+            if all(conjugate(y, g, g_inv) in powers for g, g_inv in conjugators):
                 return self.quotient(PermGroup(self.degree, [y], cap=self.cap)).is_supersolvable()
         return False
 

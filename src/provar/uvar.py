@@ -170,16 +170,20 @@ def is_in_u(group: PermGroup) -> UMembershipReport:
     ``supersolvable`` when a Sylow subgroup is not abelian; G' is then
     abelian, so nilpotent, and its chief-series search decides.
 
-    With a D seed, G is enumerated for its order, and the report is read
-    off G' and |G| where they decide it: ``supersolvable`` is False when G' is not nilpotent
+    With a D seed, |G| is read off a stabilizer chain, the one the
+    reduced group holds or one built and kept for G, with no element of
+    G enumerated, and the report is read off G' and |G| where they
+    decide it: ``supersolvable`` is False when G' is not nilpotent
     (``_supersolvable``), and ``sylow_abelian[q]`` is True when |G|_q is
     at most q^2 or q does not divide |G'| (``_sylow_abelian``).  Only the
-    rest is searched over G's elements: the chief-series search, and a
-    normalizer tower for each prime left."""
+    rest is searched over G's elements, under the cap: the chief-series
+    search, and a normalizer tower for each prime left, which walks G
+    only as far as it needs."""
     group = group.smaller_faithful_action()
     non_abelian, supersolvable = set(), True
     for condition, p, _ in _residual_seeds(group):
         if condition == "D":
+            order = group.stabilizer_chain().order
             derived_order = group.derived_subgroup().order
             return UMembershipReport(
                 verdict=False,
@@ -187,7 +191,7 @@ def is_in_u(group: PermGroup) -> UMembershipReport:
                 derived_elementary_abelian=False,
                 derived_witness_prime=None,
                 sylow_abelian={q: _sylow_abelian(group, q, k, derived_order)
-                               for q, k in sorted(factorize(group.order).items())},
+                               for q, k in sorted(factorize(order).items())},
             )
         if condition == "S":
             non_abelian.add(p)

@@ -60,6 +60,22 @@ def test_is_in_u_answers_a_group_over_the_cap_whose_derived_subgroup_fits(capsys
         "supersolvable": True}
 
 
+def test_is_in_u_reads_the_order_of_a_group_over_the_cap_off_its_chain(capsys):
+    # A5 x C7^2 on 5 + 7 + 7 points has 2 940 elements and G' = A5, a D
+    # seed; |G| comes from a stabilizer chain, G' and |G| decide every
+    # field, and only G', of order 60, counts against a cap of 1 000
+    group = json.dumps({"degree": 19, "generators": [
+        [2, 3, 1, 4, 5, 7, 8, 9, 10, 11, 12, 6, 13, 14, 15, 16, 17, 18, 19],
+        [2, 3, 4, 5, 1, 6, 7, 8, 9, 10, 11, 12, 14, 15, 16, 17, 18, 19, 13]]})
+    payload = run_json(capsys, "--cap", "5000", "is-in-u", "--group", group)
+    assert payload == {"verdict": False, "supersolvable": False,
+                       "derived_elementary_abelian": False, "derived_witness_prime": None,
+                       "sylow_abelian": {"2": True, "3": True, "5": True, "7": True}}
+    assert run_json(capsys, "--cap", "1000", "is-in-u", "--group", group) == payload
+    code, out, err = run(capsys, "--cap", "50", "is-in-u", "--group", group)
+    assert (code, out) == (3, "") and "cap 50" in err
+
+
 def test_closure_command(capsys):
     payload = run_json(
         capsys, "closure", "--p", "3", "--d", "2", "--rank", "1", "--gens", "aaaa"

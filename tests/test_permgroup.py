@@ -317,30 +317,61 @@ def random_groups(seed, count, max_degree=8):
     return groups
 
 
-def test_stabilizer_chain_order_and_membership_match_enumeration():
+def test_stabilizer_chain_order_and_membership_match_enumeration(monkeypatch):
+    # with no bound, and with a bound above |G|, the chain runs to
+    # completion; with the bound |G| it may stop early, and is then still
+    # a base and strong generating set: the same order, a base that only
+    # the identity fixes, and the same membership
+    searches = dict.fromkeys(["full", "above", "bounded", "capped"], 0)
+    real = pg.StabilizerChain._schreier_failure
+
+    def counted(self, i):
+        searches[kind] += 1
+        return real(self, i)
+
+    monkeypatch.setattr(pg.StabilizerChain, "_schreier_failure", counted)
     rng = random.Random(3)
     fixtures = [s3(), s4(), a4(), d4(), q8(), c12(), c2xc4(), regular(q8()), regular(s4())]
     orders = set()
     for G in fixtures + random_groups(5, 450):
-        chain = pg.StabilizerChain(G.degree, G.generators)
         elements = G.element_set()
-        assert chain.order == len(elements), G.generators
-        orders.add(chain.order)
-        for i, (b, back) in enumerate(zip(chain.base, chain.transversals)):
-            assert all(g[c] == c for g in chain.strong[i] for c in chain.base[:i])
-            assert all(u[x] == b and u in elements for x, u in back.items())
-        assert sum(map(len, chain.transversals)) <= max(1, chain.order)
-
-        def member(g):
-            residue, level = chain.sift(g)
-            return level == len(chain.base) and residue == G.identity()
-
-        assert all(map(member, rng.sample(sorted(elements), min(5, len(elements)))))
+        kind = "full"
+        full = pg.StabilizerChain(G.degree, G.generators)
+        kind = "above"
+        above = pg.StabilizerChain(G.degree, G.generators, bound=len(elements) + 1)
+        assert (above.base, above.strong, above.transversals) == \
+            (full.base, full.strong, full.transversals), G.generators
+        # the chain keeps its transversal elements under its cap
+        kind = "capped"
+        kept = sum(map(len, full.transversals))
+        assert pg.StabilizerChain(G.degree, G.generators, cap=kept).order == full.order
+        if kept:
+            with pytest.raises(CapExceededError):
+                pg.StabilizerChain(G.degree, G.generators, cap=kept - 1)
+        tried = rng.sample(sorted(elements), min(5, len(elements)))
         for _ in range(5):
             points = list(range(G.degree))
             rng.shuffle(points)
-            assert member(tuple(points)) == (tuple(points) in elements)
+            tried.append(tuple(points))
+        kind = "bounded"
+        bounded = pg.StabilizerChain(G.degree, G.generators, bound=len(elements))
+        for chain in (full, bounded):
+            assert chain.order == len(elements), G.generators
+            orders.add(chain.order)
+            for i, (b, back) in enumerate(zip(chain.base, chain.transversals)):
+                assert all(g[c] == c for g in chain.strong[i] for c in chain.base[:i])
+                assert all(u[x] == b and u in elements for x, u in back.items())
+            assert sum(map(len, chain.transversals)) <= max(1, chain.order)
+            assert all(any(g[b] != b for b in chain.base) for g in elements if g != G.identity())
+
+            def member(g):
+                residue, level = chain.sift(g)
+                return level == len(chain.base) and residue == G.identity()
+
+            assert all(member(g) == (g in elements) for g in tried), G.generators
     assert {1, 2, 6, 24, 120, 720, 5040, 40320} <= orders
+    # stopped at |G|, the chain skips searches for failing Schreier generators
+    assert searches["bounded"] < searches["above"] == searches["full"], searches
 
 
 def test_compose_degree_one():

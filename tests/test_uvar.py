@@ -773,6 +773,62 @@ def test_the_report_is_read_off_g_prime_and_the_order_where_they_decide(monkeypa
         assert uvar.is_supersolvable(PermGroup(group.degree, group.generators)) is False, name
 
 
+def test_the_sylow_tower_walks_g_lazily_and_forms_each_p_part_once(monkeypatch):
+    # the left-regular S4 x G(5,2), by its four product generators and by
+    # a generating pair: |G| = 240 comes from the chain of the reduced
+    # group, and only the Sylow 2-subgroup, of order 16 with 2 dividing
+    # |G'| = 60, is left to the tower, which walks G only until it has
+    # the 2-part, forming each element's 2-part once
+    s4_x_g52 = direct_product(s4(), GpdGroup(5, 2).as_perm_group())
+    rng = random.Random(1)
+    pair = pair_images(random_generating_pair(rng, s4()),
+                       random_generating_pair(rng, GpdGroup(5, 2).as_perm_group()))
+    real_walk, real_power, real_tower = pg.bfs_walk, pg.perm_power, PermGroup._normalizer_tower
+    walked, powered, towers = [], [], []
+
+    def walk(*args):  # every enumeration and every lazy walk
+        walked.append(0)
+        for e in real_walk(*args):
+            walked[-1] += 1
+            yield e
+
+    def power(perm, k):
+        powered.append(perm)
+        return real_power(perm, k)
+
+    def tower(self, p):
+        towers.append((self.degree, p))
+        return real_tower(self, p)
+
+    for group in (left_regular(s4_x_g52), left_regular(PermGroup(len(pair[0]), pair))):
+        expected = is_in_u_by_enumeration(group)
+        for log in (walked, powered, towers):
+            log.clear()
+        monkeypatch.setattr(pg, "bfs_walk", walk)
+        monkeypatch.setattr(pg, "perm_power", power)
+        monkeypatch.setattr(PermGroup, "_normalizer_tower", tower)
+        report = uvar.is_in_u(PermGroup(group.degree, group.generators))
+        monkeypatch.undo()
+        assert report == expected and expected.sylow_abelian == {2: False, 3: True, 5: True}
+        reduced = group.smaller_faithful_action()
+        assert towers == [(reduced.degree, 2)] and reduced.degree < group.degree == 240
+        assert walked and max(walked) < 240, walked
+        assert powered and len(powered) == len(set(powered))
+
+
+def test_the_chain_that_gives_the_order_counts_its_elements_against_the_cap():
+    # the left-regular A5 x C5 keeps its centre, so it is not reduced, and
+    # G' = A5 fits under a cap of 200; the chain that gives |G| = 300 keeps
+    # one element of G for each of the 300 points of its first orbit
+    a5 = PermGroup(5, [cycles(5, (0, 1, 2)), cycles(5, (0, 1, 2, 3, 4))])
+    group = left_regular(direct_product(a5, PermGroup(5, [cycles(5, (0, 1, 2, 3, 4))])))
+    assert group.smaller_faithful_action() is group
+    with pytest.raises(CapExceededError, match="cap 200"):
+        uvar.is_in_u(PermGroup(group.degree, group.generators, cap=200))
+    assert uvar.is_in_u(PermGroup(group.degree, group.generators, cap=300)) == \
+        is_in_u_by_enumeration(group)
+
+
 def test_sl23_reaches_the_chief_series_search(monkeypatch):
     # G' = Q8 is nilpotent, so no rule decides supersolvable; the search
     # does, and answers False
