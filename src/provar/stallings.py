@@ -6,9 +6,11 @@ Vertices are renumbered by breadth-first search from the basepoint with
 edge labels visited in the order a < a^-1 < b < b^-1 < ..., so two
 automata represent the same subgroup iff their edge lists are equal.
 
-Folding works on one neighbour dict per vertex, as merges need it; a
-finished automaton keeps its edges as flat lists instead, one of length
-V per signed letter, with -1 where a vertex has no edge of that label.
+A finished automaton keeps its edges as flat lists, one of length V per
+signed letter, with -1 where a vertex has no edge of that label.  Folding
+works on the same layout (``_Folder``): the lists grow by one entry per
+new vertex, merges are queued, and a merge moves the absorbed vertex's
+edges onto the vertex it joins, so no list ever points at a merged vertex.
 """
 
 from __future__ import annotations
@@ -20,52 +22,157 @@ from .permgroup import DEFAULT_ELEMENT_CAP, PermGroup
 from .words import Word
 
 
-def _fold(nverts: int, edges):
-    """Union-find folding. Returns (find, neighbor dict per root).
+class _Folder:
+    """An edge-labelled graph being folded, on the layout of ``Automaton``.
 
-    ``edges`` are (src, label, dst) with positive labels; neighbor dicts
-    are keyed by signed labels, +g for outgoing, -g for incoming.
+    ``out[s][v]`` is the target of the edge labelled s from v, for each
+    signed letter s (a negative index reads the inverse letter's list),
+    -1 when there is none.  The lists always pair up: out[s][v] == t
+    exactly when out[-s][t] == v.  An identification that a new edge
+    forces waits on ``pending`` instead of making the edge; ``fold``
+    makes them all.  ``into[v]`` is v while v is live, and the vertex it
+    was merged into once it is not; only pending pairs can name a merged
+    vertex, as a merge clears every entry at it and every entry naming it.
     """
-    parent = list(range(nverts))
 
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
+    __slots__ = ("rank", "labels", "out", "into", "pending")
 
-    nbr: list[dict[int, int]] = [dict() for _ in range(nverts)]
-    pending: deque[tuple[int, int]] = deque()
+    def __init__(self, rank: int, nverts: int):
+        self.rank = rank
+        # the signed letters in the canonical order a < a^-1 < b < b^-1 < ...
+        self.labels = [s for g in range(1, rank + 1) for s in (g, -g)]
+        out = [None] * (2 * rank + 1)
+        for s in self.labels:
+            out[s] = [-1] * nverts
+        self.out = out
+        self.into = list(range(nverts))
+        self.pending = []
 
-    def attach(u: int, key: int, v: int) -> None:
-        cur = nbr[u].get(key)
-        if cur is None:
-            nbr[u][key] = v
-        else:
-            pending.append((cur, v))
+    def add(self, u: int, s: int, v: int) -> None:
+        """The edge u -s-> v.  Where u already has an s-edge, to t, the new
+        edge would be folded onto it, so only (t, v) is queued; likewise
+        where v already has an s^-1-edge."""
+        out = self.out
+        t = out[s][u]
+        if t < 0:
+            t = out[-s][v]
+            if t < 0:
+                out[s][u] = v
+                out[-s][v] = u
+                return
+            v = u
+        if t != v:
+            self.pending.append((t, v))
 
-    for src, label, dst in edges:
-        u, v = find(src), find(dst)
-        attach(u, label, v)
-        attach(v, -label, u)
+    def find(self, v: int) -> int:
+        into = self.into
+        while into[v] != v:
+            into[v] = v = into[into[v]]
+        return v
+
+    def fold(self) -> None:
+        """Make every pending identification and each one it forces.  Of
+        two vertices the larger number is merged into the smaller, so the
+        vertex 0 stays live; each of its edges is taken off both ends and
+        added again at the smaller one, a loop as a loop."""
+        out, into, pending = self.out, self.into, self.pending
         while pending:
-            a, b = pending.popleft()
-            ra, rb = find(a), find(b)
-            if ra == rb:
+            a, b = pending.pop()
+            a, b = self.find(a), self.find(b)
+            if a == b:
                 continue
-            if len(nbr[ra]) < len(nbr[rb]):
-                ra, rb = rb, ra
-            parent[rb] = ra
-            absorbed, nbr[rb] = nbr[rb], {}
-            for key, t in absorbed.items():
-                cur = nbr[ra].get(key)
-                if cur is None:
-                    nbr[ra][key] = t
-                else:
-                    pending.append((cur, t))
-    return find, nbr
+            if a > b:
+                a, b = b, a
+            into[b] = a
+            for s in self.labels:
+                t = out[s][b]
+                if t < 0:
+                    continue
+                out[s][b] = out[-s][t] = -1
+                self.add(a, s, a if t == b else t)
+
+    def read(self, letters) -> None:
+        """Fold in a closed path at vertex 0 labelled by a freely reduced
+        word.  The word is read from vertex 0 along existing edges as far
+        as they go, to v, and its end backwards from vertex 0, to u; only
+        the letters between get a path of new vertices, from v to u.
+        Neither v nor u has an edge of the label the path joins it by,
+        so nothing is merged unless the word is read to its end (v and u
+        are then identified) or the new path's two ends take the same
+        slot (a word not cyclically reduced, with v == u)."""
+        out = self.out
+        i, j = 0, len(letters)
+        v = u = 0
+        while i < j:
+            t = out[letters[i]][v]
+            if t < 0:
+                break
+            v, i = t, i + 1
+        while j > i:
+            t = out[-letters[j - 1]][u]
+            if t < 0:
+                break
+            u, j = t, j - 1
+        if i == j:
+            self.pending.append((v, u))
+        else:
+            if j - i > 1:
+                first = len(self.into)
+                count = j - i - 1
+                self.into.extend(range(first, first + count))
+                fill = [-1] * count
+                for s in self.labels:
+                    out[s].extend(fill)
+                for x, s in enumerate(letters[i:j - 1], start=first):
+                    out[s][v] = x
+                    out[-s][x] = v
+                    v = x
+            self.add(v, letters[j - 1], u)
+        self.fold()
+
+    def trim(self, base: int) -> None:
+        """Remove, again and again, the one edge of each vertex other than
+        ``base`` that has just one: what is left of base's component is
+        its core."""
+        out = self.out
+        degree = [0] * len(self.into)
+        for s in self.labels:
+            for v, t in enumerate(out[s]):
+                if t >= 0:
+                    degree[v] += 1
+        leaves = [v for v, d in enumerate(degree) if d == 1 and v != base]
+        while leaves:
+            v = leaves.pop()
+            if degree[v] != 1:  # its one neighbour was a leaf, taken first
+                continue
+            for s in self.labels:
+                t = out[s][v]
+                if t >= 0:
+                    break
+            out[s][v] = out[-s][t] = -1
+            degree[v] = 0
+            degree[t] -= 1
+            if degree[t] == 1 and t != base:
+                leaves.append(t)
+
+    def automaton(self, base: int) -> "Automaton":
+        """The component of ``base``, numbered by a breadth-first search
+        from it in the canonical order of the signed letters."""
+        out = self.out
+        new = [-1] * (len(self.into) + 1)  # new[-1] == -1: a missing edge stays missing
+        new[base] = 0
+        queue = [base]
+        maps = [out[s] for s in self.labels]
+        for u in queue:  # the queue grows while it is read
+            for m in maps:
+                t = m[u]
+                if t >= 0 and new[t] < 0:
+                    new[t] = len(queue)
+                    queue.append(t)
+        rank = self.rank
+        succ = tuple([new[m[v]] for v in queue] for m in out[1:rank + 1])
+        pred = tuple([new[out[-g][v]] for v in queue] for g in range(1, rank + 1))
+        return Automaton(rank, len(queue), succ, pred)
 
 
 def _check_rank(rank: int) -> None:
@@ -102,90 +209,46 @@ class Automaton:
 
     @classmethod
     def from_raw(cls, rank: int, nverts: int, base: int, edges) -> "Automaton":
-        """Fold, trim to the core, and canonically renumber arbitrary edge data.
+        """Fold, trim to the core, and canonically renumber arbitrary edge
+        data: vertices 0 .. nverts - 1, edges (src, label, dst) with labels
+        1 .. rank.  Loops, repeated edges and parts that the basepoint does
+        not reach are allowed.
 
         A rank over the default cap is refused before anything is built,
-        since the result holds one transition map per generator."""
+        since the result holds one transition map per generator; a vertex
+        number or a label out of range raises ValueError naming it."""
         _check_rank(rank)
-        find, nbr = _fold(nverts, edges)
-        root_base = find(base)
-
-        # resolve stale targets, drop parts not reachable from the basepoint
-        reach = {root_base}
-        queue = deque([root_base])
-        while queue:
-            u = queue.popleft()
-            for key in list(nbr[u]):
-                t = find(nbr[u][key])
-                nbr[u][key] = t
-                if t not in reach:
-                    reach.add(t)
-                    queue.append(t)
-
-        # core trim: repeatedly remove non-base vertices of degree <= 1
-        dead = set()
-        trim = deque(v for v in reach if v != root_base and len(nbr[v]) <= 1)
-        while trim:
-            v = trim.popleft()
-            if v in dead or len(nbr[v]) > 1 or v == root_base:
-                continue
-            dead.add(v)
-            for key, t in nbr[v].items():
-                if t == v:
-                    continue
-                del nbr[t][-key]
-                if t != root_base and len(nbr[t]) <= 1:
-                    trim.append(t)
-            nbr[v] = {}
-        reach -= dead
-
-        return cls._renumber(rank, root_base, nbr, reach)
-
-    @classmethod
-    def _renumber(cls, rank, base_vertex, nbr, live) -> "Automaton":
-        order = {base_vertex: 0}
-        queue = deque([base_vertex])
-        signed = [s for g in range(1, rank + 1) for s in (g, -g)]
-        while queue:
-            u = queue.popleft()
-            for key in signed:
-                t = nbr[u].get(key)
-                if t is not None and t not in order:
-                    order[t] = len(order)
-                    queue.append(t)
-        if len(order) != len(live):  # pragma: no cover - folding keeps connectivity
-            raise AssertionError("automaton became disconnected")
-        size = len(order)
-        succ = [[-1] * size for _ in range(rank)]
-        pred = [[-1] * size for _ in range(rank)]
-        for old, new in order.items():
-            for key, t in nbr[old].items():
-                if key > 0:
-                    succ[key - 1][new] = order[t]
-                    pred[key - 1][order[t]] = new
-        return cls(rank, size, tuple(succ), tuple(pred))
+        if not 0 <= base < nverts:
+            raise ValueError(f"base {base} is out of range for {nverts} vertices")
+        folder = _Folder(rank, nverts)
+        for src, label, dst in edges:
+            for v in (src, dst):
+                if not 0 <= v < nverts:
+                    raise ValueError(f"vertex {v} is out of range for {nverts} vertices")
+            if not 1 <= label <= rank:
+                raise ValueError(f"edge label {label} is out of range for rank {rank}")
+            folder.add(src, label, dst)
+        folder.fold()
+        base = folder.find(base)
+        folder.trim(base)
+        return folder.automaton(base)
 
     @classmethod
     def from_generators(cls, generators, rank: int) -> "Automaton":
-        """Stallings automaton of the subgroup generated by the given words."""
-        edges = []
-        nverts = 1
+        """Stallings automaton of the subgroup generated by the given words.
+
+        Each word is read into one ``_Folder`` from the basepoint, sharing
+        the edges already built at both of its ends, and folded at once.
+        Every vertex other than the basepoint is then passed through by a
+        freely reduced word, entering and leaving by different edges, so
+        the result is its own core and is only renumbered."""
+        _check_rank(rank)
+        folder = _Folder(rank, 1)
         for w in generators:
             if w.rank != rank:
                 raise ValueError("generator rank mismatch")
-            if w.is_identity():
-                continue
-            prev = 0
-            for i, letter in enumerate(w.letters):
-                nxt = 0 if i == len(w.letters) - 1 else nverts
-                if i < len(w.letters) - 1:
-                    nverts += 1
-                if letter > 0:
-                    edges.append((prev, letter, nxt))
-                else:
-                    edges.append((nxt, -letter, prev))
-                prev = nxt
-        return cls.from_raw(rank, nverts, 0, edges)
+            folder.read(w.letters)
+        return folder.automaton(0)
 
     @classmethod
     def full_group(cls, rank: int) -> "Automaton":
@@ -206,7 +269,7 @@ class Automaton:
         has exactly one edge in and one edge out per label, so folding
         would merge nothing and the core trim would remove nothing: the
         orbit is numbered directly, by a breadth-first search in the
-        signed-label order of ``_renumber``.
+        signed-label order of ``_Folder.automaton``.
 
         Each permutation is checked first, in one pass that builds its
         inverse: ValueError for a length other than the first one's, a
@@ -305,9 +368,9 @@ class Automaton:
 
     def _tree(self):
         """The breadth-first spanning tree from the basepoint, in the
-        signed-label order of ``_renumber`` (a < a^-1 < b < ...): per
-        vertex its parent and the signed letter from it (-1 and 0 at the
-        basepoint) and its depth, with the vertices in the order the
+        signed-label order of ``_Folder.automaton`` (a < a^-1 < b < ...):
+        per vertex its parent and the signed letter from it (-1 and 0 at
+        the basepoint) and its depth, with the vertices in the order the
         search reaches them, so every parent comes before its children.
         Built on first use and kept, like ``key``; callers only read it."""
         if self._spanning is None:
@@ -514,7 +577,13 @@ class Automaton:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Automaton":
+        """Inverse of ``to_json_dict``, through ``from_raw``, which checks
+        every vertex number and label.  A vertex count over the default
+        cap is refused before anything is built for it."""
         rank = int(data["rank"])
+        nverts = int(data["vertices"])
+        if nverts > DEFAULT_ELEMENT_CAP:
+            raise CapExceededError(f"{nverts} vertices exceed the cap {DEFAULT_ELEMENT_CAP}")
         edges = []
         for src, label, dst in data["edges"]:
             if isinstance(label, str) and label.isalpha():
@@ -524,7 +593,7 @@ class Automaton:
             if not 1 <= g <= rank:
                 raise ValueError(f"edge label {label!r} out of range")
             edges.append((int(src), g, int(dst)))
-        return cls.from_raw(rank, int(data["vertices"]), int(data["base"]), edges)
+        return cls.from_raw(rank, nverts, int(data["base"]), edges)
 
     def to_dot(self) -> str:
         lines = ["digraph stallings {", "  rankdir=LR;"]

@@ -384,6 +384,119 @@ def index_and_basis_by_vertex_words(aut: Automaton):
     return aut.index(), basis
 
 
+def fold_by_union_find(rank: int, nverts: int, base: int, edges) -> Automaton:
+    """The Stallings fold as it was written first: union-find over the
+    vertices, one neighbour dict per root keyed by signed labels (+g for
+    an edge out, -g for one in), targets resolved through ``find`` only
+    after folding; then the reach from the basepoint, the core trim, and
+    the breadth-first numbering in the order a < a^-1 < b < b^-1 < ...."""
+    parent = list(range(nverts))
+
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    nbr: list[dict[int, int]] = [dict() for _ in range(nverts)]
+    pending: deque[tuple[int, int]] = deque()
+
+    def attach(u: int, key: int, v: int) -> None:
+        cur = nbr[u].get(key)
+        if cur is None:
+            nbr[u][key] = v
+        else:
+            pending.append((cur, v))
+
+    for src, label, dst in edges:
+        u, v = find(src), find(dst)
+        attach(u, label, v)
+        attach(v, -label, u)
+        while pending:
+            a, b = pending.popleft()
+            ra, rb = find(a), find(b)
+            if ra == rb:
+                continue
+            if len(nbr[ra]) < len(nbr[rb]):
+                ra, rb = rb, ra
+            parent[rb] = ra
+            absorbed, nbr[rb] = nbr[rb], {}
+            for key, t in absorbed.items():
+                cur = nbr[ra].get(key)
+                if cur is None:
+                    nbr[ra][key] = t
+                else:
+                    pending.append((cur, t))
+
+    root_base = find(base)
+    reach = {root_base}
+    queue = deque([root_base])
+    while queue:
+        u = queue.popleft()
+        for key in list(nbr[u]):
+            t = find(nbr[u][key])
+            nbr[u][key] = t
+            if t not in reach:
+                reach.add(t)
+                queue.append(t)
+
+    dead = set()
+    trim = deque(v for v in reach if v != root_base and len(nbr[v]) <= 1)
+    while trim:
+        v = trim.popleft()
+        if v in dead or len(nbr[v]) > 1 or v == root_base:
+            continue
+        dead.add(v)
+        for key, t in nbr[v].items():
+            if t == v:
+                continue
+            del nbr[t][-key]
+            if t != root_base and len(nbr[t]) <= 1:
+                trim.append(t)
+        nbr[v] = {}
+
+    order = {root_base: 0}
+    queue = deque([root_base])
+    signed = [s for g in range(1, rank + 1) for s in (g, -g)]
+    while queue:
+        u = queue.popleft()
+        for key in signed:
+            t = nbr[u].get(key)
+            if t is not None and t not in order:
+                order[t] = len(order)
+                queue.append(t)
+    if len(order) != len(reach - dead):
+        raise AssertionError("automaton became disconnected")
+    size = len(order)
+    succ = [[-1] * size for _ in range(rank)]
+    pred = [[-1] * size for _ in range(rank)]
+    for old, new in order.items():
+        for key, t in nbr[old].items():
+            if key > 0:
+                succ[key - 1][new] = order[t]
+                pred[key - 1][order[t]] = new
+    return Automaton(rank, size, tuple(succ), tuple(pred))
+
+
+def generators_by_union_find(generators, rank: int) -> Automaton:
+    """The Stallings automaton of the words: one loop of new vertices at
+    the basepoint per word, one vertex per letter, folded by
+    ``fold_by_union_find``."""
+    edges = []
+    nverts = 1
+    for w in generators:
+        prev = 0
+        for i, letter in enumerate(w.letters):
+            nxt = 0 if i == len(w.letters) - 1 else nverts
+            if i < len(w.letters) - 1:
+                nverts += 1
+            edges.append((prev, letter, nxt) if letter > 0 else (nxt, -letter, prev))
+            prev = nxt
+    return fold_by_union_find(rank, nverts, 0, edges)
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A verbal kernel: either exponent-m abelianization (kind "K") or

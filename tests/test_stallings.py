@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 import tracemalloc
@@ -8,7 +9,13 @@ from provar import permgroup as pg
 from provar.errors import CapExceededError, NotFiniteIndexError
 from provar.stallings import Automaton
 from provar.words import commutator, identity, parse, word
-from tests.oracles import all_subgroups, index_and_basis_by_vertex_words, vertex_words
+from tests.oracles import (
+    all_subgroups,
+    fold_by_union_find,
+    generators_by_union_find,
+    index_and_basis_by_vertex_words,
+    vertex_words,
+)
 
 
 def aut(rank, *texts):
@@ -369,6 +376,159 @@ def test_intermediate_subgroups_non_normal():
         preimage.key,
         schreier_preimage(S3_IMAGES, s3.elements()).key,
     }
+
+
+def product_edges(x, y):
+    """(vertex count, edges) of the product of two automata: the pairs
+    reached from the pair of basepoints along edges of either direction,
+    numbered as met, unfolded and untrimmed."""
+    seen = {(x.base, y.base): 0}
+    queue = [(x.base, y.base)]
+    edges = []
+    for u1, u2 in queue:  # the queue grows while it is read
+        for g in range(1, x.rank + 1):
+            for s in (g, -g):
+                v1, v2 = x.step(u1, s), y.step(u2, s)
+                if v1 is None or v2 is None:
+                    continue
+                if (v1, v2) not in seen:
+                    seen[v1, v2] = len(queue)
+                    queue.append((v1, v2))
+                if s > 0:
+                    edges.append((seen[u1, u2], g, seen[v1, v2]))
+    return len(queue), edges
+
+
+def reference_cases(rng):
+    """(rank, words) for ``from_generators``: random words of ranks 1-3
+    with the identity, repeats, inverse pairs and words that are not
+    cyclically reduced thrown in, and the bases of Schreier graphs of
+    random actions of degree up to 110."""
+    cases = []
+    for _ in range(400):
+        rank = rng.randrange(1, 4)
+        words = [random_word(rng, rank, 10) for _ in range(rng.randrange(1, 5))]
+        extra = rng.choice(["identity", "repeat", "inverse", "conjugate", "none"])
+        if extra == "identity":
+            words.insert(rng.randrange(len(words) + 1), identity(rank))
+        elif extra == "repeat":
+            words.append(words[0])
+        elif extra == "inverse":
+            words.append(words[0].inverse())
+        elif extra == "conjugate":
+            u = random_word(rng, rank, 4)
+            words.append(u * words[-1] * u.inverse())
+        cases.append((rank, words))
+    for degree in (1, 2, 7, 24, 60, 110):
+        for rank in (1, 2, 3):
+            action = Automaton.from_action(rank, random_action(rng, rank, degree, degree))
+            cases.append((rank, action.basis()))
+    return cases
+
+
+def test_fold_matches_the_union_find_reference():
+    rng = random.Random(24)
+    cases = reference_cases(rng)
+    for rank, words in cases:
+        got, want = Automaton.from_generators(words, rank), generators_by_union_find(words, rank)
+        assert (got.key, got.pred) == (want.key, want.pred), (rank, [str(w) for w in words])
+    assert max(Automaton.from_generators(words, rank).n_vertices for rank, words in cases) > 100
+    # unfolded edge lists: loops, repeated edges, parts the basepoint does not reach
+    for _ in range(400):
+        rank, nverts = rng.randrange(1, 4), rng.randrange(1, 10)
+        edges = [(rng.randrange(nverts), rng.randrange(1, rank + 1), rng.randrange(nverts))
+                 for _ in range(rng.randrange(15))]
+        edges += [(v, g, v) for v, g, _ in rng.sample(edges, min(2, len(edges)))]
+        edges += rng.sample(edges, min(3, len(edges)))
+        base = rng.randrange(nverts)
+        got = Automaton.from_raw(rank, nverts, base, edges)
+        assert got.key == fold_by_union_find(rank, nverts, base, edges).key, (rank, nverts, base, edges)
+    # join and intersect against the reference fold of the same data
+    pairs = [(rank, words) for rank, words in cases if len(words) < 12]
+    for (rank, words), (rank2, others) in zip(pairs, pairs[1:]):
+        if rank != rank2:
+            continue
+        x, y = Automaton.from_generators(words, rank), Automaton.from_generators(others, rank)
+        assert x.join(y).key == generators_by_union_find(words + others, rank).key
+        nverts, edges = product_edges(x, y)
+        assert x.intersect(y).key == fold_by_union_find(rank, nverts, 0, edges).key
+
+
+def test_building_an_index_110_kernel_peaks_low():
+    # the basis of the Cayley automaton of C11 x| C10: 111 words, 1 058
+    # letters.  Made one vertex per letter and folded through one dict
+    # per vertex, it peaked at about 147 KB under tracemalloc; read along
+    # the edges already built, at about 12 KB.
+    x, y = tuple((i + 1) % 11 for i in range(11)), tuple(2 * i % 11 for i in range(11))
+    elements = pg.PermGroup(11, [x, y]).elements()
+    number = {e: k for k, e in enumerate(elements)}
+    cayley = Automaton.from_action(2, [[number[pg.compose(e, g)] for e in elements] for g in (x, y)])
+    basis = cayley.basis()
+    assert (len(basis), sum(len(w) for w in basis)) == (111, 1058)
+    tracemalloc.start()
+    try:
+        built = Automaton.from_generators(basis, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built == cayley
+    assert peak < 48_000
+
+
+def test_folding_leaves_no_cyclic_garbage():
+    rng = random.Random(5)
+    cases = reference_cases(rng)[::20]
+    gc.collect()
+    gc.disable()
+    try:
+        for rank, words in cases:
+            x = Automaton.from_generators(words, rank)
+            x.join(x).intersect(x)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"rank": 1, "vertices": 2, "base": 0, "edges": [[0, "a", -1], [1, "a", 0]]},
+     "vertex -1 is out of range for 2 vertices"),
+    ({"rank": 1, "vertices": 2, "base": 0, "edges": [[0, "a", 1], [1, "a", 2]]},
+     "vertex 2 is out of range for 2 vertices"),
+    ({"rank": 2, "vertices": 2, "base": 0, "edges": [[5, "b", 1], [1, "a", -3]]},
+     "vertex 5 is out of range for 2 vertices"),
+    ({"rank": 1, "vertices": 2, "base": -1, "edges": [[0, "a", 1]]},
+     "base -1 is out of range for 2 vertices"),
+    ({"rank": 1, "vertices": 2, "base": 2, "edges": []}, "base 2 is out of range for 2 vertices"),
+    ({"rank": 1, "vertices": 0, "base": 0, "edges": []}, "base 0 is out of range for 0 vertices"),
+    ({"rank": 2, "vertices": 1, "base": 0, "edges": [[0, "c", 0]]}, "edge label 'c' out of range"),
+])
+def test_from_json_refuses_vertex_numbers_out_of_range(data, message):
+    with pytest.raises(ValueError) as refused:
+        Automaton.from_json_dict(data)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("label", [0, 3, -1])
+def test_from_raw_refuses_labels_out_of_range(label):
+    with pytest.raises(ValueError) as refused:
+        Automaton.from_raw(2, 1, 0, [(0, 1, 0), (0, label, 0)])
+    assert str(refused.value) == f"edge label {label} is out of range for rank 2"
+
+
+def test_from_json_refuses_a_vertex_count_over_the_cap_before_building():
+    # one million declared vertices and no edges peaked at about 122 MB
+    # before the count was checked
+    for count in (pg.DEFAULT_ELEMENT_CAP + 1, 1_000_000):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError):
+                Automaton.from_json_dict({"rank": 1, "vertices": count, "base": 0, "edges": []})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+    small = {"rank": 1, "vertices": 3, "base": 1, "edges": [[1, "a", 1]]}
+    assert Automaton.from_json_dict(small) == Automaton.full_group(1)
 
 
 def test_from_json_integer_labels():
