@@ -6,24 +6,33 @@ Vertices are renumbered by breadth-first search from the basepoint with
 edge labels visited in the order a < a^-1 < b < b^-1 < ..., so two
 automata represent the same subgroup iff their edge lists are equal.
 
-A finished automaton keeps its edges as flat lists, one of length V per
-signed letter, with -1 where a vertex has no edge of that label.  Folding
-works on the same layout (``_Folder``): the lists grow by one entry per
-new vertex, merges are queued, and a merge moves the absorbed vertex's
-edges onto the vertex it joins, so no list ever points at a merged vertex.
+Every graph here, finished or being folded, is one edge table: a list
+of length V per signed letter, with -1 where a vertex has no edge of
+that label.  Folding (``_Folder``) grows the lists by one entry per new
+vertex, queues merges, and makes a merge by moving the absorbed vertex's
+edges onto the vertex it joins, so no list ever points at a merged
+vertex.  Every constructor ends in ``_renumber``.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .errors import CapExceededError, NotFiniteIndexError
 from .permgroup import DEFAULT_ELEMENT_CAP, PermGroup
 from .words import Word
 
 
+def _letters(rank: int) -> list:
+    """The signed letters in the canonical order a < a^-1 < b < b^-1 < ...."""
+    return [s for g in range(1, rank + 1) for s in (g, -g)]
+
+
+def _blank(rank: int, nverts: int) -> list:
+    """An edge table of nverts vertices and no edges."""
+    return [None] + [[-1] * nverts for _ in range(2 * rank)]
+
+
 class _Folder:
-    """An edge-labelled graph being folded, on the layout of ``Automaton``.
+    """An edge table being folded.
 
     ``out[s][v]`` is the target of the edge labelled s from v, for each
     signed letter s (a negative index reads the inverse letter's list),
@@ -35,17 +44,12 @@ class _Folder:
     vertex, as a merge clears every entry at it and every entry naming it.
     """
 
-    __slots__ = ("rank", "labels", "out", "into", "pending")
+    __slots__ = ("labels", "out", "into", "pending")
 
-    def __init__(self, rank: int, nverts: int):
-        self.rank = rank
-        # the signed letters in the canonical order a < a^-1 < b < b^-1 < ...
-        self.labels = [s for g in range(1, rank + 1) for s in (g, -g)]
-        out = [None] * (2 * rank + 1)
-        for s in self.labels:
-            out[s] = [-1] * nverts
+    def __init__(self, out: list):
+        self.labels = _letters(len(out) // 2)
         self.out = out
-        self.into = list(range(nverts))
+        self.into = list(range(len(out[1])))
         self.pending = []
 
     def add(self, u: int, s: int, v: int) -> None:
@@ -130,54 +134,56 @@ class _Folder:
             self.add(v, letters[j - 1], u)
         self.fold()
 
-    def trim(self, base: int) -> None:
-        """Remove, again and again, the one edge of each vertex other than
-        ``base`` that has just one: what is left of base's component is
-        its core."""
-        out = self.out
-        degree = [0] * len(self.into)
-        for s in self.labels:
-            for v, t in enumerate(out[s]):
-                if t >= 0:
-                    degree[v] += 1
-        leaves = [v for v, d in enumerate(degree) if d == 1 and v != base]
-        while leaves:
-            v = leaves.pop()
-            if degree[v] != 1:  # its one neighbour was a leaf, taken first
-                continue
-            for s in self.labels:
-                t = out[s][v]
-                if t >= 0:
-                    break
-            out[s][v] = out[-s][t] = -1
-            degree[v] = 0
-            degree[t] -= 1
-            if degree[t] == 1 and t != base:
-                leaves.append(t)
 
-    def automaton(self, base: int) -> "Automaton":
-        """The component of ``base``, numbered by a breadth-first search
-        from it in the canonical order of the signed letters."""
-        out = self.out
-        new = [-1] * (len(self.into) + 1)  # new[-1] == -1: a missing edge stays missing
-        new[base] = 0
-        queue = [base]
-        maps = [out[s] for s in self.labels]
-        for u in queue:  # the queue grows while it is read
-            for m in maps:
-                t = m[u]
-                if t >= 0 and new[t] < 0:
-                    new[t] = len(queue)
-                    queue.append(t)
-        rank = self.rank
-        succ = tuple([new[m[v]] for v in queue] for m in out[1:rank + 1])
-        pred = tuple([new[out[-g][v]] for v in queue] for g in range(1, rank + 1))
-        return Automaton(rank, len(queue), succ, pred)
+def _trim(out: list, base: int) -> None:
+    """Remove, again and again, the one edge of each vertex other than
+    ``base`` that has just one: what is left of base's component is
+    its core."""
+    labels = _letters(len(out) // 2)
+    degree = [0] * len(out[1])
+    for s in labels:
+        for v, t in enumerate(out[s]):
+            if t >= 0:
+                degree[v] += 1
+    leaves = [v for v, d in enumerate(degree) if d == 1 and v != base]
+    while leaves:
+        v = leaves.pop()
+        if degree[v] != 1:  # its one neighbour was a leaf, taken first
+            continue
+        for s in labels:
+            t = out[s][v]
+            if t >= 0:
+                break
+        out[s][v] = out[-s][t] = -1
+        degree[v] = 0
+        degree[t] -= 1
+        if degree[t] == 1 and t != base:
+            leaves.append(t)
+
+
+def _renumber(out: list, base: int) -> "Automaton":
+    """The automaton of base's component of an edge table, numbered by a
+    breadth-first search from base in the order of ``_letters``."""
+    labels = _letters(len(out) // 2)
+    maps = [out[s] for s in labels]
+    new = [-1] * (len(maps[0]) + 1)  # new[-1] == -1: a missing edge stays missing
+    new[base] = 0
+    queue = [base]
+    for u in queue:  # the queue grows while it is read
+        for m in maps:
+            t = m[u]
+            if t >= 0 and new[t] < 0:
+                new[t] = len(queue)
+                queue.append(t)
+    table = [None] * len(out)
+    for s, m in zip(labels, maps):
+        table[s] = [new[m[v]] for v in queue]
+    return Automaton(len(out) // 2, table)
 
 
 def _check_rank(rank: int) -> None:
     """A rank over the default cap is refused before anything is built,
-    since an automaton holds one transition map per generator."""
+    since an automaton holds two lists per generator."""
     if rank < 1:
         raise ValueError("rank must be at least 1")
     if rank > DEFAULT_ELEMENT_CAP:
@@ -187,21 +193,20 @@ def _check_rank(rank: int) -> None:
 class Automaton:
     """Folded core automaton over the free group of rank ``rank``.
 
-    ``succ[g - 1][v]`` is the target of the edge labelled a_g from v and
-    ``pred[g - 1][v]`` its source into v, -1 when there is none; both are
-    tuples of ``rank`` lists of length ``n_vertices``, and every vertex
-    number in them is one int shared by all the lists.  Immutable after
-    construction; compare and hash by canonical form.
+    ``out`` is the edge table of ``_Folder``, numbered by ``_renumber``:
+    ``out[s][v]`` is the target of the edge labelled s from v for each
+    signed letter s = +-g, g = 1 .. rank (a negative index reads a_g^-1's
+    list), -1 when there is none.  Every list has length ``n_vertices``.
+    Immutable after construction; compare and hash by canonical form.
     """
 
-    __slots__ = ("rank", "n_vertices", "base", "succ", "pred", "_key", "_spanning")
+    __slots__ = ("rank", "n_vertices", "base", "out", "_key", "_spanning")
 
-    def __init__(self, rank, n_vertices, succ, pred):
+    def __init__(self, rank, out):
         self.rank = rank
-        self.n_vertices = n_vertices
+        self.n_vertices = len(out[1])
         self.base = 0
-        self.succ = succ
-        self.pred = pred
+        self.out = out
         self._key = None
         self._spanning = None
 
@@ -215,12 +220,12 @@ class Automaton:
         not reach are allowed.
 
         A rank over the default cap is refused before anything is built,
-        since the result holds one transition map per generator; a vertex
+        since the result holds two lists per generator; a vertex
         number or a label out of range raises ValueError naming it."""
         _check_rank(rank)
         if not 0 <= base < nverts:
             raise ValueError(f"base {base} is out of range for {nverts} vertices")
-        folder = _Folder(rank, nverts)
+        folder = _Folder(_blank(rank, nverts))
         for src, label, dst in edges:
             for v in (src, dst):
                 if not 0 <= v < nverts:
@@ -230,8 +235,8 @@ class Automaton:
             folder.add(src, label, dst)
         folder.fold()
         base = folder.find(base)
-        folder.trim(base)
-        return folder.automaton(base)
+        _trim(folder.out, base)
+        return _renumber(folder.out, base)
 
     @classmethod
     def from_generators(cls, generators, rank: int) -> "Automaton":
@@ -243,12 +248,12 @@ class Automaton:
         freely reduced word, entering and leaving by different edges, so
         the result is its own core and is only renumbered."""
         _check_rank(rank)
-        folder = _Folder(rank, 1)
+        folder = _Folder(_blank(rank, 1))
         for w in generators:
             if w.rank != rank:
                 raise ValueError("generator rank mismatch")
             folder.read(w.letters)
-        return folder.automaton(0)
+        return _renumber(folder.out, 0)
 
     @classmethod
     def full_group(cls, rank: int) -> "Automaton":
@@ -268,14 +273,13 @@ class Automaton:
         the full preimage of the stabilizer of that point.  Every vertex
         has exactly one edge in and one edge out per label, so folding
         would merge nothing and the core trim would remove nothing: the
-        orbit is numbered directly, by a breadth-first search in the
-        signed-label order of ``_Folder.automaton``.
+        permutations and their inverses are the edge table, and
+        ``_renumber`` numbers the orbit.
 
         Each permutation is checked first, in one pass that builds its
         inverse: ValueError for a length other than the first one's, a
-        target out of range, or a target met twice.  The lists of the
-        result are the permutations and their inverses read in the new
-        numbering, so the cost is linear in rank * degree.
+        target out of range, or a target met twice.  The cost is linear
+        in rank * degree.
         """
         _check_rank(rank)
         if len(perms) != rank:
@@ -283,8 +287,8 @@ class Automaton:
         degree = len(perms[0])
         if not degree:
             raise ValueError("transitions need at least the point 0")
-        inverses = []
-        for p in perms:
+        out = [None] * (2 * rank + 1)
+        for g, p in enumerate(perms, start=1):
             if len(p) != degree:
                 raise ValueError("transitions must all have the same length")
             inv = [-1] * degree
@@ -293,20 +297,8 @@ class Automaton:
                     raise ValueError(f"transition target {t} is met twice" if 0 <= t < degree
                                      else f"transition target {t} is out of range for {degree} vertices")
                 inv[t] = x
-            inverses.append(inv)
-        # per vertex, its neighbours in the signed-label order
-        neighbours = list(zip(*[q for pair in zip(perms, inverses) for q in pair]))
-        order = [-1] * degree
-        order[0] = 0
-        queue = [0]
-        for u in queue:  # the queue grows while it is read
-            for t in neighbours[u]:
-                if order[t] < 0:
-                    order[t] = len(queue)
-                    queue.append(t)
-        succ = tuple([order[p[old]] for old in queue] for p in perms)
-        pred = tuple([order[inv[old]] for old in queue] for inv in inverses)
-        return cls(rank, len(queue), succ, pred)
+            out[g], out[-g] = p, inv
+        return _renumber(out, 0)
 
     # -- queries ------------------------------------------------------
 
@@ -314,24 +306,23 @@ class Automaton:
     def key(self):
         """The rank, the vertex count and every edge (v, g, t), sorted;
         built on first use.  It is a function of the rank, the vertex
-        count and ``succ``, and determines them, so equality compares
-        those directly."""
+        count and ``out``, and ``out`` determines all three, so equality
+        compares it directly."""
         if self._key is None:
             self._key = (
                 self.rank,
                 self.n_vertices,
                 tuple(
                     (v, g, t)
-                    for g, targets in enumerate(self.succ, start=1)
-                    for v, t in enumerate(targets)
+                    for g in range(1, self.rank + 1)
+                    for v, t in enumerate(self.out[g])
                     if t >= 0
                 ),
             )
         return self._key
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Automaton) and (
-            (self.rank, self.n_vertices, self.succ) == (other.rank, other.n_vertices, other.succ))
+        return isinstance(other, Automaton) and self.out == other.out
 
     def __hash__(self) -> int:
         return hash(self.key)
@@ -341,18 +332,17 @@ class Automaton:
 
     def step(self, v: int, letter: int):
         """Follow one signed letter; None when the edge is missing."""
-        t = self.succ[letter - 1][v] if letter > 0 else self.pred[-letter - 1][v]
+        t = self.out[letter][v]
         return None if t < 0 else t
 
     def membership(self, w: Word) -> bool:
         """True iff the word labels a closed path at the basepoint."""
         if w.rank != self.rank:
             raise ValueError("rank mismatch")
-        # maps[letter] for a signed letter: the preds in reverse at the end
-        maps = (None,) + self.succ + self.pred[::-1]
+        out = self.out
         v = self.base
         for letter in w.letters:
-            v = maps[letter][v]
+            v = out[letter][v]
             if v < 0:
                 return False
         return v == self.base
@@ -360,7 +350,7 @@ class Automaton:
     __contains__ = membership
 
     def is_complete(self) -> bool:
-        return all(-1 not in targets for targets in self.succ)
+        return all(-1 not in self.out[g] for g in range(1, self.rank + 1))
 
     def index(self):
         """Index in the free group: vertex count when complete, else None."""
@@ -368,7 +358,7 @@ class Automaton:
 
     def _tree(self):
         """The breadth-first spanning tree from the basepoint, in the
-        signed-label order of ``_Folder.automaton`` (a < a^-1 < b < ...):
+        order of ``_letters`` (a < a^-1 < b < ...), as ``_renumber`` reads it:
         per vertex its parent and the signed letter from it (-1 and 0 at
         the basepoint) and its depth, with the vertices in the order the
         search reaches them, so every parent comes before its children.
@@ -380,8 +370,7 @@ class Automaton:
     def _build_tree(self):
         n = self.n_vertices
         parent, letter, depth = [-1] * n, [0] * n, [0] * n
-        maps = [(s, m) for g, (out, into) in enumerate(zip(self.succ, self.pred), start=1)
-                for s, m in ((g, out), (-g, into))]
+        maps = [(s, self.out[s]) for s in _letters(self.rank)]
         seen = [False] * n
         seen[self.base] = True
         order = [self.base]
@@ -399,8 +388,8 @@ class Automaton:
         """The edges (u, g, v) off the tree, by label and then by source;
         a tree edge is the one along which the search first reached one
         of its ends."""
-        for g, targets in enumerate(self.succ, start=1):
-            for u, v in enumerate(targets):
+        for g in range(1, self.rank + 1):
+            for u, v in enumerate(self.out[g]):
                 if v >= 0 and not ((parent[v] == u and letter[v] == g) or (parent[u] == v and letter[u] == -g)):
                     yield u, g, v
 
@@ -472,60 +461,55 @@ class Automaton:
     # -- subgroup operations -------------------------------------------
 
     def join(self, other: "Automaton") -> "Automaton":
-        """Automaton of the subgroup generated by both subgroups together."""
+        """Automaton of the subgroup generated by both subgroups together:
+        both tables side by side in one ``_Folder``, other's vertices
+        after self's, folded from the identification of the basepoints.
+        Nothing needs trimming: each vertex of either automaton lies on a
+        closed path at its basepoint with a freely reduced label, and the
+        fold maps it onto a path with the same label, which in a folded
+        graph cannot turn back."""
         if other.rank != self.rank:
             raise ValueError("rank mismatch")
-        offset = self.n_vertices
-        edges = [
-            (v, g, t)
-            for g, targets in enumerate(self.succ, start=1)
-            for v, t in enumerate(targets)
-            if t >= 0
-        ]
-
-        def shift(v: int) -> int:
-            return self.base if v == other.base else (v + offset if v < other.base else v + offset - 1)
-
-        edges.extend(
-            (shift(v), g, shift(t))
-            for g, targets in enumerate(other.succ, start=1)
-            for v, t in enumerate(targets)
-            if t >= 0
-        )
-        return Automaton.from_raw(self.rank, offset + other.n_vertices - 1, self.base, edges)
+        n = self.n_vertices
+        folder = _Folder([None] + [
+            mine + [t + n if t >= 0 else -1 for t in theirs]
+            for mine, theirs in zip(self.out[1:], other.out[1:])])
+        folder.pending.append((self.base, n + other.base))
+        folder.fold()
+        return _renumber(folder.out, folder.find(self.base))
 
     def intersect(self, other: "Automaton") -> "Automaton":
-        """Core of the product automaton: represents the intersection."""
+        """Core of the product automaton: represents the intersection.
+
+        The pairs of vertices reached from the pair of basepoints are
+        numbered as the walk meets them, and each pair's entries of the
+        table are written when the walk reads it.  A product of folded
+        automata is folded, so the table is only trimmed and renumbered."""
         if other.rank != self.rank:
             raise ValueError("rank mismatch")
+        out = _blank(self.rank, 0)
         start = (self.base, other.base)
-        seen = {start: 0}
-        queue = deque([start])
-        edges = set()
-        maps = [(letter, m1, m2) for g in range(self.rank)
-                for letter, m1, m2 in ((g + 1, self.succ[g], other.succ[g]),
-                                       (-g - 1, self.pred[g], other.pred[g]))]
-        while queue:
-            u1, u2 = queue.popleft()
-            u = seen[(u1, u2)]
-            for letter, m1, m2 in maps:
+        pairs, seen = [start], {start: 0}
+        columns = [(out[s].append, self.out[s], other.out[s]) for s in _letters(self.rank)]
+        for u1, u2 in pairs:  # the list grows while it is read
+            for write, m1, m2 in columns:
                 v1, v2 = m1[u1], m2[u2]
                 if v1 < 0 or v2 < 0:
+                    write(-1)
                     continue
-                pair = (v1, v2)
-                if pair not in seen:
-                    seen[pair] = len(seen)
-                    queue.append(pair)
-                v = seen[pair]
-                edges.add((u, letter, v) if letter > 0 else (v, -letter, u))
-        return Automaton.from_raw(self.rank, len(seen), 0, sorted(edges))
+                v = seen.setdefault((v1, v2), len(pairs))
+                if v == len(pairs):
+                    pairs.append((v1, v2))
+                write(v)
+        _trim(out, 0)
+        return _renumber(out, 0)
 
     def coset_group(self, cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
         """The group generated by the transition permutations of a complete
         automaton: the free group acting on the cosets of the subgroup."""
         if not self.is_complete():
             raise NotFiniteIndexError("coset action requires a finite-index subgroup")
-        return PermGroup(self.n_vertices, self.succ, cap=cap)
+        return PermGroup(self.n_vertices, self.out[1:self.rank + 1], cap=cap)
 
     def intermediate_subgroups(self):
         """All subgroups between this one and the full free group.
@@ -564,8 +548,8 @@ class Automaton:
     def to_json_dict(self) -> dict:
         edges = [
             [v, self._label(g), t]
-            for g, targets in enumerate(self.succ, start=1)
-            for v, t in enumerate(targets)
+            for g in range(1, self.rank + 1)
+            for v, t in enumerate(self.out[g])
             if t >= 0
         ]
         return {
@@ -601,8 +585,8 @@ class Automaton:
         for v in range(self.n_vertices):
             if v != self.base:
                 lines.append(f"  {v} [shape=circle];")
-        for g, targets in enumerate(self.succ, start=1):
-            for v, t in enumerate(targets):
+        for g in range(1, self.rank + 1):
+            for v, t in enumerate(self.out[g]):
                 if t >= 0:
                     lines.append(f'  {v} -> {t} [label="{self._label(g)}"];')
         lines.append("}")

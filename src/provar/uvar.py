@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product, starmap
+from itertools import combinations, product, starmap, takewhile
 
 from . import apd
-from .numtheory import factorize, is_prime, lattice_index
+from .numtheory import factorize, is_prime, lattice_index, primes_from
 from .permgroup import (
     DEFAULT_ELEMENT_CAP,
     PermGroup,
@@ -368,11 +368,19 @@ def cl_u_approx(aut: Automaton, primes, cap: int = DEFAULT_ELEMENT_CAP) -> Closu
 
 def not_fg_certificate(aut: Automaton):
     """Smallest coordinate j (1-based) on which the whole subgroup
-    abelianizes to zero, if any.
+    abelianizes to zero, if any; None in rank 1.
 
-    When such a j exists the U-closure has infinite index and is not
-    finitely generated.
+    When such a j exists H lies in the kernel of the j-th exponent sum,
+    a closed subgroup of infinite index, so the U-closure has infinite
+    index.  In rank n >= 2 it then contains F'' != 1 (the argument of
+    ``is_u_closed``), and a finitely generated subgroup that contains a
+    nontrivial normal subgroup has finite index, so the closure is not
+    finitely generated.  In rank 1 F'' = 1 and every subgroup of Z is
+    finitely generated: the one H with a vanishing coordinate, the
+    trivial subgroup, is its own closure, and nothing is certified.
     """
+    if aut.rank == 1:
+        return None
     vectors = [sums for sums, _ in aut.basis_sums()]
     for j in range(aut.rank):
         if all(v[j] == 0 for v in vectors):
@@ -392,15 +400,17 @@ def u_density_check(aut: Automaton, bound: int = DEFAULT_PRIME_BOUND) -> Density
     U-density) plus pro-(Ab(p)*Ab(p-1)) density, by ``apd.status``, for
     every prime p up to the bound, 2 included; no closure is enumerated.
     Every prime's image is checked against its budgets
-    (``apd.check_image_walk``, in ascending order) before any image is
-    built, and the primes are then decided in ascending order until one
-    is not dense.  The abelianization image and the budgets are read off
+    (``apd.check_image_walk``, in ascending order as ``primes_from``
+    yields them, so no prime past a refused one is read) before any image
+    is built, and the primes are then decided in ascending order until
+    one is not dense.  The abelianization image and the budgets are read off
     the basis's exponent sums and lengths (``Automaton.basis_sums``), so
     no basis word is spelled before every prime has passed."""
     vectors = [sums for sums, _ in aut.basis_sums()]
     necessary = lattice_index(vectors, aut.rank) == 1
-    primes = [p for p in range(2, bound + 1) if is_prime(p)]
-    for p in primes:
+    primes = []
+    for p in takewhile(lambda p: p <= bound, primes_from(2)):
         apd.check_image_walk(aut, p, p - 1)
+        primes.append(p)
     dense = all(apd.status(aut, p, p - 1).dense for p in primes)
     return DensityReport(necessary_ok=necessary, dense_up_to_bound=dense, prime_bound=bound)

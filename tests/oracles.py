@@ -377,8 +377,8 @@ def index_and_basis_by_vertex_words(aut: Automaton):
     (u, g, v) off the tree of ``vertex_words``, by label and then source."""
     reps, tree = vertex_words(aut)
     basis = []
-    for g, targets in enumerate(aut.succ, start=1):
-        for u, v in enumerate(targets):
+    for g in range(1, aut.rank + 1):
+        for u, v in enumerate(aut.out[g]):
             if v >= 0 and (u, g, v) not in tree:
                 basis.append(reps[u] * word((g,), aut.rank) * reps[v].inverse())
     return aut.index(), basis
@@ -469,15 +469,11 @@ def fold_by_union_find(rank: int, nverts: int, base: int, edges) -> Automaton:
                 queue.append(t)
     if len(order) != len(reach - dead):
         raise AssertionError("automaton became disconnected")
-    size = len(order)
-    succ = [[-1] * size for _ in range(rank)]
-    pred = [[-1] * size for _ in range(rank)]
+    out = [None] + [[-1] * len(order) for _ in range(2 * rank)]
     for old, new in order.items():
         for key, t in nbr[old].items():
-            if key > 0:
-                succ[key - 1][new] = order[t]
-                pred[key - 1][order[t]] = new
-    return Automaton(rank, size, tuple(succ), tuple(pred))
+            out[key][new] = order[t]
+    return Automaton(rank, out)
 
 
 def generators_by_union_find(generators, rank: int) -> Automaton:

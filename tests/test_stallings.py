@@ -5,9 +5,10 @@ import tracemalloc
 
 import pytest
 
+from provar import apd, uvar
 from provar import permgroup as pg
 from provar.errors import CapExceededError, NotFiniteIndexError
-from provar.stallings import Automaton
+from provar.stallings import Automaton, _renumber
 from provar.words import commutator, identity, parse, word
 from tests.oracles import (
     all_subgroups,
@@ -159,7 +160,7 @@ def test_index_and_basis_match_the_vertex_word_oracle():
         assert (index, basis) == index_and_basis_by_vertex_words(a), a.to_json_dict()
         assert a.basis_sums() == [(w.abelianization(), len(w)) for w in basis]
         assert a.coset_representatives() == vertex_words(a)[0]
-        assert len(basis) == sum(t >= 0 for targets in a.succ for t in targets) - a.n_vertices + 1
+        assert len(basis) == sum(t >= 0 for targets in a.out[1:a.rank + 1] for t in targets) - a.n_vertices + 1
         words += len(basis)
     assert words > 1000
 
@@ -312,7 +313,7 @@ def test_from_action_equals_the_fold_of_its_edges():
         edges = [(v, g, p[v]) for g, p in enumerate(perms, start=1) for v in range(degree)]
         got = Automaton.from_action(rank, [list(p) for p in perms])
         folded = Automaton.from_raw(rank, degree, 0, edges)
-        assert (got.key, got.succ, got.pred) == (folded.key, folded.succ, folded.pred)
+        assert (got.key, got.out) == (folded.key, folded.out)
         assert got.is_complete()
         intransitive += got.n_vertices < degree
     assert intransitive > 10
@@ -431,7 +432,7 @@ def test_fold_matches_the_union_find_reference():
     cases = reference_cases(rng)
     for rank, words in cases:
         got, want = Automaton.from_generators(words, rank), generators_by_union_find(words, rank)
-        assert (got.key, got.pred) == (want.key, want.pred), (rank, [str(w) for w in words])
+        assert (got.key, got.out) == (want.key, want.out), (rank, [str(w) for w in words])
     assert max(Automaton.from_generators(words, rank).n_vertices for rank, words in cases) > 100
     # unfolded edge lists: loops, repeated edges, parts the basepoint does not reach
     for _ in range(400):
@@ -452,6 +453,56 @@ def test_fold_matches_the_union_find_reference():
         assert x.join(y).key == generators_by_union_find(words + others, rank).key
         nverts, edges = product_edges(x, y)
         assert x.intersect(y).key == fold_by_union_find(rank, nverts, 0, edges).key
+
+
+def assert_table_invariants(a):
+    """Each list of ``out`` has one entry per vertex, -1 or a vertex; the
+    lists pair up, out[s][v] == t exactly when out[-s][t] == v; and
+    numbering the table again changes nothing."""
+    n = a.n_vertices
+    assert len(a.out) == 2 * a.rank + 1 and a.out[0] is None
+    for s in [s for g in range(1, a.rank + 1) for s in (g, -g)]:
+        assert len(a.out[s]) == n
+        for v, t in enumerate(a.out[s]):
+            assert -1 <= t < n
+            assert t < 0 or a.out[-s][t] == v
+    again = _renumber([None] + [list(m) for m in a.out[1:]], a.base)
+    assert (again.key, again.out) == (a.key, a.out)
+
+
+def test_every_constructor_writes_a_paired_canonical_table():
+    rng = random.Random(25)
+    built = {name: [] for name in ("from_generators", "from_raw", "from_action", "join", "intersect",
+                                   "closure", "cl_u_finite_index")}
+    cases = reference_cases(rng)
+    built["from_generators"] = [Automaton.from_generators(words, rank) for rank, words in cases[::4]]
+    for _ in range(100):
+        rank, nverts = rng.randrange(1, 4), rng.randrange(1, 10)
+        edges = [(rng.randrange(nverts), rng.randrange(1, rank + 1), rng.randrange(nverts))
+                 for _ in range(rng.randrange(15))]
+        built["from_raw"].append(Automaton.from_raw(rank, nverts, rng.randrange(nverts), edges))
+    for _ in range(40):
+        rank, degree = rng.randrange(1, 4), rng.randrange(1, 13)
+        perms = random_action(rng, rank, degree, rng.randrange(1, degree + 1))
+        built["from_action"].append(Automaton.from_action(rank, perms))
+    small = [a for a in built["from_generators"] if a.n_vertices < 12]
+    for x, y in zip(small, small[1:]):
+        if x.rank == y.rank:
+            built["join"].append(x.join(y))
+            built["intersect"].append(x.intersect(y))
+    for a in small[:40]:
+        for p, d in ((2, 1), (3, 2), (5, 4)):
+            try:
+                built["closure"].append(apd.closure(a, p, d, cap=2000))
+            except CapExceededError:  # the closures of small index are the ones wanted
+                pass
+    for a in built["from_action"] + built["closure"]:
+        if a.rank <= 2 and a.n_vertices <= 24:
+            built["cl_u_finite_index"].append(uvar.cl_u_finite_index(a))
+    for name, automata in built.items():
+        assert sum(a.n_vertices > 1 for a in automata) >= 10, name
+        for a in automata:
+            assert_table_invariants(a)
 
 
 def test_building_an_index_110_kernel_peaks_low():

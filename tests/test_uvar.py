@@ -8,7 +8,7 @@ from provar import apd, uvar
 from provar import permgroup as pg
 from provar.apd import GpdGroup
 from provar.errors import CapExceededError, NotFiniteIndexError
-from provar.numtheory import factorize, lattice_index
+from provar.numtheory import factorize, lattice_index, primes_from
 from provar.permgroup import PermGroup, perm_identity
 from provar.stallings import Automaton
 from provar.words import commutator, parse, word
@@ -173,6 +173,15 @@ def test_not_fg_certificate_examples():
     assert uvar.not_fg_certificate(Automaton.trivial(2)) == 1
 
 
+def test_not_fg_certificate_is_none_in_rank_one():
+    # every subgroup of Z is finitely generated; the trivial one, whose
+    # one coordinate vanishes, is U-closed and so its own closure
+    trivial = Automaton.trivial(1)
+    assert uvar.is_u_closed(trivial) and uvar.cl_u_finite_index(trivial) == trivial
+    for gens in ((), ("1",), ("a",), ("a^6",)):
+        assert uvar.not_fg_certificate(aut(1, *gens)) is None
+
+
 def test_lattice_index():
     assert lattice_index([(1, 0), (0, 1)], 2) == 1
     assert lattice_index([(2, 0), (0, 3)], 2) == 6
@@ -223,6 +232,25 @@ def test_u_density_refuses_before_any_image_walk(monkeypatch):
     built.clear()
     assert uvar.u_density_check(Automaton.full_group(2), bound=7).dense_up_to_bound
     assert built == [2, 3, 5, 7]
+
+
+def test_u_density_reads_no_prime_past_a_refused_one(monkeypatch):
+    # the free object on 2 generators needs 2 * (p - 1)^2 Fox coordinates,
+    # over the cap first at p = 331; the primes up to the bound of 10^9,
+    # about 5 * 10^7 of them, are never listed
+    read = []
+
+    def reading(start):
+        for p in primes_from(start):
+            read.append(p)
+            yield p
+
+    monkeypatch.setattr(uvar, "primes_from", reading)
+    first = next(p for p in primes_from(2) if 2 * (p - 1) ** 2 > apd.DEFAULT_CAP)
+    with pytest.raises(CapExceededError, match="free object on 2 generators"):
+        uvar.u_density_check(Automaton.full_group(2), bound=10**9)
+    assert read == list(itertools.takewhile(lambda p: p <= first, primes_from(2)))
+    assert first == 331
 
 
 def test_u_membership_implies_metabelian():
