@@ -47,7 +47,6 @@ from .uvar import (
     is_u_closed,
     not_fg_certificate,
     u_density_check,
-    u_residual,
 )
 from .words import Word, fox, height_counts, parse, word
 

@@ -302,13 +302,13 @@ def _run(args) -> dict:
 
     if cmd == "diagonalize":
         matrix = _int_array(json.loads(args.matrix), 2, "matrix")
-        pmat, eigen = fplinalg.diagonalize(matrix, args.p)
+        pmat, eigen = fplinalg.diagonalize(matrix, args.p, cap)
         return {"P": pmat, "eigenvalues": eigen}
 
     if cmd == "action-to-presentation":
         matrices = _int_array(json.loads(args.matrices), 3, "matrices")
         orders = [int(x) for x in args.orders.split(",") if x.strip()]
-        pres = fplinalg.action_to_presentation(matrices, orders, args.p, args.d)
+        pres = fplinalg.action_to_presentation(matrices, orders, args.p, args.d, cap)
         return {"p": pres.p, "d": pres.d, "n": pres.n, "m": pres.m,
                 "orders": list(pres.orders),
                 "exponents": [list(row) for row in pres.exponents]}

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotDiagonalizableError
-from .numtheory import require_prime
+from .errors import BudgetExhaustedError, NotDiagonalizableError
+from .numtheory import DEFAULT_SEARCH_CAP, require_prime
 
 Matrix = list[list[int]]
 Vector = list[int]
@@ -136,7 +136,7 @@ def _check_order_divides(m: Matrix, p: int) -> None:
         raise NotDiagonalizableError("matrix order does not divide p - 1")
 
 
-def diagonalize(m: Matrix, p: int) -> tuple[Matrix, list[int]]:
+def diagonalize(m: Matrix, p: int, cap: int = DEFAULT_SEARCH_CAP) -> tuple[Matrix, list[int]]:
     """Invertible P and eigenvalues with P^-1 m P = diag(eigenvalues).
 
     Requires m invertible with m^(p-1) = 1; then all eigenvalues lie in
@@ -144,11 +144,12 @@ def diagonalize(m: Matrix, p: int) -> tuple[Matrix, list[int]]:
     Eigenvalues are reported in ascending order, repeated by multiplicity.
     This is ``simultaneous_diagonalize`` on the family of m alone.
     """
-    pmat, (eigenvalues,) = simultaneous_diagonalize([m], p)
+    pmat, (eigenvalues,) = simultaneous_diagonalize([m], p, cap)
     return pmat, eigenvalues
 
 
-def simultaneous_diagonalize(ms: list[Matrix], p: int) -> tuple[Matrix, list[list[int]]]:
+def simultaneous_diagonalize(ms: list[Matrix], p: int,
+                             cap: int = DEFAULT_SEARCH_CAP) -> tuple[Matrix, list[list[int]]]:
     """One P diagonalizing every matrix of a commuting family.
 
     Works by refining common invariant subspaces: split the space along
@@ -160,6 +161,8 @@ def simultaneous_diagonalize(ms: list[Matrix], p: int) -> tuple[Matrix, list[lis
     a block of common eigenvectors with one eigenvalue per matrix, and
     each split lists its pieces by ascending eigenvalue, so the columns
     of P come in lexicographic order of their tuples of eigenvalues.
+    Each candidate eigenvalue costs a row reduction, and at most ``cap``
+    are tried in all: BudgetExhaustedError is raised before the next.
     """
     require_prime(p, "p")
     if not ms:
@@ -174,6 +177,7 @@ def simultaneous_diagonalize(ms: list[Matrix], p: int) -> tuple[Matrix, list[lis
                 raise ValueError("matrices do not commute")
 
     blocks: list[list[Vector]] = [_columns(mat_identity(n))]
+    examined = 0
     for m in ms:
         refined: list[list[Vector]] = []
         for basis in blocks:
@@ -182,6 +186,10 @@ def simultaneous_diagonalize(ms: list[Matrix], p: int) -> tuple[Matrix, list[lis
             k = len(basis)
             found = 0
             for lam in range(1, p):
+                examined += 1
+                if examined > cap:
+                    raise BudgetExhaustedError(
+                        f"the eigen-scan mod {p} needs more than {cap} candidate eigenvalues")
                 shifted = [[(x - lam * y) % p for x, y in zip(row, brow)]
                            for row, brow in zip(images, bmat)]
                 piece = [mat_vec(bmat, coords, p) for coords in kernel_basis(shifted, p)]
@@ -249,7 +257,8 @@ class ApdPresentation:
         return order
 
 
-def action_to_presentation(ms: list[Matrix], orders: list[int], p: int, d: int) -> ApdPresentation:
+def action_to_presentation(ms: list[Matrix], orders: list[int], p: int, d: int,
+                           cap: int = DEFAULT_SEARCH_CAP) -> ApdPresentation:
     """Read the canonical presentation off a simultaneously diagonalized action.
 
     ``ms[j]`` is the matrix of the j-th commuting generator acting on
@@ -261,7 +270,7 @@ def action_to_presentation(ms: list[Matrix], orders: list[int], p: int, d: int) 
     for m, dj in zip(ms, orders):
         if mat_pow(m, dj, p) != mat_identity(len(m)):
             raise ValueError(f"matrix does not have order dividing {dj}")
-    _, eigenlists = simultaneous_diagonalize(ms, p)
+    _, eigenlists = simultaneous_diagonalize(ms, p, cap)
     exponents = tuple(
         tuple(eigenlists[j][i] for j in range(len(ms))) for i in range(n)
     )

@@ -106,13 +106,6 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def euler_phi(n: int) -> int:
-    phi = 1
-    for p, e in factorize(n).items():
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
-
-
 def mult_order(q: int, p: int) -> int:
     """Least k >= 1 with q^k = 1 mod p; always divides p - 1."""
     require_prime(p, "modulus")

@@ -425,9 +425,6 @@ class PermGroup:
     def identity(self) -> Perm:
         return perm_identity(self.degree)
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def subgroup(self, generators) -> "PermGroup":
         sub = PermGroup(self.degree, generators, cap=self.cap)
         parent = self.element_set()
@@ -627,20 +624,11 @@ class PermGroup:
                 raise AssertionError("normalizer tower stalled below the p-part")
         return current
 
-    def on_orbits_of(self, normal: "PermGroup") -> "PermGroup":
-        """G acting on the orbits of a normal subgroup N, which are blocks,
-        numbered in order of their smallest points."""
-        block = orbit_labels(self.degree, normal.generators)
-        first = {}
-        for x, b in enumerate(block):
-            first.setdefault(b, x)
-        return PermGroup(len(first), [[block[g[x]] for x in first.values()] for g in self.generators],
-                         cap=self.cap)
-
     def quotient(self, normal: "PermGroup") -> "PermGroup":
         """Faithful action of G/N for a verified normal subgroup N.
 
-        G permutes the N-orbits.  When the group it induces on them has
+        G permutes the N-orbits, which are blocks, numbered in order of
+        their smallest points.  When the group it induces on them has
         order |G|/|N|, the kernel of that action is N (as for a regular
         G) and the action is returned: it costs a pass over the points,
         where the action on the cosets of N, returned otherwise, composes
@@ -648,7 +636,12 @@ class PermGroup:
         """
         if not normal.is_normal_in(self):
             raise ValueError("subgroup is not normal")
-        on_blocks = self.on_orbits_of(normal)
+        block = orbit_labels(self.degree, normal.generators)
+        first = {}
+        for x, b in enumerate(block):
+            first.setdefault(b, x)
+        on_blocks = PermGroup(len(first), [[block[g[x]] for x in first.values()]
+                                           for g in self.generators], cap=self.cap)
         if on_blocks.order * normal.order == self.order:
             return on_blocks
         n_elems = normal.element_set()

@@ -42,15 +42,17 @@ class _Folder:
     makes them all.  ``into[v]`` is v while v is live, and the vertex it
     was merged into once it is not; only pending pairs can name a merged
     vertex, as a merge clears every entry at it and every entry naming it.
+    ``merged`` counts the merges, so len(into) - merged vertices are live.
     """
 
-    __slots__ = ("labels", "out", "into", "pending")
+    __slots__ = ("labels", "out", "into", "pending", "merged")
 
     def __init__(self, out: list):
         self.labels = _letters(len(out) // 2)
         self.out = out
         self.into = list(range(len(out[1])))
         self.pending = []
+        self.merged = 0
 
     def add(self, u: int, s: int, v: int) -> None:
         """The edge u -s-> v.  Where u already has an s-edge, to t, the new
@@ -88,6 +90,7 @@ class _Folder:
             if a > b:
                 a, b = b, a
             into[b] = a
+            self.merged += 1
             for s in self.labels:
                 t = out[s][b]
                 if t < 0:
@@ -159,6 +162,22 @@ def _trim(out: list, base: int) -> None:
         degree[t] -= 1
         if degree[t] == 1 and t != base:
             leaves.append(t)
+
+
+def _fold(out: list, base: int, pairs) -> "Automaton":
+    """Identify each pair of vertices of an edge table, fold, and renumber
+    base's component.  The pairs are read lazily and folded whenever more
+    wait than the table has vertices, so memory stays linear in them, and
+    no more are read once one vertex is left."""
+    folder = _Folder(out)
+    for pair in pairs:
+        folder.pending.append(pair)
+        if len(folder.pending) > len(folder.into):
+            folder.fold()
+            if folder.merged == len(folder.into) - 1:
+                break
+    folder.fold()
+    return _renumber(folder.out, folder.find(base))
 
 
 def _renumber(out: list, base: int) -> "Automaton":
@@ -453,17 +472,12 @@ class Automaton:
         return [Word(tuple(reversed(self._climb(parent, letter, v))), self.rank)
                 for v in range(self.n_vertices)]
 
-    def contains_subgroup(self, other: "Automaton") -> bool:
-        if other.rank != self.rank:
-            raise ValueError("rank mismatch")
-        return all(self.membership(w) for w in other.basis())
-
     # -- subgroup operations -------------------------------------------
 
     def join(self, other: "Automaton") -> "Automaton":
         """Automaton of the subgroup generated by both subgroups together:
-        both tables side by side in one ``_Folder``, other's vertices
-        after self's, folded from the identification of the basepoints.
+        both tables side by side, other's vertices after self's, folded
+        (``_fold``) from the identification of the basepoints.
         Nothing needs trimming: each vertex of either automaton lies on a
         closed path at its basepoint with a freely reduced label, and the
         fold maps it onto a path with the same label, which in a folded
@@ -471,12 +485,17 @@ class Automaton:
         if other.rank != self.rank:
             raise ValueError("rank mismatch")
         n = self.n_vertices
-        folder = _Folder([None] + [
-            mine + [t + n if t >= 0 else -1 for t in theirs]
-            for mine, theirs in zip(self.out[1:], other.out[1:])])
-        folder.pending.append((self.base, n + other.base))
-        folder.fold()
-        return _renumber(folder.out, folder.find(self.base))
+        return _fold([None] + [mine + [t + n if t >= 0 else -1 for t in theirs]
+                               for mine, theirs in zip(self.out[1:], other.out[1:])],
+                     self.base, [(self.base, n + other.base)])
+
+    def identify(self, pairs) -> "Automaton":
+        """Automaton of the subgroup generated by this one and path(u)
+        path(v)^-1 for each pair (u, v) of vertices, folded (``_fold``) on a
+        copy of the table; nothing needs trimming, as for ``join``.  Of a
+        complete automaton, the vertices are the classes of the finest
+        partition joining each pair that every generator maps onto itself."""
+        return _fold([None] + [list(m) for m in self.out[1:]], self.base, pairs)
 
     def intersect(self, other: "Automaton") -> "Automaton":
         """Core of the product automaton: represents the intersection.

@@ -6,34 +6,33 @@ are abelian.  ``_residual_seeds`` turns the three conditions into
 commutator and power identities on the generators of G and of G': the
 U-residual R of G, the smallest normal subgroup N with G/N in U, is the
 normal closure of the seeds that fail, and G lies in U iff none fails.
-R exists because U is closed under subdirect products.  So deciding U
-and building R enumerate G' but not G.  Only ``is_in_u``'s report
-fields of a G whose G' is not abelian of squarefree exponent, or whose
-Sylow subgroups are not all abelian, may be searched over its elements,
-and only where G' and |G| leave them open: a G whose G' is not
-nilpotent is not supersolvable, and a Sylow q-subgroup of order at most
-q^2, or with q not dividing |G'|, is abelian.
+R exists because U is closed under subdirect products.  Deciding U
+enumerates G' but not G.  Only ``is_in_u``'s report fields of a G whose
+G' is not abelian of squarefree exponent, or whose Sylow subgroups are
+not all abelian, may be searched over its elements, and only where G'
+and |G| leave them open: a G whose G' is not nilpotent is not
+supersolvable, and a Sylow q-subgroup of order at most q^2, or with q
+not dividing |G'|, is abelian.
 A finite-index subgroup H of a free group is U-closed iff its
-coset-action group G lies in U, and its exact U-closure is H·R with R
-the preimage of the U-residual of G.  For arbitrary
-subgroups only upper approximations are available: the meet of the
-per-prime closures over any finite prime set, each the
-pro-(Ab(p)*Ab(p-1)) closure from ``apd.closure``; for p = 2 that is
-Ab(2)*Ab(1) = Ab(2).
+coset-action group G lies in U, and its exact U-closure H·R, R the
+preimage of the U-residual of G, is H's automaton folded along the
+seeds, with no R built.  For arbitrary subgroups only upper
+approximations are available: the meet of the per-prime closures over
+any finite prime set, each the pro-(Ab(p)*Ab(p-1)) closure from
+``apd.closure``; for p = 2 that is Ab(2)*Ab(1) = Ab(2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product, starmap, takewhile
+from itertools import chain, combinations, product, takewhile
 
 from . import apd
 from .numtheory import factorize, is_prime, lattice_index, primes_from
 from .permgroup import (
     DEFAULT_ELEMENT_CAP,
     PermGroup,
-    commutator,
     compose,
     inverse,
     perm_order,
@@ -287,40 +286,19 @@ def is_u_closed(aut: Automaton, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
     return next(_residual_seeds(aut.coset_group(cap).smaller_faithful_action()), None) is None
 
 
-def u_residual(group: PermGroup) -> PermGroup:
-    """The U-residual: the smallest normal subgroup R with G/R in U, the
-    normal closure of ``_residual_seeds``, which proves it.
-
-    Every seed lies in G': the D seeds are elements of G' and commutators
-    of them, and the S and M seeds are commutators of elements of G or
-    powers of such commutators.  So R lies in G'.  When the seeds include
-    every nontrivial commutator [s, t] of two generators of G, R also
-    contains G', their normal closure, and so R = G': ``derived_subgroup()``,
-    which ``_residual_seeds`` has built, is returned as it is, and G/G'
-    is abelian, so in U, with nothing to check.  Otherwise R is closed
-    from the seeds, and AssertionError is raised unless ``is_in_u`` holds
-    for G/R.
-    """
-    seeds = [seed for _, _, seed in _residual_seeds(group)]
-    found = set(seeds)
-    ident = group.identity()
-    if all(c == ident or c in found
-           for c in starmap(commutator, combinations(group.generators, 2))):
-        return group.derived_subgroup()
-    residual = group.normal_closure(seeds)
-    if seeds and not is_in_u(group.quotient(residual)).verdict:
-        raise AssertionError("G/R is not in U for the normal closure R of the residual seeds")
-    return residual
-
-
 def cl_u_finite_index(aut: Automaton, cap: int = DEFAULT_ELEMENT_CAP) -> Automaton:
     """Exact U-closure of a finite-index subgroup H: the product H·R with
-    the preimage R of the U-residual of the coset-action group.
+    the preimage R of the U-residual of the coset-action group G.
 
-    The residual is normal, so its orbits on the cosets of H are blocks
-    of the coset action, and the vertices of the closure's automaton are
-    these blocks, based at the block of the basepoint.  The automaton is
-    the action on the blocks.
+    Its automaton is G acting on the R-orbits of the cosets of H, the
+    finest partition that G maps onto itself and that joins each coset x
+    to s(x) for every seed s of ``_residual_seeds``: the g keeping every
+    class of such a partition form a normal subgroup holding the seeds,
+    so R.  So H's automaton is folded with each x identified with s(x)
+    (``Automaton.identify``); R is never built.  With no seed, G is in U
+    and H is returned.  The closure K is certified by ``is_u_closed(K)``,
+    else AssertionError: K is then open, so holds H·R, and lies in it as
+    every seed lies in R.
 
     The trivial subgroup of Z is returned as it is, being U-closed
     (``is_u_closed``).  Any other subgroup of infinite index is refused
@@ -330,11 +308,14 @@ def cl_u_finite_index(aut: Automaton, cap: int = DEFAULT_ELEMENT_CAP) -> Automat
     """
     if aut.rank == 1 and not aut.is_complete():
         return aut
-    group = aut.coset_group(cap)
-    residual = u_residual(group)
-    if residual.is_trivial():
+    seeds = _residual_seeds(aut.coset_group(cap))
+    first = next(seeds, None)
+    if first is None:
         return aut
-    return Automaton.from_action(aut.rank, group.on_orbits_of(residual).generators)
+    closure = aut.identify(pair for _, _, s in chain([first], seeds) for pair in enumerate(s))
+    if not is_u_closed(closure, cap):
+        raise AssertionError("the fold along the residual seeds is not U-closed")
+    return closure
 
 
 @dataclass(frozen=True)

@@ -167,6 +167,22 @@ def simultaneous_diagonalize_by_restriction(ms, p: int):
                   for m in ms]
 
 
+def euler_phi(n: int) -> int:
+    """Euler's totient, from the factorization of n."""
+    phi = 1
+    for p, e in factorize(n).items():
+        phi *= (p - 1) * p ** (e - 1)
+    return phi
+
+
+def contains_subgroup(big: Automaton, small: Automaton) -> bool:
+    """Whether big's subgroup contains small's: each word of small's
+    basis is a closed path at big's basepoint."""
+    if small.rank != big.rank:
+        raise ValueError("rank mismatch")
+    return all(big.membership(w) for w in small.basis())
+
+
 def all_subgroups(group: PermGroup) -> list[PermGroup]:
     """Every subgroup, by closing generator sets; meant for small orders."""
     trivial = PermGroup(group.degree, [], cap=group.cap)
@@ -268,7 +284,7 @@ def u_residual_by_lattice(group: PermGroup) -> PermGroup:
     return next(
         normal
         for normal in normal_subgroups_containing(group, PermGroup(group.degree, []))
-        if not normal.is_trivial() and is_in_u(group.quotient(normal)).verdict
+        if normal.order > 1 and is_in_u(group.quotient(normal)).verdict
     )
 
 

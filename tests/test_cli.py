@@ -298,6 +298,19 @@ def test_budget_errors_exit_three(capsys, tmp_path):
                          "--lower", "3")
     assert code == 3
 
+    # the eigen-scans try the candidates 1, 2, ... up to -1 mod p: the
+    # eigenvalue 10 mod 11 is the tenth candidate, and with eigenvalues
+    # 2 and 4 mod 7 the scan stops at its fourth
+    code, out, err = run(capsys, "--cap", "9", "diagonalize", "--p", "11", "--matrix", "[[10]]")
+    assert (code, out) == (3, "")
+    assert err == "error: the eigen-scan mod 11 needs more than 9 candidate eigenvalues\n"
+    assert run_json(capsys, "--cap", "10", "diagonalize", "--p", "11", "--matrix", "[[10]]") == \
+        {"P": [[1]], "eigenvalues": [10]}
+    presentation = ("action-to-presentation", "--p", "7", "--d", "3", "--matrices",
+                    "[[[2,0],[0,4]]]", "--orders", "3")
+    assert run(capsys, "--cap", "3", *presentation)[0] == 3
+    assert run_json(capsys, "--cap", "4", *presentation)["exponents"] == [[2], [4]]
+
 
 def test_deterministic_output(capsys):
     first = run_json(capsys, "stallings", "--rank", "2", "--gens", "ab,ba")

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from provar import fplinalg as fl
-from provar.errors import NotDiagonalizableError
+from provar.errors import BudgetExhaustedError, NotDiagonalizableError
 from tests.oracles import simultaneous_diagonalize_by_restriction
 
 
@@ -347,3 +347,26 @@ def test_action_to_presentation_validates():
         fl.ApdPresentation(p=7, d=3, n=1, m=1, orders=(3,), exponents=((3,),))
     with pytest.raises(ValueError):
         fl.ApdPresentation(p=7, d=4, n=1, m=1, orders=(4,), exponents=((1,),))
+
+
+def test_the_eigen_scan_counts_its_candidates_against_the_budget(monkeypatch):
+    # diag(1, -1) mod 101 needs the candidates 1 .. 100 on the whole
+    # space; a commuting second matrix then splits each of the two lines
+    # at its one eigenvalue, 3 and 1, after 3 and 1 more candidates.  The
+    # candidate past the budget is refused before its row reduction
+    family = [[[1, 0], [0, 100]], [[3, 0], [0, 1]]]
+    reductions = []
+    kernel_basis = fl.kernel_basis
+    monkeypatch.setattr(fl, "kernel_basis", lambda m, p: reductions.append(p) or kernel_basis(m, p))
+    assert fl.simultaneous_diagonalize(family, 101, cap=104) == \
+        fl.simultaneous_diagonalize(family, 101)
+    for cap in (0, 50, 103):
+        reductions.clear()
+        with pytest.raises(BudgetExhaustedError, match=f"more than {cap} candidate"):
+            fl.simultaneous_diagonalize(family, 101, cap=cap)
+        assert len(reductions) == cap
+    with pytest.raises(BudgetExhaustedError):
+        fl.diagonalize([[100]], 101, cap=99)
+    with pytest.raises(BudgetExhaustedError):
+        fl.action_to_presentation([[[100]]], [2], 101, 2, cap=99)
+    assert fl.action_to_presentation([[[100]]], [2], 101, 2, cap=100).exponents == ((100,),)

@@ -12,7 +12,7 @@ from provar.numtheory import factorize, lattice_index, primes_from
 from provar.permgroup import PermGroup, perm_identity
 from provar.stallings import Automaton
 from provar.words import commutator, parse, word
-from tests.oracles import is_in_u_by_enumeration, normal_subgroups_containing, u_residual_by_lattice
+from tests.oracles import contains_subgroup, is_in_u_by_enumeration, u_residual_by_lattice
 from tests.test_permgroup import a4, c2xc4, d4, direct_product, left_regular, q8, s3, s4
 from tests.test_stallings import S3_IMAGES, schreier_preimage
 
@@ -98,7 +98,7 @@ def test_cl_u_finite_index_q8_kernel():
     cayley_q8 = schreier_preimage(Q8_IMAGES, [perm_identity(8)])
     cl = uvar.cl_u_finite_index(cayley_q8)
     assert cl.index() == 4
-    assert cl.contains_subgroup(cayley_q8)
+    assert contains_subgroup(cl, cayley_q8)
     assert cl != cayley_q8
     center = [perm_identity(8), None]
     # center of Q8 = {1, x^2}; x^2 is the image of aa
@@ -140,8 +140,8 @@ def test_cl_u_approx_antitone_in_primes():
     subgroup = schreier_preimage(S3_IMAGES, [perm_identity(3)])
     small = uvar.cl_u_approx(subgroup, [5])
     bigger = uvar.cl_u_approx(subgroup, [3, 5])
-    assert small.automaton.contains_subgroup(bigger.automaton)
-    assert bigger.automaton.contains_subgroup(subgroup)
+    assert contains_subgroup(small.automaton, bigger.automaton)
+    assert contains_subgroup(bigger.automaton, subgroup)
     assert bigger.exact  # stabilizes at the S3-kernel itself
 
 
@@ -156,7 +156,7 @@ def test_cl_u_approx_contains_subgroup_always():
         ]
         subgroup = Automaton.from_generators(letters, 2)
         approx = uvar.cl_u_approx(subgroup, [2, 3])
-        assert approx.automaton.contains_subgroup(subgroup)
+        assert contains_subgroup(approx.automaton, subgroup)
 
 
 def test_cl_u_approx_with_prime_two():
@@ -453,7 +453,7 @@ def closure_law_inputs():
 def test_cl_u_finite_index_laws():
     for h in closure_law_inputs():
         cl = uvar.cl_u_finite_index(h)
-        assert cl.contains_subgroup(h)
+        assert contains_subgroup(cl, h)
         assert uvar.cl_u_finite_index(cl) == cl  # idempotent
         assert uvar.is_u_closed(cl)
         assert uvar.is_u_closed(h) == (cl == h)
@@ -463,7 +463,7 @@ def test_cl_u_finite_index_is_monotone():
     for h in closure_law_inputs():
         cl = uvar.cl_u_finite_index(h)
         for k in h.intermediate_subgroups():
-            assert uvar.cl_u_finite_index(k).contains_subgroup(cl)
+            assert contains_subgroup(uvar.cl_u_finite_index(k), cl)
 
 
 def cycles(degree, *cs):
@@ -499,82 +499,97 @@ def subdirect(*names):
     return PermGroup(len(gens[0]), gens)
 
 
-def test_u_residual_quotient_is_in_u_and_smallest():
-    # in the two subdirect products, G' has elements whose order has
-    # several prime divisors
-    a5 = PermGroup(5, [cycles(5, (0, 1, 2)), cycles(5, (0, 1, 2, 3, 4))])
-    for g in (a5, sylow_2_of_s8(), c3_wr_c3(), s3_wr_c2(),
-              subdirect("S3", "G(5,2)", "Q8"), subdirect("S3", "G(5,4)", "D4"),
-              *(PermGroup(len(im[0]), im) for im in fixture_images().values())):
-        residual = uvar.u_residual(g)
-        assert residual.is_normal_in(g)
-        quotient = g if residual.is_trivial() else g.quotient(residual)
-        assert uvar.is_in_u(quotient).verdict
-        for normal in normal_subgroups_containing(g, PermGroup(g.degree, [])):
-            if uvar.is_in_u(g.quotient(normal)).verdict:
-                assert residual.element_set() <= normal.element_set()
-
-
-def test_u_residual_of_a_p_group_is_its_derived_subgroup():
-    # a group of prime-power order in U is abelian
-    for g in (q8(), d4(), sylow_2_of_s8(), c3_wr_c3()):
-        assert uvar.u_residual(g).element_set() == g.derived_subgroup().element_set()
-
-
-def test_u_residual_and_is_u_closed_build_g_prime_once_and_search_nothing(monkeypatch):
-    # u_residual takes two normal closures in G, G' and R, except where the
-    # seeds hold every generator commutator, so that R = G' (A4, Q8, the
-    # Sylow 2-subgroup of S8), and is_u_closed one, G' of the coset group;
-    # neither reaches a normalizer tower or the chief-series search, not
-    # even through the check of G/R
-    closures = []
-    real_closure = PermGroup.normal_closure
-
-    def normal_closure(self, seeds):
-        closures.append(self)
-        return real_closure(self, seeds)
-
-    def refuse(self, *args):
-        raise AssertionError("a search over G's elements")
-
-    monkeypatch.setattr(PermGroup, "normal_closure", normal_closure)
-    monkeypatch.setattr(PermGroup, "_normalizer_tower", refuse)
-    monkeypatch.setattr(PermGroup, "is_supersolvable", refuse)
-    for g, expected in ((s4(), 2), (a4(), 1), (q8(), 1), (sylow_2_of_s8(), 1), (s3_wr_c2(), 2)):
-        closures.clear()
-        assert not uvar.u_residual(g).is_trivial()
-        assert sum(h is g for h in closures) == expected
-        closures.clear()
-        assert not uvar.is_u_closed(Automaton.from_action(len(g.generators), list(g.generators)))
-        assert len(closures) == 1
-
-
-def test_u_residual_of_q8_is_g_prime_closed_once(monkeypatch):
-    # Q8's seeds hold [i, j] = -1, so R = G' = {1, -1}: the one normal
-    # closure is G' itself, and R is that very group
-    closures = []
-    real_closure = PermGroup.normal_closure
-    monkeypatch.setattr(PermGroup, "normal_closure",
-                        lambda self, seeds: closures.append(self) or real_closure(self, seeds))
-    g = q8()
-    residual = uvar.u_residual(g)
-    assert closures == [g] and residual is g.derived_subgroup() and residual.order == 2
+def check_kernel_closure(g, name):
+    """Check that the U-closure of the kernel of F onto G, whose automaton
+    is G acting on itself, is the preimage of the U-residual that the
+    lattice search finds: F acting on the cosets of that residual.  The
+    residual is returned."""
+    images = list(g.generators)
+    residual = u_residual_by_lattice(PermGroup(g.degree, images))
+    assert uvar.cl_u_finite_index(kernel(images)) == schreier_preimage(images, residual.elements()), name
+    return residual
 
 
 def test_u_residual_agrees_with_the_lattice_search_on_the_fixtures():
-    # both routes of u_residual: R = G' read off the generator commutators,
-    # and the normal closure of the seeds
-    shortcut = 0
-    for name, images in fixture_images().items():
-        g = PermGroup(len(images[0]), images)
-        seeds = {seed for _, _, seed in uvar._residual_seeds(g)}
-        shortcut += all(c in seeds or c == g.identity()
-                        for c in itertools.starmap(pg.commutator,
-                                                   itertools.combinations(g.generators, 2)))
-        residual = uvar.u_residual(g)
-        expected = u_residual_by_lattice(PermGroup(g.degree, g.generators))
-        assert residual.element_set() == expected.element_set(), name
-    assert 0 < shortcut < len(fixture_images())
+    # the closure of each kernel is the preimage of the lattice residual;
+    # in the two subdirect products, G' has elements whose order has
+    # several prime divisors
+    a5 = PermGroup(5, [cycles(5, (0, 1, 2)), cycles(5, (0, 1, 2, 3, 4))])
+    groups = {"A5": a5, "Sylow 2 of S8": sylow_2_of_s8(), "C3 wr C3": c3_wr_c3(),
+              "S3 wr C2": s3_wr_c2(), "S3xG(5,2)xQ8": subdirect("S3", "G(5,2)", "Q8"),
+              "S3xG(5,4)xD4": subdirect("S3", "G(5,4)", "D4")}
+    groups.update((name, PermGroup(len(im[0]), im)) for name, im in fixture_images().items())
+    residuals = {name: check_kernel_closure(g, name).order for name, g in groups.items()}
+    assert residuals["A5"] == 60 and residuals["S3"] == 1 and residuals["Q8"] == 2
+
+
+def test_u_residual_of_a_p_group_is_its_derived_subgroup():
+    # a group of prime-power order in U is abelian, so the closure of its
+    # kernel is the preimage of G'
+    for g in (q8(), d4(), sylow_2_of_s8(), c3_wr_c3()):
+        images = list(g.generators)
+        assert uvar.cl_u_finite_index(kernel(images)) == \
+            schreier_preimage(images, g.derived_subgroup().elements())
+
+
+def test_cl_u_enumerates_only_derived_subgroups_and_searches_nothing(monkeypatch):
+    # cl_u_finite_index folds H's automaton along the seeds: it takes no
+    # normal closure of them, forms no quotient and reaches no normalizer
+    # tower or chief-series search.  It enumerates only G', the derived
+    # subgroup of the closure's coset group, which certifies the closure,
+    # and the subgroups of those that their normal closures build.
+    # is_u_closed takes one normal closure, G', and searches nothing
+    enumerated, closed = [], []
+    real_elements, real_closure = PermGroup.elements, PermGroup.normal_closure
+
+    def elements(self):
+        enumerated.append(self)
+        return real_elements(self)
+
+    def normal_closure(self, seeds):
+        closed.append(self.degree)
+        return real_closure(self, seeds)
+
+    def refuse(self, *args):
+        raise AssertionError("a quotient or a search over G's elements")
+
+    automata = [Automaton.from_action(len(g.generators), list(g.generators))
+                for g in (s4(), a4(), q8(), sylow_2_of_s8(), s3_wr_c2())]
+    automata += [kernel(list(subdirect(*names).generators))
+                 for names in (("S3", "G(5,2)", "Q8"), ("S4", "G(5,4)"))]
+    for h in automata:
+        group = h.coset_group()
+        derived = group.derived_subgroup().element_set()
+        enumerated.clear()
+        closed.clear()
+        monkeypatch.setattr(PermGroup, "elements", elements)
+        monkeypatch.setattr(PermGroup, "normal_closure", normal_closure)
+        for name in ("quotient", "_normalizer_tower", "is_supersolvable"):
+            monkeypatch.setattr(PermGroup, name, refuse)
+        closure = uvar.cl_u_finite_index(h)
+        assert len(closed) == 2 and closed[0] == h.n_vertices
+        seen = len(enumerated)
+        assert not uvar.is_u_closed(h) and len(closed) == 3
+        monkeypatch.undo()
+        del enumerated[seen:]
+        # the closure's coset group may be read on a smaller faithful action
+        assert closure.n_vertices < h.n_vertices
+        closure_derived = closure.coset_group().derived_subgroup().order
+        for e in enumerated:
+            assert len(e.elements()) < group.order
+            if e.degree == h.n_vertices:
+                assert e.element_set() <= derived
+            else:
+                assert closure_derived % e.order == 0
+
+
+def test_cl_u_of_the_s9_point_stabilizer_answers():
+    # S9 by a 9-cycle and a transposition: the coset group has 9! elements,
+    # over the cap, and G' = A9 has 9!/2, under it.  S9 is primitive, so
+    # the first seed folds the nine vertices into one
+    h = Automaton.from_action(2, [cycles(9, range(9)), cycles(9, (0, 1))])
+    assert h.coset_group().stabilizer_chain().order == 362_880 > pg.DEFAULT_ELEMENT_CAP
+    assert uvar.cl_u_finite_index(h) == Automaton.full_group(2)
 
 
 def test_is_u_closed_counts_only_g_prime_against_the_cap():
@@ -660,8 +675,8 @@ def test_affine_parts():
     assert orders["F3^2:C4"] == 36 and orders["F5^2:C3"] == 75
     assert orders["F3^2:C8"] == 72 and orders["F7^2:C3xC3"] == 441
     for name in ("F3^2:C4", "F5^2:C3", "F3^2:C8"):
-        assert uvar.u_residual(parts[name]).order == parts[name].degree
-    assert uvar.u_residual(parts["F7^2:C3xC3"]).is_trivial()
+        assert check_kernel_closure(parts[name], name).order == parts[name].degree
+    assert check_kernel_closure(parts["F7^2:C3xC3"], "F7^2:C3xC3").order == 1
 
 
 def test_u_residual_agrees_with_the_lattice_search_on_subdirect_products():
@@ -669,11 +684,9 @@ def test_u_residual_agrees_with_the_lattice_search_on_subdirect_products():
     # those seeds, or taking s^p for s^(p-1), fails here
     raised = 0
     for names, g in random_subdirect_products(29, 200):
-        residual = uvar.u_residual(g)
-        expected = u_residual_by_lattice(PermGroup(g.degree, g.generators))
-        assert residual.element_set() == expected.element_set(), names
-        assert all(seed in expected for _, _, seed in uvar._residual_seeds(g)), names
-        if not residual.is_trivial() and residual_floor(g).order < residual.order:
+        residual = check_kernel_closure(g, names)
+        assert all(seed in residual for _, _, seed in uvar._residual_seeds(g)), names
+        if residual.order > 1 and residual_floor(g).order < residual.order:
             raised += 1
     assert raised >= 50
 
