@@ -1,8 +1,17 @@
 """Small finite groups as permutation groups.
 
-Permutations are tuples of 0-based images; ``compose(f, g)`` is the
-function composition f o g (g applied first), so the left-regular
-representation of a group is a homomorphism.  Most structure here runs
+A permutation is the sequence of its 0-based images: ``bytes`` for a
+degree of at most 256, the range of a byte, and a tuple of ints above
+it.  A group chooses the representation once, from its degree, as its
+generators enter it (``PermGroup``, ``StabilizerChain``), and its
+identity has it, so every element it forms has it too.  Both index to
+ints and, at one length, sort and compare alike, so code that reads
+``p[x]`` or orders elements does not tell them apart.  ``compose(f, g)``
+is the function composition f o g (g applied first), so the
+left-regular representation of a group is a homomorphism; on bytes it
+is one ``translate`` of g by f padded to 256 bytes (``left_factor``),
+and a bytes element caches its hash, so the sets of an enumeration hash
+each element once.  Most structure here runs
 by explicit element enumeration guarded by a cap, which is the intended
 scale for the decision procedures built on top: normal closures, the
 derived subgroup, Sylow subgroups, quotients and supersolvability.
@@ -14,8 +23,8 @@ holds a chain reads its ``order`` and ``base`` off it: the group
 ``stabilizer_chain()`` was asked for.  The Sylow normalizer tower walks
 G lazily (``bfs_walk``), so it enumerates only the elements it reads.
 
-Enumeration costs |G| compositions of degree-length tuples, |G|^2 on a
-regular representation.  ``smaller_faithful_action`` cuts that degree
+Enumeration costs |G| compositions of degree-length permutations, |G|^2
+on a regular representation.  ``smaller_faithful_action`` cuts that degree
 for questions that only depend on G up to isomorphism.  A regular G is
 recognized by its right multiplications, carried along one breadth-first
 walk in integer lookups and checked on every edge: they commute with G
@@ -40,21 +49,60 @@ DEFAULT_ELEMENT_CAP = 200_000
 # smaller degree saves, so it returns the group as it is.
 REDUCTION_MIN_DEGREE = 100
 
-Perm = tuple[int, ...]
+Perm = bytes | tuple[int, ...]
+
+# the identity of degree 256, and per degree n the tail that pads a
+# bytes permutation of degree n to a table for ``bytes.translate``
+_BYTE_IDENTITY = bytes(range(256))
+_PADS = [_BYTE_IDENTITY[n:] for n in range(257)]
 
 
 def perm_identity(degree: int) -> Perm:
-    return tuple(range(degree))
+    return _BYTE_IDENTITY[:degree] if degree <= 256 else tuple(range(degree))
+
+
+def as_perm(g, degree: int) -> Perm:
+    """The sequence g as a permutation of 0..degree-1, in the
+    representation of its degree; ValueError, showing g as a tuple of
+    ints, when it is not one."""
+    if g.__class__ is not bytes:
+        g = tuple(g)
+    if len(g) == degree:
+        if degree > 256:
+            if set(g) == set(range(degree)):
+                return g
+        else:
+            try:
+                p = bytes(g)
+            except (TypeError, ValueError):  # an entry that is not a byte
+                pass
+            else:
+                # p o p^-1 is the identity exactly when p reaches every point
+                if inverse(p).translate(p + _PADS[degree]) == _BYTE_IDENTITY[:degree]:
+                    return p
+    raise ValueError(f"{tuple(g)} is not a permutation of 0..{degree - 1}")
 
 
 def compose(f: Perm, g: Perm) -> Perm:
-    """f o g: apply g first, then f."""
+    """f o g: apply g first, then f.  A bytes f may come as its table
+    (``left_factor``)."""
+    if g.__class__ is bytes:
+        return g.translate(f + _PADS[len(f)])
     if len(g) == 1:  # itemgetter of one index returns a scalar, not a tuple
         return f
     return itemgetter(*g)(f)
 
 
+def left_factor(f: Perm) -> Perm:
+    """f, to compose on the left of many permutations: a bytes f padded
+    once to its 256-byte ``translate`` table, a tuple f as it is."""
+    return f + _PADS[len(f)] if f.__class__ is bytes else f
+
+
 def inverse(p: Perm) -> Perm:
+    if p.__class__ is bytes:
+        n = len(p)
+        return bytes.maketrans(p, _BYTE_IDENTITY[:n])[:n]
     out = [0] * len(p)
     for i, v in enumerate(p):
         out[v] = i
@@ -63,12 +111,15 @@ def inverse(p: Perm) -> Perm:
 
 def conjugate(p: Perm, by: Perm, by_inv: Perm) -> Perm:
     """by o p o by^-1, given by^-1, so that conjugating many times by the
-    same element inverts it once."""
+    same element inverts it once; ``by`` may come as its table
+    (``left_factor``), so that it is also padded once."""
     return compose(compose(by, p), by_inv)
 
 
-def with_inverses(perms) -> list[tuple[Perm, Perm]]:
-    return [(g, inverse(g)) for g in perms]
+def conjugators(perms) -> list[tuple[Perm, Perm]]:
+    """(``left_factor(g)``, g^-1) for each g: the arguments that
+    ``conjugate`` by g reads."""
+    return [(left_factor(g), inverse(g)) for g in perms]
 
 
 def commutator(a: Perm, b: Perm) -> Perm:
@@ -98,7 +149,7 @@ def perm_power(p: Perm, k: int) -> Perm:
     """p^k, by repeated squaring; a negative k powers the inverse."""
     if k < 0:
         p, k = inverse(p), -k
-    out = tuple(range(len(p)))
+    out = _BYTE_IDENTITY[:len(p)] if p.__class__ is bytes else tuple(range(len(p)))
     while k:
         if k & 1:
             out = compose(out, p)
@@ -132,20 +183,23 @@ def _over_cap(cap: int) -> CapExceededError:
     return CapExceededError(f"group closure exceeds the element cap {cap}")
 
 
-def bfs_walk(identity, generators, product, cap: int):
+def bfs_walk(identity, generators, product, cap: int, left=None):
     """The subgroup of a finite group that ``generators`` generate under
     ``product``, yielded identity first, in breadth-first order, as each
     element is found: in a finite group the products of generators
     already form that subgroup.  It is refused (CapExceededError) before
     an element past the cap is stored, and it stores only the elements
-    it has yielded."""
+    it has yielded.  ``left``, when given, turns each element once into
+    the left factor that ``product`` reads for all of its products, as
+    ``left_factor`` does for ``compose``."""
     seen = {identity}
     found = [identity]
     yield identity
     gens = [g for g in generators if g != identity]
     for e in found:  # the list grows while it is read
+        f = e if left is None else left(e)
         for g in gens:
-            h = product(e, g)
+            h = product(f, g)
             if h not in seen:
                 if len(seen) >= cap:
                     raise _over_cap(cap)
@@ -154,9 +208,9 @@ def bfs_walk(identity, generators, product, cap: int):
                 yield h
 
 
-def bfs_closure(identity, generators, product, cap: int) -> list:
+def bfs_closure(identity, generators, product, cap: int, left=None) -> list:
     """The whole of ``bfs_walk``, as a list."""
-    return list(bfs_walk(identity, generators, product, cap))
+    return list(bfs_walk(identity, generators, product, cap, left))
 
 
 class StabilizerChain:
@@ -228,7 +282,7 @@ class StabilizerChain:
         for g in generators:
             if self.order >= bound:
                 break
-            residue, stop = self.sift(tuple(g))
+            residue, stop = self.sift(as_perm(g, degree))
             if stop < len(self.base) or residue != perm_identity(degree):
                 self._add(residue, 0, stop)
                 self._complete(stop, bound)
@@ -369,17 +423,8 @@ class PermGroup:
     def __init__(self, degree: int, generators, cap: int = DEFAULT_ELEMENT_CAP):
         if degree < 1:
             raise ValueError("degree must be positive")
-        gens = []
-        points = None  # built once a generator has the right length
-        for g in generators:
-            g = tuple(g)
-            if points is None and len(g) == degree:
-                points = set(range(degree))
-            if len(g) != degree or set(g) != points:
-                raise ValueError(f"{g} is not a permutation of 0..{degree - 1}")
-            gens.append(g)
         self.degree = degree
-        self.generators = tuple(gens)
+        self.generators = tuple(as_perm(g, degree) for g in generators)
         self.cap = cap
         self._elements: list[Perm] | None = None
         self._element_set: frozenset[Perm] | None = None
@@ -393,7 +438,7 @@ class PermGroup:
     def elements(self) -> list[Perm]:
         if self._elements is None:
             self._elements = bfs_closure(perm_identity(self.degree), self.generators,
-                                         compose, self.cap)
+                                         compose, self.cap, left_factor)
             self._element_set = frozenset(self._elements)
         return self._elements
 
@@ -419,8 +464,14 @@ class PermGroup:
             self._chain = StabilizerChain(self.degree, self.generators, cap=self.cap)
         return self._chain
 
-    def __contains__(self, p: Perm) -> bool:
-        return tuple(p) in self.element_set()
+    def __contains__(self, p) -> bool:
+        """Whether the sequence p is an element of G: False, not an error,
+        for one of another length or with entries that are not points."""
+        try:
+            p = as_perm(p, self.degree)
+        except ValueError:
+            return False
+        return p in self.element_set()
 
     def identity(self) -> Perm:
         return perm_identity(self.degree)
@@ -440,9 +491,8 @@ class PermGroup:
         if not self.is_subgroup_of(other):
             return False
         mine = self.element_set()
-        conjugators = with_inverses(other.generators)
-        return all(conjugate(s, g, g_inv) in mine
-                   for s in self.generators for g, g_inv in conjugators)
+        by = conjugators(other.generators)
+        return all(conjugate(s, g, g_inv) in mine for s in self.generators for g, g_inv in by)
 
     def smaller_faithful_action(self) -> "PermGroup":
         """G acting faithfully on fewer points, with its elements not
@@ -539,15 +589,15 @@ class PermGroup:
         makes the subgroup normal.
         """
         ident = self.identity()
-        gens = [tuple(s) for s in seeds if tuple(s) != ident]
-        conjugators = with_inverses(self.generators)
+        gens = [g for g in (as_perm(s, self.degree) for s in seeds) if g != ident]
+        by = conjugators(self.generators)
         while True:
             sub = PermGroup(self.degree, gens, cap=self.cap)
             inside = sub.element_set()
             new = {
                 c
                 for s in sub.generators
-                for g, g_inv in conjugators
+                for g, g_inv in by
                 if (c := conjugate(s, g, g_inv)) not in inside
             }
             if not new:
@@ -597,7 +647,7 @@ class PermGroup:
             return None if k == 1 else perm_power(perm, o)  # of order k, a p-power
 
         walk = iter(self._elements) if self._elements is not None else \
-            bfs_walk(self.identity(), self.generators, compose, self.cap)
+            bfs_walk(self.identity(), self.generators, compose, self.cap, left_factor)
         found: list[tuple[Perm, Perm]] = []  # distinct p-parts, with their inverses
         known: set[Perm] = set()
 
@@ -658,10 +708,11 @@ class PermGroup:
         add_coset(frozenset(n_elems))
         for e in self.elements():
             if e not in coset_of:
-                add_coset(frozenset(compose(e, x) for x in n_elems))
+                f = left_factor(e)
+                add_coset(frozenset(compose(f, x) for x in n_elems))
         reps = [next(iter(c)) for c in cosets]
         perms = []
-        for g in self.generators:
+        for g in map(left_factor, self.generators):
             perms.append(tuple(coset_of[compose(g, r)] for r in reps))
         return PermGroup(len(cosets), perms, cap=self.cap)
 
@@ -719,7 +770,7 @@ class PermGroup:
             return True
         p = max(primes)
         base = self.base()
-        conjugators = with_inverses(self.generators)
+        by = conjugators(self.generators)
         tried: set[Perm] = set()
         for x in sorted(self.elements()):
             o = perm_order(x, base)
@@ -734,7 +785,7 @@ class PermGroup:
             while q not in powers:
                 powers.add(q)
                 q = compose(q, y)
-            if all(conjugate(y, g, g_inv) in powers for g, g_inv in conjugators):
+            if all(conjugate(y, g, g_inv) in powers for g, g_inv in by):
                 return self.quotient(PermGroup(self.degree, [y], cap=self.cap)).is_supersolvable()
         return False
 
@@ -772,7 +823,7 @@ class PermGroup:
         if len(table) != order or any(len(row) != order for row in table):
             raise ValueError("table must be order x order")
         perms = [tuple(row) for row in table]
-        e = next((g for g, row in enumerate(perms) if row == perm_identity(order)), None)
+        e = next((g for g, row in enumerate(perms) if row == tuple(range(order))), None)
         if e is None or any(row[e] != g for g, row in enumerate(perms)):
             raise ValueError("table has no two-sided identity")
         try:

@@ -274,7 +274,7 @@ def test_cayley_table_keeps_at_most_log2_order_generators():
         index = {x: i for i, x in enumerate(elements)}
         rows = [tuple(index[pg.compose(x, y)] for y in elements) for x in elements]
         T = PermGroup.from_cayley_table(G.order, rows)
-        assert T.order == G.order and set(T.generators) <= set(rows)
+        assert T.order == G.order and set(map(tuple, T.generators)) <= set(rows)
         assert 2 ** len(T.generators) <= G.order
 
 
@@ -317,11 +317,12 @@ def random_groups(seed, count, max_degree=8):
     return groups
 
 
-def test_stabilizer_chain_order_and_membership_match_enumeration(monkeypatch):
-    # with no bound, and with a bound above |G|, the chain runs to
-    # completion; with the bound |G| it may stop early, and is then still
-    # a base and strong generating set: the same order, a base that only
-    # the identity fixes, and the same membership
+def check_stabilizer_chains(monkeypatch, groups) -> set[int]:
+    """The orders of the groups, after checking each group's chains
+    against its enumeration.  With no bound, and with a bound above |G|,
+    the chain runs to completion; with the bound |G| it may stop early,
+    and is then still a base and strong generating set: the same order,
+    a base that only the identity fixes, and the same membership."""
     searches = dict.fromkeys(["full", "above", "bounded", "capped"], 0)
     real = pg.StabilizerChain._schreier_failure
 
@@ -331,9 +332,8 @@ def test_stabilizer_chain_order_and_membership_match_enumeration(monkeypatch):
 
     monkeypatch.setattr(pg.StabilizerChain, "_schreier_failure", counted)
     rng = random.Random(3)
-    fixtures = [s3(), s4(), a4(), d4(), q8(), c12(), c2xc4(), regular(q8()), regular(s4())]
     orders = set()
-    for G in fixtures + random_groups(5, 450):
+    for G in groups:
         elements = G.element_set()
         kind = "full"
         full = pg.StabilizerChain(G.degree, G.generators)
@@ -352,7 +352,7 @@ def test_stabilizer_chain_order_and_membership_match_enumeration(monkeypatch):
         for _ in range(5):
             points = list(range(G.degree))
             rng.shuffle(points)
-            tried.append(tuple(points))
+            tried.append(pg.as_perm(points, G.degree))
         kind = "bounded"
         bounded = pg.StabilizerChain(G.degree, G.generators, bound=len(elements))
         for chain in (full, bounded):
@@ -369,9 +369,76 @@ def test_stabilizer_chain_order_and_membership_match_enumeration(monkeypatch):
                 return level == len(chain.base) and residue == G.identity()
 
             assert all(member(g) == (g in elements) for g in tried), G.generators
-    assert {1, 2, 6, 24, 120, 720, 5040, 40320} <= orders
     # stopped at |G|, the chain skips searches for failing Schreier generators
     assert searches["bounded"] < searches["above"] == searches["full"], searches
+    return orders
+
+
+def test_stabilizer_chain_order_and_membership_match_enumeration(monkeypatch):
+    fixtures = [s3(), s4(), a4(), d4(), q8(), c12(), c2xc4(), regular(q8()), regular(s4())]
+    orders = check_stabilizer_chains(monkeypatch, fixtures + random_groups(5, 450))
+    assert {1, 2, 6, 24, 120, 720, 5040, 40320} <= orders
+
+
+def padded(G, degree=257):
+    """G with fixed points added up to ``degree``: past 256 points its
+    permutations are tuples, not bytes."""
+    tail = tuple(range(G.degree, degree))
+    return PermGroup(degree, [tuple(g) + tail for g in G.generators], cap=G.cap)
+
+
+def test_stabilizer_chain_bound_and_cap_on_tuple_permutations(monkeypatch):
+    # the checks of the bytes chains above, on the same kind of groups
+    # padded past 256 points, up to order 720 to keep enumeration short
+    fixtures = [s3(), s4(), a4(), d4(), q8(), c12(), c2xc4(), regular(q8()), regular(s4())]
+    groups = [padded(G) for G in fixtures + random_groups(5, 450) if G.order <= 720]
+    assert all(type(G.identity()) is tuple for G in groups)
+    orders = check_stabilizer_chains(monkeypatch, groups)
+    assert {1, 2, 6, 24, 120, 720} <= orders
+
+
+def test_bytes_and_tuple_permutations_give_the_same_answers():
+    # the same group on n <= 256 points, as bytes, and padded with fixed
+    # points to 257, as tuples: the order, the chain's base, the elements
+    # in breadth-first order, the U report and supersolvability agree;
+    # the regular G(5,4) x G(3,2) is reduced by smaller_faithful_action
+    # on 120 points, and not once padded, which is not transitive
+    from provar import uvar
+
+    g120 = left_regular(direct_product(GpdGroup(5, 4).as_perm_group(),
+                                       GpdGroup(3, 2).as_perm_group()))
+    for G in (s3(), s4(), a4(), d4(), q8(), c12(), c2xc4(), regular(q8()), g120):
+        P = padded(G)
+        assert type(G.identity()) is bytes and type(P.identity()) is tuple
+        assert all(type(g) is bytes for g in G.generators)
+        assert all(type(g) is tuple for g in P.generators)
+        assert G.order == P.order
+        assert G.stabilizer_chain().base == P.stabilizer_chain().base
+        assert [tuple(e) for e in G.elements()] == [e[:G.degree] for e in P.elements()]
+        assert uvar.is_in_u(G) == uvar.is_in_u(P)
+        assert G.is_supersolvable() == P.is_supersolvable()
+    assert g120.smaller_faithful_action().degree < 120
+    assert padded(g120).smaller_faithful_action().degree == 257
+
+
+def test_bad_generators_are_refused_as_tuples_and_are_not_members():
+    # the refusal shows the generator as a tuple of ints on either side of
+    # 256 points, and G answers False, not an error, for a sequence that
+    # repeats a point, holds a point past the degree or past a byte, or
+    # a negative one, or has another length
+    for degree in (3, 257):
+        tail = tuple(range(3, degree))
+        group = PermGroup(degree, [(1, 2, 0) + tail, (1, 0, 2) + tail])
+        for head in ((0, 1, 1), (0, 1, 3), (0, 1, 300), (-1, 0, 1)):
+            bad = head + tail
+            with pytest.raises(ValueError) as refused:
+                PermGroup(degree, [list(bad)])
+            assert str(refused.value) == f"{bad} is not a permutation of 0..{degree - 1}"
+            assert bad not in group and list(bad) not in group
+        for other in ((0, 1), tuple(range(degree + 1)), "abc"):
+            assert other not in group
+        assert (2, 0, 1) + tail in group and [0, 2, 1, *tail] in group
+        assert (bytes((2, 0, 1)) in group) == (degree == 3)
 
 
 def test_compose_degree_one():
@@ -544,7 +611,7 @@ def test_smaller_faithful_action_reduces_past_a_quarter_of_the_degree():
 
 def test_smaller_faithful_action_composes_no_tuple_of_full_degree(monkeypatch):
     # the regularity check, the centre and X are integer lookups, and the
-    # order of psi(G) comes from a stabilizer chain of |X|-point tuples,
+    # order of psi(G) comes from a stabilizer chain of |X|-point permutations,
     # with fewer compositions than the |G| - 1 that enumerating psi(G)
     # along the Schreier tree would cost
     group = direct_product(GpdGroup(11, 10).as_perm_group(), GpdGroup(7, 6).as_perm_group())

@@ -35,21 +35,24 @@ def random_word(rng, rank, max_len):
 # For a finite permutation group G with chosen generator images, the
 # preimage in F_n of a subgroup S <= G has, as its Stallings automaton,
 # the (complete) Schreier graph of G acting on the cosets of S.  That
-# graph is built here from scratch, without any folding.
+# graph is built here from scratch, without any folding.  Permutations
+# are composed as tuples, whatever the representation of the caller's.
 
 def schreier_preimage(images, sub_elements):
     degree = len(images[0])
-    sub = frozenset(sub_elements)
+    images = [tuple(img) for img in images]
+    sub = frozenset(map(tuple, sub_elements))
+    identity = tuple(range(degree))
     cosets = {}
     reps = []
 
     def coset_key(g):
         return frozenset(pg.compose(x, g) for x in sub)
 
-    start = coset_key(pg.perm_identity(degree))
+    start = coset_key(identity)
     cosets[start] = 0
-    reps.append(pg.perm_identity(degree))
-    queue = [pg.perm_identity(degree)]
+    reps.append(identity)
+    queue = [identity]
     while queue:
         g = queue.pop()
         for img in images:
@@ -66,9 +69,10 @@ def schreier_preimage(images, sub_elements):
 
 
 def eval_word(images, w):
-    g = pg.perm_identity(len(images[0]))
+    """The image of w, as a tuple."""
+    g = tuple(range(len(images[0])))
     for letter in w.letters:
-        img = images[abs(letter) - 1]
+        img = tuple(images[abs(letter) - 1])
         g = pg.compose(g, img if letter > 0 else pg.inverse(img))
     return g
 
@@ -136,7 +140,7 @@ def test_index_and_basis_examples():
     assert idx == 2
     assert len(basis) == 3  # Nielsen-Schreier: 1 + 2(2-1)
     for w in basis:
-        assert eval_word(C2_IMAGES, w) == pg.perm_identity(2)
+        assert eval_word(C2_IMAGES, w) == tuple(pg.perm_identity(2))
 
 
 def test_index_and_basis_match_the_vertex_word_oracle():
@@ -191,7 +195,7 @@ def test_nielsen_schreier_rank_for_kernels():
     assert idx == 24
     assert len(basis) == 1 + 24 * (2 - 1)
     for w in basis[:5]:
-        assert eval_word(s4, w) == pg.perm_identity(4)
+        assert eval_word(s4, w) == tuple(pg.perm_identity(4))
 
 
 def test_join_examples():
@@ -263,7 +267,7 @@ def test_coset_action():
     ker = schreier_preimage(C2_IMAGES, [pg.perm_identity(2)])
     group = ker.coset_group()
     assert group.degree == 2
-    assert group.generators == ((1, 0), (1, 0))
+    assert tuple(map(tuple, group.generators)) == ((1, 0), (1, 0))
     assert group.order == 2
 
     cay = schreier_preimage(S3_IMAGES, [pg.perm_identity(3)])
@@ -512,9 +516,11 @@ def test_building_an_index_110_kernel_peaks_low():
     # per vertex, it peaked at about 147 KB under tracemalloc; read along
     # the edges already built, at about 12 KB.
     x, y = tuple((i + 1) % 11 for i in range(11)), tuple(2 * i % 11 for i in range(11))
-    elements = pg.PermGroup(11, [x, y]).elements()
+    group = pg.PermGroup(11, [x, y])
+    elements = group.elements()
     number = {e: k for k, e in enumerate(elements)}
-    cayley = Automaton.from_action(2, [[number[pg.compose(e, g)] for e in elements] for g in (x, y)])
+    cayley = Automaton.from_action(2, [[number[pg.compose(e, g)] for e in elements]
+                                       for g in group.generators])
     basis = cayley.basis()
     assert (len(basis), sum(len(w) for w in basis)) == (111, 1058)
     tracemalloc.start()
