@@ -57,6 +57,15 @@ class GpdElement(NamedTuple):
     t: int
 
 
+def _require_gpd_domain(p: int, d: int) -> None:
+    """ValueError unless p is an odd prime and d > 1 divides p - 1."""
+    require_prime(p, "p")
+    if p <= 2:
+        raise ValueError("p must exceed 2")
+    if d <= 1 or (p - 1) % d:
+        raise ValueError(f"d = {d} must be a divisor of p - 1 = {p - 1} greater than 1")
+
+
 class GpdGroup:
     """The group of order pd presented by x^p = y^d = 1, y x y^-1 = x^q.
 
@@ -67,11 +76,7 @@ class GpdGroup:
     """
 
     def __init__(self, p: int, d: int, q: int | None = None):
-        require_prime(p, "p")
-        if p <= 2:
-            raise ValueError("p must exceed 2")
-        if d <= 1 or (p - 1) % d:
-            raise ValueError(f"d = {d} must be a divisor of p - 1 = {p - 1} greater than 1")
+        _require_gpd_domain(p, d)
         if q is None:
             q = smallest_of_order(p, d)
         elif mult_order(q, p) != d:
@@ -167,29 +172,17 @@ def format_gpd_element(e: GpdElement) -> str:
     return " ".join(parts)
 
 
-def _check_y_power(source: GpdGroup, target: GpdGroup, m: int) -> None:
-    """Raise AssertionError unless x -> x, y -> y^m extends to a
-    homomorphism from ``source`` to ``target``.  By von Dyck's theorem it
-    does exactly when the images satisfy the source's defining relations:
-    x^p = 1, (y^m)^d = 1 and y^m x y^-m = x^q in the target."""
-    x, ym = target.x, GpdElement(0, m % target.d)
-    if (
-        source.p % target.element_order(x)
-        or source.d % target.element_order(ym)
-        or target.mul(target.mul(ym, x), target.inv(ym)) != GpdElement(source.q, 0)
-    ):
-        raise AssertionError(f"y -> y^{m} does not respect the relations of {source}")
-
-
 def gpd_iso(p: int, d: int, q: int, r: int) -> tuple[int, int]:
     """Exponents (m, k) realizing the isomorphisms between the q- and
     r-presentations: x -> x, y -> y^m one way and y -> y^k back.
 
     Requires q and r of exact order d; returns m, k with r^m = q and
-    q^k = r mod p.  Both maps are checked to be homomorphisms by their
-    defining relations (``_check_y_power``), and m k = 1 mod d makes
-    them mutually inverse, since each composite fixes x and y.
+    q^k = r mod p.  Both maps are checked to be homomorphisms by the
+    defining relations of their source (``_check_relations``), and
+    m k = 1 mod d makes them mutually inverse, since each composite
+    fixes x and y.  (p, d) is checked as ``GpdGroup`` checks it first.
     """
+    _require_gpd_domain(p, d)
     for value, name in ((q, "q"), (r, "r")):
         if mult_order(value, p) != d:
             raise ValueError(f"{name} = {value} does not have order {d} mod {p}")
@@ -197,10 +190,20 @@ def gpd_iso(p: int, d: int, q: int, r: int) -> tuple[int, int]:
     k = next(k for k in range(1, d + 1) if pow(q, k, p) == r % p)
     if m * k % d != 1:
         raise AssertionError(f"m = {m} and k = {k} are not inverse mod {d}")
-    gq, gr = GpdGroup(p, d, q), GpdGroup(p, d, r)
-    _check_y_power(gq, gr, m)
-    _check_y_power(gr, gq, k)
+    for source, target, e in ((q, r, m), (r, q, k)):
+        pres = ApdPresentation(p, d, 1, 1, (d,), ((source % p,),))
+        _check_relations(GpdGroup(p, d, target), pres, ("gpd",), ((GpdElement(1, 0),),),
+                         ((GpdElement(0, e),),))
     return m, k
+
+
+def _fox_mod(w: Word, d: int):
+    """A word's exponent sums mod d and its Fox support (``words.fox``)
+    with every point reduced mod d: per generator, a list of (point,
+    integer coefficient) pairs that add up at a repeated point."""
+    endpoint, parts = fox(w)
+    return (tuple(x % d for x in endpoint),
+            [[(tuple(x % d for x in t), c) for t, c in part.items()] for part in parts])
 
 
 class FreeObject:
@@ -298,11 +301,7 @@ class FreeObject:
         with every point reduced mod d and every coefficient mod p."""
         if w.rank != self.n:
             raise ValueError(f"word rank {w.rank} does not match n = {self.n}")
-        d = self.d
-        endpoint, parts = fox(w)
-        return self.element(tuple(x % d for x in endpoint),
-                            [[(tuple(x % d for x in t), c) for t, c in part.items()]
-                             for part in parts])
+        return self.element(*_fox_mod(w, self.d))
 
     def element(self, s, parts):
         """The element over s whose Fox derivative by a_i is given by
@@ -470,13 +469,7 @@ class _ImageSubgroup:
         for e in range(1, d):
             zpow[e] = zpow[e - 1] * zeta % p
         zero = (0,) * n
-        # each basis word's t-part and Fox support, its points reduced mod d
-        self.words = words = []
-        for w in aut.basis():
-            endpoint, parts = fox(w)
-            words.append((tuple(x % d for x in endpoint),
-                          [[(tuple(x % d for x in t), c) for t, c in part.items()]
-                           for part in parts]))
+        self.words = words = [_fox_mod(w, d) for w in aut.basis()]
         sums = [s for s, _ in words]
 
         # T by a breadth-first walk on the basis words' distinct nonzero

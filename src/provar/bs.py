@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .apd import GpdElement
-from .errors import BudgetExhaustedError
-from .numtheory import is_primitive_root, primes_from, require_prime
+from .numtheory import find_pr_prime, p_split, require_prime
 from .words import Word, height_counts
 
 PRIME_BUDGET = 100_000
@@ -33,10 +32,7 @@ class BsElement:
 
     def __post_init__(self) -> None:
         require_prime(self.q, "q")
-        den = self.x.denominator
-        while den % self.q == 0:
-            den //= self.q
-        if den != 1:
+        if p_split(self.x.denominator, self.q)[1] != 1:
             raise ValueError(f"denominator of {self.x} is not a power of {self.q}")
 
     @property
@@ -101,36 +97,26 @@ def bs_separating_prime(g: BsElement) -> tuple[int, GpdElement]:
     image of g in C_p x| C_{p-1}.
 
     The canonical map takes m / q^s to m q^-s mod p and the b-exponent
-    to its residue mod p - 1.  The primes are scanned upwards from 3, and
-    the first one that is not q, does not divide a nonzero m, exceeds
-    |j| + 1 and has q as a primitive root is returned: those conditions
-    force a nontrivial image.  A smaller prime may already separate g
-    (for x y^5 with q = 2 the scan returns 11, although 3 separates), so
-    p need not be the smallest separating prime.  BudgetExhaustedError
-    after ``PRIME_BUDGET`` candidates.
+    to its residue mod p - 1.  The first odd prime that is not q, does not
+    divide a nonzero m, exceeds |j| + 1 and has q as a primitive root is
+    returned: those conditions force a nontrivial image.  It is the
+    first answer of ``find_pr_prime`` from max(3, |j| + 2), searched
+    again past each answer that divides m.  A smaller prime may already
+    separate g (for x y^5 with q = 2 the scan returns 11, although 3
+    separates), so p need not be the smallest separating prime.
+    BudgetExhaustedError when a search examines more than
+    ``PRIME_BUDGET`` candidates.
     """
     if g.is_identity():
         raise ValueError("identity element has no separating quotient")
     m = g.numerator
-    s = g.denominator_exponent
-    examined = 0
-    for p in primes_from(3):
-        examined += 1
-        if examined > PRIME_BUDGET:
-            raise BudgetExhaustedError(
-                f"no separating prime for q = {g.q} within {PRIME_BUDGET} candidates"
-            )
-        if p == g.q:
-            continue
-        if m != 0 and m % p == 0:
-            continue
-        if p - 1 <= abs(g.j):
-            continue
-        if not is_primitive_root(g.q, p):
-            continue
-        x_exp = m % p * pow(g.q, -s, p) % p
-        image = GpdElement(x_exp, g.j % (p - 1))
-        if image == GpdElement(0, 0):
-            raise AssertionError(f"the image of {g} at p = {p} is trivial")
-        return p, image
-    raise AssertionError("unreachable")  # pragma: no cover
+    lower = max(3, abs(g.j) + 2)
+    while True:
+        p = find_pr_prime(g.q, lower, cap=PRIME_BUDGET).p
+        if m == 0 or m % p:
+            break
+        lower = p + 1
+    image = GpdElement(m % p * pow(g.q, -g.denominator_exponent, p) % p, g.j % (p - 1))
+    if image == GpdElement(0, 0):
+        raise AssertionError(f"the image of {g} at p = {p} is trivial")
+    return p, image

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import apd, bs, fplinalg, metabelian, numtheory, uvar
 from .errors import BudgetExhaustedError, CapExceededError
@@ -78,14 +79,10 @@ def _aut_payload(aut: Automaton, args) -> dict:
     return payload
 
 
-def _witness_payload(w) -> dict:
-    return {
-        "p": w.p,
-        "q": w.q,
-        "pre_map": w.pre_map.describe(),
-        "image": apd.format_gpd_element(w.image),
-        "image_parts": {"x_exponent": w.image.u, "y_exponent": w.image.t},
-    }
+def _image_payload(image) -> dict:
+    """A separating image x^u y^t, as text and as its two exponents."""
+    return {"image": apd.format_gpd_element(image),
+            "image_parts": {"x_exponent": image.u, "y_exponent": image.t}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,9 +241,7 @@ def _run(args) -> dict:
         return _aut_payload(apd.closure(_automaton_arg(args), args.p, args.d, cap=cap), args)
 
     if cmd == "status":
-        st = apd.status(_automaton_arg(args), args.p, args.d)
-        return {"closed": st.closed, "dense": st.dense,
-                "index_of_closure": st.index_of_closure}
+        return asdict(apd.status(_automaton_arg(args), args.p, args.d))
 
     if cmd == "is-u-closed":
         return {"u_closed": uvar.is_u_closed(_automaton_arg(args), cap=cap)}
@@ -266,20 +261,11 @@ def _run(args) -> dict:
         return {"vanishing_coordinate": uvar.not_fg_certificate(_automaton_arg(args))}
 
     if cmd == "u-density":
-        report = uvar.u_density_check(_automaton_arg(args), bound=args.bound)
-        return {"necessary_ok": report.necessary_ok,
-                "dense_up_to_bound": report.dense_up_to_bound,
-                "prime_bound": report.prime_bound}
+        return asdict(uvar.u_density_check(_automaton_arg(args), bound=args.bound))
 
     if cmd == "is-in-u":
-        report = uvar.is_in_u(_group_arg(args, cap))
-        return {
-            "verdict": report.verdict,
-            "supersolvable": report.supersolvable,
-            "derived_elementary_abelian": report.derived_elementary_abelian,
-            "derived_witness_prime": report.derived_witness_prime,
-            "sylow_abelian": {str(p): ok for p, ok in report.sylow_abelian.items()},
-        }
+        # json writes the int keys of sylow_abelian as strings
+        return asdict(uvar.is_in_u(_group_arg(args, cap)))
 
     if cmd == "supersolvable":
         return {"supersolvable": uvar.is_supersolvable(_group_arg(args, cap))}
@@ -308,10 +294,7 @@ def _run(args) -> dict:
     if cmd == "action-to-presentation":
         matrices = _int_array(json.loads(args.matrices), 3, "matrices")
         orders = [int(x) for x in args.orders.split(",") if x.strip()]
-        pres = fplinalg.action_to_presentation(matrices, orders, args.p, args.d, cap)
-        return {"p": pres.p, "d": pres.d, "n": pres.n, "m": pres.m,
-                "orders": list(pres.orders),
-                "exponents": [list(row) for row in pres.exponents]}
+        return asdict(fplinalg.action_to_presentation(matrices, orders, args.p, args.d, cap))
 
     if cmd == "decompose":
         d = _capped_d(args, cap)
@@ -339,8 +322,8 @@ def _run(args) -> dict:
         return {"equal": metabelian.metab_equal(u, v)}
 
     if cmd == "metab-witness":
-        witness = metabelian.separating_witness(parse_word(args.word, 2))
-        return _witness_payload(witness)
+        w = metabelian.separating_witness(parse_word(args.word, 2))
+        return {"p": w.p, "q": w.q, "pre_map": w.pre_map.describe(), **_image_payload(w.image)}
 
     if cmd == "bs-eval":
         element = bs.bs_eval(parse_word(args.word, 2), args.q)
@@ -352,16 +335,14 @@ def _run(args) -> dict:
     if cmd == "bs-witness":
         element = bs.bs_eval(parse_word(args.word, 2), args.q)
         p, image = bs.bs_separating_prime(element)
-        return {"p": p, "image": apd.format_gpd_element(image),
-                "image_parts": {"x_exponent": image.u, "y_exponent": image.t}}
+        return {"p": p, **_image_payload(image)}
 
     if cmd == "q-sets":
         q_all, q_exact = numtheory.q_sets(args.p, _capped_d(args, cap))
         return {"q_set": sorted(q_all), "q_prime_set": sorted(q_exact)}
 
     if cmd == "find-pr-prime":
-        result = numtheory.find_pr_prime(args.q, args.lower, cap=cap)
-        return {"q": result.q, "p": result.p, "order_check": result.order_check}
+        return asdict(numtheory.find_pr_prime(args.q, args.lower, cap=cap))
 
     raise ValueError(f"unknown command {cmd!r}")  # pragma: no cover
 

@@ -85,6 +85,17 @@ def primes_from(start: int):
         n += 2
 
 
+def p_split(n: int, p: int) -> tuple[int, int]:
+    """(p^k, n / p^k) for the largest power p^k of p >= 2 dividing n != 0."""
+    if n == 0 or p < 2:
+        raise ValueError(f"no {p}-part of {n}")
+    part = 1
+    while n % p == 0:
+        part *= p
+        n //= p
+    return part, n
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division; adequate up to ~1e14 inputs."""
     if n < 1:

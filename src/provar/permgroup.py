@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import CapExceededError
-from .numtheory import factorize, is_prime
+from .numtheory import factorize, is_prime, p_split
 
 DEFAULT_ELEMENT_CAP = 200_000
 
@@ -628,22 +628,14 @@ class PermGroup:
         under the cap (``bfs_walk``), or read from its elements once they
         are enumerated, and each element's p-part is formed once: every
         step reads the p-parts found so far, then walks on."""
-        n = self.order
-        p_part = 1
-        while n % p == 0:
-            p_part *= p
-            n //= p
+        p_part = p_split(self.order, p)[0]
         if p_part == 1:
             return PermGroup(self.degree, [], cap=self.cap)
 
         base = self.base()
 
         def p_element(perm: Perm) -> Perm | None:
-            o = perm_order(perm, base)
-            k = 1
-            while o % p == 0:
-                o //= p
-                k *= p
+            k, o = p_split(perm_order(perm, base), p)
             return None if k == 1 else perm_power(perm, o)  # of order k, a p-power
 
         walk = iter(self._elements) if self._elements is not None else \

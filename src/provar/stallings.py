@@ -379,29 +379,34 @@ class Automaton:
         """The breadth-first spanning tree from the basepoint, in the
         order of ``_letters`` (a < a^-1 < b < ...), as ``_renumber`` reads it:
         per vertex its parent and the signed letter from it (-1 and 0 at
-        the basepoint) and its depth, with the vertices in the order the
-        search reaches them, so every parent comes before its children.
-        Built on first use and kept, like ``key``; callers only read it."""
+        the basepoint) and its depth; every parent comes before its
+        children.  Built on first use and kept, like ``key``; callers
+        only read it."""
         if self._spanning is None:
             self._spanning = self._build_tree()
         return self._spanning
 
     def _build_tree(self):
+        """``_renumber`` numbers the vertices in the order this search
+        reaches them, so it walks u = 0 .. V - 1, and an edge reaches a new
+        vertex exactly when its target is the next number; AssertionError
+        when a target skips it or the search stops short of V vertices."""
         n = self.n_vertices
         parent, letter, depth = [-1] * n, [0] * n, [0] * n
         maps = [(s, self.out[s]) for s in _letters(self.rank)]
-        seen = [False] * n
-        seen[self.base] = True
-        order = [self.base]
-        for u in order:  # the list grows while it is read
+        reached = 1
+        for u in range(n):
+            if u == reached:
+                raise AssertionError(f"the search from the basepoint reached {u} of {n} vertices")
             below = depth[u] + 1
             for s, m in maps:
                 t = m[u]
-                if t >= 0 and not seen[t]:
-                    seen[t] = True
+                if t >= reached:
+                    if t > reached:
+                        raise AssertionError(f"vertex {t} is not numbered in breadth-first order")
                     parent[t], letter[t], depth[t] = u, s, below
-                    order.append(t)
-        return parent, letter, depth, order
+                    reached += 1
+        return parent, letter, depth
 
     def _cotree(self, parent, letter):
         """The edges (u, g, v) off the tree, by label and then by source;
@@ -432,7 +437,7 @@ class Automaton:
         since then v would be u's parent and the edge a tree edge, nor
         path(v) in g, for the same reason.  So each word is built by
         ``Word.trusted``, with no letter checked again."""
-        parent, letter, _, _ = self._tree()
+        parent, letter, _ = self._tree()
         basis = []
         for u, g, v in self._cotree(parent, letter):
             letters = self._climb(parent, letter, u)[::-1]
@@ -450,10 +455,10 @@ class Automaton:
         has exponent sums phi(u) + e_g - phi(v) and length
         depth(u) + 1 + depth(v), phi(v) being the exponent sums of the
         tree path to v.  O(V * rank) for phi and O(rank) per word."""
-        parent, letter, depth, order = self._tree()
+        parent, letter, depth = self._tree()
         phi = [None] * self.n_vertices
         phi[self.base] = (0,) * self.rank
-        for v in order[1:]:
+        for v in range(1, self.n_vertices):
             s = letter[v]
             sums = list(phi[parent[v]])
             sums[abs(s) - 1] += 1 if s > 0 else -1
@@ -468,7 +473,7 @@ class Automaton:
     def coset_representatives(self):
         """One word per vertex, mapping the basepoint to that coset: its
         tree path, spelled from the parent pointers of ``_tree``."""
-        parent, letter, _, _ = self._tree()
+        parent, letter, _ = self._tree()
         return [Word(tuple(reversed(self._climb(parent, letter, v))), self.rank)
                 for v in range(self.n_vertices)]
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, product, takewhile
 
 from . import apd
-from .numtheory import factorize, is_prime, lattice_index, primes_from
+from .numtheory import factorize, is_prime, lattice_index, p_split, primes_from
 from .permgroup import (
     DEFAULT_ELEMENT_CAP,
     PermGroup,
@@ -129,7 +129,8 @@ def _residual_seeds(group: PermGroup):
     orders = [perm_order(s) for s in group.generators]
     heads = {p: [x for g in derived if (x := perm_power(g, r // p)) != ident] for p in factorize(r)}
     for p, xs in heads.items():
-        parts = [q for s, o in zip(group.generators, orders) if (q := _p_part(s, o, p)) != ident]
+        parts = [x for s, o in zip(group.generators, orders)
+                 if (x := perm_power(s, p_split(o, p)[1])) != ident]
         for c in _commutators(product(parts, xs)):
             yield "S", p, c
         for c in _commutators(combinations(parts, 2)):
@@ -146,13 +147,6 @@ def _commutators(pairs):
         xy, yx = compose(x, y), compose(y, x)
         if xy != yx:
             yield compose(xy, inverse(yx))
-
-
-def _p_part(s, order: int, p: int):
-    """A generator of the Sylow p-subgroup of <s>, s of the given order."""
-    while order % p == 0:
-        order //= p
-    return perm_power(s, order)
 
 
 def is_in_u(group: PermGroup) -> UMembershipReport:
@@ -247,7 +241,7 @@ def _sylow_abelian(group: PermGroup, q: int, k: int, derived_order: int) -> bool
     is P grown by the normalizer tower of ``PermGroup.sylow``."""
     if k <= 2 or derived_order % q:
         return True
-    return group.sylow(q).structure().abelian
+    return next(_commutators(combinations(group.sylow(q).generators, 2)), None) is None
 
 
 def is_supersolvable(group: PermGroup) -> bool:

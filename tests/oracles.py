@@ -400,6 +400,27 @@ def index_and_basis_by_vertex_words(aut: Automaton):
     return aut.index(), basis
 
 
+def tree_by_seen_set(aut: Automaton):
+    """The breadth-first spanning tree from the basepoint, letters in the
+    order a < a^-1 < b < b^-1 < ..., with a seen set and a queue: per
+    vertex its parent and the signed letter from it (-1 and 0 at the
+    basepoint) and its depth, and the vertices in the order reached."""
+    n = aut.n_vertices
+    parent, letter, depth = [-1] * n, [0] * n, [0] * n
+    signed = [s for g in range(1, aut.rank + 1) for s in (g, -g)]
+    seen, order, queue = {aut.base}, [aut.base], deque([aut.base])
+    while queue:
+        u = queue.popleft()
+        for s in signed:
+            t = aut.out[s][u]
+            if t >= 0 and t not in seen:
+                seen.add(t)
+                parent[t], letter[t], depth[t] = u, s, depth[u] + 1
+                order.append(t)
+                queue.append(t)
+    return parent, letter, depth, order
+
+
 def fold_by_union_find(rank: int, nverts: int, base: int, edges) -> Automaton:
     """The Stallings fold as it was written first: union-find over the
     vertices, one neighbour dict per root keyed by signed labels (+g for

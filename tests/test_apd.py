@@ -14,7 +14,6 @@ from provar.apd import (
     FreeObject,
     _ImageSubgroup,
     _check_relations,
-    _check_y_power,
     _image_order,
     GpdElement,
     GpdGroup,
@@ -165,8 +164,11 @@ def all_pairs_homomorphism(f, source, target):
 
 
 def accepts(source, target, m):
+    # gpd_iso's relation check: x -> x, y -> y^m against the source's
+    # one-generator presentation
+    pres = ApdPresentation(source.p, source.d, 1, 1, (source.d,), ((source.q,),))
     try:
-        _check_y_power(source, target, m)
+        _check_relations(target, pres, ("gpd",), ((target.x,),), ((GpdElement(0, m),),))
     except AssertionError:
         return False
     return True

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from provar import bs, metabelian as mb
 from provar.apd import GpdElement, GpdGroup
 from provar.errors import BudgetExhaustedError
-from provar.numtheory import is_primitive_root
+from provar.numtheory import is_primitive_root, primes_from
 from provar.words import Word, parse, word
 
 
@@ -184,9 +185,51 @@ def test_bs_separating_prime_verified():
             assert group.evaluate(u) == image
 
 
+def scanned_prime(g):
+    # the scan as first defined: the first prime from 3 that is not q,
+    # does not divide a nonzero m, exceeds |j| + 1 and has q as a
+    # primitive root
+    m = g.numerator
+    return next(p for p in primes_from(3)
+                if p != g.q and (m == 0 or m % p) and p > abs(g.j) + 1
+                and is_primitive_root(g.q, p))
+
+
+def test_bs_separating_prime_matches_the_first_admissible_prime():
+    # m = 0, units, and m divisible by the first, the first two and the
+    # first three admissible primes of m = 1 (so the search starts again
+    # past each), against every |j| <= 50 and s in {0, 1, 3}
+    checked = 0
+    for q in (2, 3, 5, 7):
+        for j in range(-50, 51):
+            first = []
+            for _ in range(3):
+                first.append(scanned_prime(bs.BsElement(q, Fraction(math.prod(first)), j)))
+            for m in (0, 1, -1, first[0], -first[0] * first[1], math.prod(first), q * first[0]):
+                for s in (0, 1, 3):
+                    g = bs.BsElement(q, Fraction(m, q**s), j)
+                    if g.is_identity():
+                        continue
+                    p, image = bs.bs_separating_prime(g)
+                    assert p == scanned_prime(g), (q, m, s, j)
+                    assert image == GpdElement(g.numerator * pow(q, -g.denominator_exponent, p) % p,
+                                               j % (p - 1))
+                    checked += 1
+    assert checked == 4 * 101 * 7 * 3 - 4 * 3
+
+
 def test_bs_separating_prime_rejects_identity():
     with pytest.raises(ValueError):
         bs.bs_separating_prime(bs.bs_identity(2))
+
+
+def test_bs_separating_prime_searches_from_the_height():
+    # the budget bounds each search from |j| + 2; a count of the primes
+    # from 3 once ran out below y^2000000 (the 100 000th prime is 1 299 709)
+    # 2 000 003 is the first prime above 2 000 001, and 2 is a primitive root of it
+    p, image = bs.bs_separating_prime(bs.BsElement(2, Fraction(1), 2_000_000))
+    assert p == 2_000_003 and is_primitive_root(2, p)
+    assert image == GpdElement(1, 2_000_000)
 
 
 def test_bs_separating_prime_budget(monkeypatch):

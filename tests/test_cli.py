@@ -182,6 +182,14 @@ def test_gpd_commands(capsys):
     assert payload["p"] == 11 and payload["order_check"] == 10
 
 
+@pytest.mark.parametrize("p, d", [("7", "1"), ("2", "1"), ("7", "4"), ("9", "2")])
+def test_gpd_iso_refuses_p_and_d_as_gpd_does(capsys, p, d):
+    # with d = 1 the m/k scans once ran and stopped on an AssertionError
+    gpd = run(capsys, "gpd", "--p", p, "--d", d)
+    iso = run(capsys, "gpd-iso", "--p", p, "--d", d, "--q", "1", "--r", "1")
+    assert iso == gpd and iso[0] == 2 and iso[2].startswith("error: ")
+
+
 def test_free_object_command(capsys, tmp_path):
     dot_file = tmp_path / "cayley.dot"
     payload = run_json(capsys, "free-object", "--n", "1", "--p", "3", "--d", "2",

@@ -49,6 +49,16 @@ def test_factorize_and_phi():
     assert euler_phi(36) == 12
 
 
+def test_p_split_against_factorize():
+    for n in itertools.chain(range(1, 200), range(-60, 0), [2**40 * 3**5, 7**30]):
+        for p in (2, 3, 5, 7):
+            part, rest = nt.p_split(n, p)
+            assert part == p ** nt.factorize(abs(n)).get(p, 0) and part * rest == n
+    for n, p in ((0, 3), (12, 1), (12, 0)):
+        with pytest.raises(ValueError):
+            nt.p_split(n, p)
+
+
 def test_mult_order_examples():
     assert nt.mult_order(2, 7) == 3  # 2^3 = 8 = 1 mod 7
     assert nt.mult_order(1, 11) == 1

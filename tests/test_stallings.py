@@ -16,6 +16,7 @@ from tests.oracles import (
     fold_by_union_find,
     generators_by_union_find,
     index_and_basis_by_vertex_words,
+    tree_by_seen_set,
     vertex_words,
 )
 
@@ -303,6 +304,40 @@ def random_action(rng, rank, degree, split):
         rng.shuffle(high)
         perms.append(tuple(low + high))
     return perms
+
+
+def test_the_spanning_tree_matches_a_seen_set_search():
+    # _build_tree walks the vertices in their numbers' order and keeps no
+    # seen set; the oracle searches with one, and reaches them in that order
+    rng = random.Random(28)
+    raw = Automaton.from_raw(2, 4, 3, [(3, 1, 0), (0, 2, 1), (1, 1, 3), (2, 2, 2), (1, 2, 3)])
+    automata = [Automaton.trivial(2), Automaton.full_group(3), aut(1, "a^7"), raw]
+    for _ in range(40):
+        rank = rng.randrange(1, 4)
+        left = Automaton.from_generators(
+            [random_word(rng, rank, 8) for _ in range(rng.randrange(1, 4))], rank)
+        degree = rng.randrange(1, 13)
+        action = Automaton.from_action(rank, random_action(rng, rank, degree,
+                                                           rng.randrange(1, degree + 1)))
+        n = action.n_vertices
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(2)]
+        automata += [left, action, left.join(action), left.intersect(action),
+                     action.identify(pairs)]
+    for a in automata:
+        parent, letter, depth, order = tree_by_seen_set(a)
+        assert order == list(range(a.n_vertices)), a.to_json_dict()
+        assert a._tree() == (parent, letter, depth), a.to_json_dict()
+
+
+@pytest.mark.parametrize("out, message", [
+    ([None, [2, 0, 1], [1, 2, 0]], "vertex 2 is not numbered in breadth-first order"),
+    ([None, [0, 1], [0, 1]], "reached 1 of 2 vertices"),
+])
+def test_the_spanning_tree_refuses_a_table_out_of_search_order(out, message):
+    # a table that _renumber did not write: a 3-cycle numbered 0 -> 2 -> 1,
+    # and a loop at a vertex that the basepoint does not reach
+    with pytest.raises(AssertionError, match=message):
+        Automaton(1, out)._tree()
 
 
 def test_from_action_equals_the_fold_of_its_edges():

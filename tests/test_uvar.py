@@ -56,6 +56,20 @@ def test_is_in_u_report_consistency():
         )
 
 
+def test_sylow_abelianness_is_read_off_the_sylow_generators(monkeypatch):
+    # G' = A4 in S4 and A5 in A5 x C2, so each report is read off G' and
+    # |G|; 2 divides |G'| and |G|_2 = 8, so each Sylow 2-subgroup is grown
+    # (D4, not abelian; C2^3, abelian) and read off its generators'
+    # commutators, with no element order formed for an exponent
+    a5 = PermGroup(5, [cycles(5, (0, 1, 2)), cycles(5, (0, 1, 2, 3, 4))])
+    groups = [s4(), direct_product(a5, PermGroup(2, [(1, 0)]))]
+    expected = [is_in_u_by_enumeration(g) for g in groups]
+    monkeypatch.setattr(PermGroup, "structure", lambda self: pytest.fail("structure() called"))
+    reports = [uvar.is_in_u(g) for g in groups]
+    assert reports == expected
+    assert [r.sylow_abelian[2] for r in reports] == [False, True]
+
+
 def test_is_u_closed_fixtures():
     # Cayley graph of S3: the kernel is U-closed since S3 lies in U
     cayley_s3 = schreier_preimage(S3_IMAGES, [perm_identity(3)])
